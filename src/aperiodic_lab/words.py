@@ -7,6 +7,7 @@ uppercase for inverses, and ``1`` for the empty word.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Sequence, Tuple
 
 
@@ -65,7 +66,13 @@ def reduce_letters(letters: Iterable[int]) -> Tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word.  Immutable; constructor reduces its input."""
+    """A freely reduced word.  Immutable.
+
+    Invariant: ``letters`` is freely reduced and every letter is in range
+    for ``alphabet``.  The constructor checks the range and reduces its
+    input.  Code inside the package that already holds letters with this
+    invariant builds words with ``_trusted``, which checks nothing.
+    """
 
     __slots__ = ("alphabet", "letters")
 
@@ -98,10 +105,14 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, self.letters + other.letters)
+        left, right = self.letters, other.letters
+        if left and right and left[-1] == -right[0]:
+            k = _overlap(left, right)
+            return _trusted(self.alphabet, left[:-k] + right[k:])
+        return _trusted(self.alphabet, left + right)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
+        return _trusted(self.alphabet, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -118,15 +129,20 @@ class Word:
 class CyclicWord:
     """A conjugacy class representative: cyclically reduced, stored in the
     lexicographically least rotation (letter order x_1 < x_1^-1 < x_2 < ...).
+
+    Invariant: ``letters`` is cyclically reduced, in range for ``alphabet``
+    and the least rotation.  The constructor establishes it from any letter
+    sequence; ``_trusted`` is only for callers inside the package that
+    already hold such letters.
     """
 
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
-        word = Word(alphabet, letters)
-        core, _ = _strip_conjugation(word)
+        core = _strip_conjugation(Word(alphabet, letters))[0].letters
+        i = _least_rotation(core)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", _canonical_rotation(core.letters))
+        object.__setattr__(self, "letters", core[i:] + core[:i])
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
@@ -148,15 +164,58 @@ class CyclicWord:
         return f"CyclicWord({self.alphabet.rank}, {word_str(self.as_word())!r})"
 
     def as_word(self) -> Word:
-        return Word(self.alphabet, self.letters)
+        return _trusted(self.alphabet, self.letters)
 
 
-def _canonical_rotation(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    if not letters:
-        return letters
-    n = len(letters)
-    key = lambda rot: [_letter_key(l) for l in rot]
-    return min((letters[i:] + letters[:i] for i in range(n)), key=key)
+def _trusted(alphabet: Alphabet, letters: Tuple[int, ...], cls=Word):
+    # for letters already known to be in range and freely reduced (cyclically
+    # reduced and least-rotated for CyclicWord): products, inverses and
+    # slices of reduced words; re-checking them dominated the word layer
+    word = object.__new__(cls)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
+def _overlap(left: Sequence[int], right: Sequence[int]) -> int:
+    """Number of letters that cancel where reduced ``left`` meets reduced
+    ``right``; ``left[:len(left) - k] + right[k:]`` is the reduced product.
+
+    >>> _overlap((1, 2, 1), (-1, -2, 2))
+    2
+    """
+    k, m = 0, min(len(left), len(right))
+    while k < m and left[-1 - k] == -right[k]:
+        k += 1
+    return k
+
+
+def _least_rotation(letters: Tuple[int, ...]) -> int:
+    """Smallest index i such that ``letters[i:] + letters[:i]`` is the least
+    rotation under ``_letter_key``: Booth's algorithm, linear time.
+
+    >>> _least_rotation((2, 1, 2, 1))
+    1
+    >>> _least_rotation(())
+    0
+    """
+    s = [_letter_key(l) for l in letters] * 2
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def _strip_conjugation(word: Word) -> Tuple[Word, Word]:
@@ -166,7 +225,7 @@ def _strip_conjugation(word: Word) -> Tuple[Word, Word]:
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
         j -= 1
-    return Word(word.alphabet, letters[i:j]), Word(word.alphabet, letters[:i])
+    return _trusted(word.alphabet, letters[i:j]), _trusted(word.alphabet, letters[:i])
 
 
 def reduce(alphabet: Alphabet, raw: Sequence[int]) -> Word:
@@ -193,15 +252,12 @@ def cyclic_reduce(word: Word) -> Tuple[CyclicWord, Word]:
     ('a', 'b')
     """
     core, conj = _strip_conjugation(word)
-    cyclic = CyclicWord(word.alphabet, core.letters)
-    # account for the rotation chosen by canonicalisation
-    if cyclic.letters != core.letters and core.letters:
-        n = len(core.letters)
-        for i in range(n):
-            if core.letters[i:] + core.letters[:i] == cyclic.letters:
-                conj = conj * Word(word.alphabet, core.letters[:i])
-                break
-    return cyclic, conj
+    letters = core.letters
+    i = _least_rotation(letters)
+    if i:
+        # the rotation by i moves letters[:i] into the conjugator
+        conj = conj * _trusted(word.alphabet, letters[:i])
+    return _trusted(word.alphabet, letters[i:] + letters[:i], CyclicWord), conj
 
 
 def apply_endo(images: Sequence[Word], word: Word) -> Word:
@@ -212,20 +268,25 @@ def apply_endo(images: Sequence[Word], word: Word) -> Word:
     alphabet = word.alphabet
     if len(images) != alphabet.rank:
         raise ValueError(f"expected {alphabet.rank} images, got {len(images)}")
-    for image in images:
+    # table[l] is the image of the letter l, inverse letters at negative
+    # indices; entry 0 is unused
+    table: list = [()] * (2 * alphabet.rank + 1)
+    for i, image in enumerate(images, 1):
         if image.alphabet != alphabet:
             raise ValueError("image alphabet mismatch")
+        table[i] = image.letters
+        table[-i] = tuple(map(neg, reversed(image.letters)))
+    # out and every image are reduced, so only the junction can cancel
     out: list[int] = []
     for letter in word.letters:
-        image = images[abs(letter) - 1].letters
-        if letter < 0:
-            image = tuple(-l for l in reversed(image))
-        for l in image:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return Word(alphabet, out)
+        image = table[letter]
+        if out and image and out[-1] == -image[0]:
+            k = _overlap(out, image)
+            del out[-k:]
+            out.extend(image[k:])
+        else:
+            out.extend(image)
+    return _trusted(alphabet, tuple(out))
 
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"

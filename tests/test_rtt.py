@@ -22,6 +22,7 @@ from aperiodic_lab.rtt import (
     transition_matrix,
     verify_rtt,
 )
+from aperiodic_lab.graphs import FiniteGraph
 from aperiodic_lab.splittings import GraphMapRep, graph_map_from_words, rose_marked
 from aperiodic_lab.words import Alphabet, parse_word
 
@@ -219,6 +220,33 @@ class TestBoundedCancellation:
                 path = random_tight_path(graph, rng.randrange(1, 50), rng)
                 split = rng.randrange(0, len(path) + 1)
                 assert bcc_inequality_holds(graph_map, path[:split], path[split:])
+
+    def test_random_tight_path_matches_dart_scan(self):
+        # the per-vertex dart lists must hold what a scan over all darts
+        # finds, in the same order, so that a seeded rng draws the same path
+        def scanned(graph, length, rng):
+            path = [rng.choice(range(graph.n_darts()))]
+            while len(path) < length:
+                head = graph.dart_head(path[-1])
+                options = [
+                    d
+                    for d in range(graph.n_darts())
+                    if graph.dart_origin(d) == head and d != (path[-1] ^ 1)
+                ]
+                if not options:
+                    break
+                path.append(rng.choice(options))
+            return tuple(path)
+
+        graphs = [
+            FIB.domain.graph,
+            FiniteGraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (0, 2)]),
+            FiniteGraph(3, [(0, 1), (1, 2)]),  # a tree: paths hit dead ends
+        ]
+        for graph in graphs:
+            for seed in range(40):
+                expected = scanned(graph, 25, random.Random(seed))
+                assert random_tight_path(graph, 25, random.Random(seed)) == expected
 
     def test_actual_cancellation_occurs(self):
         # some split loses length at the junction, so the bound is needed

@@ -16,6 +16,7 @@ from aperiodic_lab.aut import (
 from aperiodic_lab.subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
+    StallingsCore,
     basis_ffs,
     conjugacy_eq,
     conjugate_into,
@@ -67,6 +68,25 @@ class TestFolding:
         core = fold_core(A2, [])
         assert core.n_vertices == 1 and core.n_edges() == 0
         assert membership(w("1"), core)
+
+    def test_fold_core_output_passes_constructor_checks(self):
+        # fold_core skips the constructor's checks; they must hold anyway
+        rng = random.Random(7)
+        words = all_reduced_words(A3, 4)[1:]
+        for _ in range(60):
+            gens = rng.sample(words, rng.randint(1, 4))
+            core = fold_core(A3, gens)
+            rebuilt = StallingsCore(A3, core.n_vertices, core.transitions, core.base)
+            assert rebuilt.transitions == core.transitions
+            assert all(membership(g, core) for g in gens)
+
+    def test_constructor_rejects_unpaired_transition(self):
+        with pytest.raises(ValueError, match="inverse pairs"):
+            StallingsCore(A2, 2, {(0, 1): 1})
+
+    def test_constructor_rejects_out_of_range_letter(self):
+        with pytest.raises(ValueError, match="out of range"):
+            StallingsCore(A2, 1, {(0, 3): 0, (0, -3): 0})
 
 
 class TestMembership:

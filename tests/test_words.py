@@ -5,11 +5,14 @@ from aperiodic_lab.words import (
     Alphabet,
     CyclicWord,
     Word,
+    _least_rotation,
+    _letter_key,
     all_reduced_words,
     apply_endo,
     cyclic_reduce,
     parse_word,
     reduce,
+    reduce_letters,
     word_str,
 )
 
@@ -23,6 +26,33 @@ def w(text, alphabet=A2):
 
 letters_2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 letters_3 = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10)
+# words that repeat a block, so that several rotations tie for least
+periodic_3 = st.builds(
+    lambda block, times: block * times,
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=4),
+    st.integers(1, 4),
+)
+words_3 = st.one_of(letters_3, periodic_3).map(lambda l: reduce(A3, l))
+
+
+def least_rotation_oracle(letters):
+    """Smallest index of the least rotation, by comparing all of them."""
+    if not letters:
+        return 0
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    keys = [[_letter_key(l) for l in rot] for rot in rotations]
+    return keys.index(min(keys))
+
+
+def cyclic_reduce_oracle(word):
+    """Core and conjugator by stripping end pairs and searching rotations."""
+    letters = word.letters
+    i = 0
+    while len(letters) - 2 * i >= 2 and letters[i] == -letters[-1 - i]:
+        i += 1
+    core = letters[i : len(letters) - i]
+    j = least_rotation_oracle(core)
+    return core[j:] + core[:j], Word(word.alphabet, letters[:i] + core[:j])
 
 
 class TestReduce:
@@ -128,6 +158,14 @@ class TestApplyEndo:
         with pytest.raises(ValueError):
             apply_endo([parse_word(A3, "a"), parse_word(A3, "b")], w("ab"))
 
+    @given(st.lists(words_3, min_size=3, max_size=3), words_3)
+    def test_matches_naive_substitution(self, images, word):
+        naive = []
+        for letter in word.letters:
+            image = images[abs(letter) - 1].letters
+            naive.extend(image if letter > 0 else [-l for l in reversed(image)])
+        assert apply_endo(images, word).letters == reduce_letters(naive)
+
     @given(letters_2, letters_2)
     def test_homomorphism(self, s, t):
         images = [w("ab"), w("bA")]
@@ -137,7 +175,46 @@ class TestApplyEndo:
         )
 
 
+class TestTrustedConstruction:
+    @given(words_3, words_3)
+    def test_product_matches_validated_constructor(self, u, v):
+        assert u * v == Word(A3, u.letters + v.letters)
+
+    @given(words_3)
+    def test_inverse_matches_validated_constructor(self, u):
+        assert u.inverse() == Word(A3, [-l for l in reversed(u.letters)])
+        assert (u * u.inverse()).is_identity()
+
+    @given(words_3)
+    def test_cyclic_reduce_matches_rotation_search(self, word):
+        core, conj = cyclic_reduce(word)
+        assert conj * core.as_word() * conj.inverse() == word
+        least, oracle_conj = cyclic_reduce_oracle(word)
+        assert core.letters == least
+        assert conj == oracle_conj
+        assert core == CyclicWord(A3, word.letters)
+
+    def test_periodic_core_keeps_smallest_rotation(self):
+        core, conj = cyclic_reduce(w("baba"))
+        assert word_str(core.as_word()) == "abab"
+        assert conj == w("b")
+
+    def test_constructors_reject_out_of_range_letters(self):
+        for bad in ([3], [1, -3], [0], [1.0]):
+            with pytest.raises(ValueError):
+                Word(A2, bad)
+            with pytest.raises(ValueError):
+                CyclicWord(A2, bad)
+        with pytest.raises(ValueError):
+            parse_word(A2, "aC")
+
+
 class TestCanonicalRotation:
+    @given(st.one_of(letters_3, periodic_3))
+    def test_booth_matches_all_rotations(self, letters):
+        letters = tuple(letters)
+        assert _least_rotation(letters) == least_rotation_oracle(letters)
+
     def test_rotation_invariance(self):
         assert CyclicWord(A2, (1, 2)) == CyclicWord(A2, (2, 1))
 
