@@ -12,14 +12,17 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aut import FreeAutomorphism
 from .homology import Sublattice, word_exponent_vector
-from .words import Alphabet, CyclicWord, Word, parse_word, word_str
+from .words import Alphabet, CyclicWord, Word, _trusted, parse_word, word_str
 
 
 class StallingsCore:
     """Folded labeled based graph; transitions[(v, letter)] = target vertex.
 
     Transitions come in inverse pairs: (v, l) -> w iff (w, -l) -> v.
-    Every vertex except possibly the basepoint has valence >= 2.
+    Every vertex except possibly the basepoint has valence >= 2.  Being a
+    dict keyed on (v, letter), ``transitions`` cannot hold two edges with
+    one label at one vertex, so any input is folded; the constructor checks
+    only letter and vertex ranges and the pairing.
     """
 
     __slots__ = ("alphabet", "n_vertices", "transitions", "base")
@@ -37,11 +40,6 @@ class StallingsCore:
                 raise ValueError("transition endpoint out of range")
             if transitions.get((w, -letter)) != v:
                 raise ValueError("transitions must come in inverse pairs")
-        seen: Dict[Tuple[int, int], int] = {}
-        for (v, letter), w in transitions.items():
-            if (v, letter) in seen:
-                raise ValueError("not folded")
-            seen[(v, letter)] = w
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "transitions", dict(transitions))
@@ -106,79 +104,16 @@ class StallingsCore:
             if (v, letter) in tree_pairs or (v, letter) in done:
                 continue
             done.add((w, -letter))
-            word = Word(
+            # reduced as it stands: tree paths are reduced, and neither
+            # (v, letter) nor (w, -letter) is the tree edge leading from its
+            # start towards the base, so at each junction the non-tree letter
+            # differs from the inverse of the tree letter
+            word = _trusted(
                 self.alphabet,
                 path_to(v) + (letter,) + tuple(-l for l in reversed(path_to(w))),
             )
             gens.append(word)
         return gens
-
-
-def _fold(
-    alphabet: Alphabet, n: int, pairs: Dict[Tuple[int, int], set], base: int
-) -> Tuple[int, Dict[Tuple[int, int], int], int]:
-    """Fold a (possibly nondeterministic) labeled graph; returns relabeled
-    vertex count, folded transitions, and the image of the basepoint.
-
-    Worklist variant: vertices whose out-edges changed are re-examined, so
-    folding a wedge of loops is near-linear in total word length.
-    """
-    parent = list(range(n))
-    out: List[Dict[int, List[int]]] = [dict() for _ in range(n)]
-    for (v, letter), targets in pairs.items():
-        out[v].setdefault(letter, []).extend(targets)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> int:
-        a, b = find(a), find(b)
-        if a == b:
-            return a
-        if len(out[a]) < len(out[b]):
-            a, b = b, a
-        parent[b] = a
-        for letter, targets in out[b].items():
-            out[a].setdefault(letter, []).extend(targets)
-        out[b] = {}
-        return a
-
-    queue = list(range(n))
-    queued = set(queue)
-    while queue:
-        v = find(queue.pop())
-        queued.discard(v)
-        merged_any = False
-        for letter, targets in list(out[v].items()):
-            canon = {find(w) for w in targets}
-            out[v][letter] = list(canon)
-            if len(canon) > 1:
-                it = iter(canon)
-                keep = next(it)
-                for w in it:
-                    keep = union(keep, w)
-                # v may itself have been merged away; requeue both ends
-                for x in (find(v), find(keep)):
-                    if x not in queued:
-                        queue.append(x)
-                        queued.add(x)
-                merged_any = True
-                break
-        if merged_any:
-            continue
-
-    reps = sorted({find(v) for v in range(n)})
-    relabel = {r: i for i, r in enumerate(reps)}
-    transitions = {}
-    for v in reps:
-        for letter, targets in out[v].items():
-            canon = {find(w) for w in targets}
-            assert len(canon) == 1, "folding left a conflict"
-            transitions[(relabel[v], letter)] = relabel[canon.pop()]
-    return len(reps), transitions, relabel[find(base)]
 
 
 def _trim(
@@ -211,29 +146,123 @@ def _trim(
     return len(alive), new_transitions, (relabel[base] if base is not None else None)
 
 
+def _letter_order(alphabet: Alphabet) -> List[int]:
+    """x1 < X1 < x2 < X2 < ...: the order in which BFS numberings visit
+    the edges at a vertex."""
+    return sorted(alphabet.signed_letters(), key=lambda l: (abs(l), l < 0))
+
+
 def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
-    """Wedge of generator loops at the basepoint, folded, then trimmed to
-    the core.  Represents the subgroup generated by ``generators``."""
-    pairs: Dict[Tuple[int, int], set] = {}
-    n = 1
+    """The based Stallings core of the subgroup generated by ``generators``,
+    numbered by breadth-first search from the basepoint in the letter order
+    of ``_bfs_encoding``.
+
+    The graph is kept folded while it grows: each vertex has one dict from
+    letter to target, and ``parent`` is a union-find forest (path halving)
+    whose roots are the live vertices; targets are resolved through it when
+    read.  A generator is read in by following its prefix forward and its
+    suffix backward (by inverse letters) from the basepoint while edges
+    exist; fresh vertices are made only for the unmatched middle.  If
+    nothing is left in the middle, the two traces meet and their ends are
+    identified, and if the edge that closes the middle collides with one
+    already there, their other ends are.  Identification works through a
+    merge stack: the vertex of smaller out-degree moves its edges into the
+    other's dict, and each clash (existing target, moved target) is pushed
+    to be identified in turn.  This is near-linear in the total generator
+    length.
+
+    No trimming is needed.  Each vertex made for the middle of a reduced
+    word has two distinct outgoing letters, since the word does not
+    backtrack there, and identifying two vertices gives the union of their
+    letter sets, so no vertex other than the basepoint ever has valence 1.
+    The result is therefore the based core, which is unique for the
+    subgroup, and its BFS numbering makes ``transitions`` equal for every
+    generating set of the same subgroup.
+    """
+    out: List[Dict[int, int]] = [{}]
+    parent = [0]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def identify(a: int, b: int) -> None:
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if len(out[a]) < len(out[b]):
+                a, b = b, a
+            parent[b] = a
+            edges = out[a]
+            for letter, moved in out[b].items():
+                kept = edges.setdefault(letter, moved)
+                if kept != moved:
+                    stack.append((kept, moved))
+            out[b] = {}
+
     for gen in generators:
-        prev = 0
-        for i, letter in enumerate(gen.letters):
-            nxt = 0 if i == len(gen.letters) - 1 else n
-            if nxt == n:
-                n += 1
-            pairs.setdefault((prev, letter), set()).add(nxt)
-            pairs.setdefault((nxt, -letter), set()).add(prev)
-            prev = nxt
-    n, transitions, base = _fold(alphabet, n, pairs, 0)
-    n, transitions, base = _trim(n, transitions, base)
-    # _fold and _trim return paired, folded transitions on letters taken
-    # from reduced words, so the constructor's checks would find nothing
+        letters = gen.letters
+        i, u = 0, find(0)
+        while i < len(letters):
+            nxt = out[u].get(letters[i])
+            if nxt is None:
+                break
+            u = find(nxt)
+            i += 1
+        j, v = len(letters), find(0)
+        while j > i:
+            nxt = out[v].get(-letters[j - 1])
+            if nxt is None:
+                break
+            v = find(nxt)
+            j -= 1
+        if i == j:
+            identify(u, v)
+            continue
+        # u has no edge for the middle's first letter and v none for the
+        # inverse of its last, so only the closing edge can collide: when
+        # u == v and the middle is not cyclically reduced
+        for letter in letters[i : j - 1]:
+            x = len(out)
+            out.append({-letter: u})
+            parent.append(x)
+            out[u][letter] = x
+            u = x
+        out[u][letters[j - 1]] = v
+        kept = out[v].setdefault(-letters[j - 1], u)
+        if kept != u:
+            identify(kept, u)
+
+    letter_order = _letter_order(alphabet)
+    base = find(0)
+    number = {base: 0}
+    order = [base]
+    transitions: Dict[Tuple[int, int], int] = {}
+    i = 0
+    while i < len(order):
+        edges = out[order[i]]
+        for letter in letter_order:
+            w = edges.get(letter)
+            if w is None:
+                continue
+            w = find(w)
+            if w not in number:
+                number[w] = len(order)
+                order.append(w)
+            transitions[(i, letter)] = number[w]
+        i += 1
+    # the transitions are paired, folded and on letters taken from reduced
+    # words, so the constructor's checks would find nothing
     core = object.__new__(StallingsCore)
     object.__setattr__(core, "alphabet", alphabet)
-    object.__setattr__(core, "n_vertices", n)
+    object.__setattr__(core, "n_vertices", len(order))
     object.__setattr__(core, "transitions", transitions)
-    object.__setattr__(core, "base", base)
+    object.__setattr__(core, "base", 0)
     return core
 
 
@@ -247,9 +276,7 @@ def _bfs_encoding(
 ) -> tuple:
     """Deterministic BFS encoding of the component of ``start``; isomorphic
     pointed graphs produce equal encodings."""
-    letter_order = sorted(
-        alphabet.signed_letters(), key=lambda l: (abs(l), l < 0)
-    )
+    letter_order = _letter_order(alphabet)
     number = {start: 0}
     order = [start]
     i = 0

@@ -1,6 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses.  There is no linter in the toolchain, so this stdlib ``ast`` check
-stands in for one."""
+uses, and no module-level private function or class goes unreferenced in
+the package.  There is no linter in the toolchain, so these stdlib ``ast``
+checks stand in for one."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,54 @@ def test_checker_finds_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """(module, name) of every module-level ``_private`` function or class
+    that no statement of any module refers to, its own definition aside.
+    A reference is a loaded name, an attribute, or a name imported with
+    ``from ... import``."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = used_names(ast.Module(body=[node], type_ignores=[]))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+            referenced |= names
+    return sorted(d for d in defined if d[1] not in referenced)
+
+
+def test_checker_finds_unreferenced_private_definition():
+    sources = {
+        "a.py": (
+            "def _dead(n):\n"
+            "    return _dead(n - 1)\n"
+            "def _called():\n"
+            "    pass\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _attribute():\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _called()\n"
+        ),
+        "b.py": (
+            "from .a import _Imported\n"
+            "from . import a\n"
+            "x = a._attribute\n"
+        ),
+    }
+    assert unreferenced_private_definitions(sources) == [("a.py", "_dead")]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aperiodic_lab.aut import (
     ad,
@@ -30,8 +31,17 @@ from aperiodic_lab.subgroups import (
     parse_subgroup,
     subgroup_class,
     subgroup_str,
+    _pointed_iso,
+    _trim,
 )
-from aperiodic_lab.words import Alphabet, CyclicWord, Word, all_reduced_words, parse_word
+from aperiodic_lab.words import (
+    Alphabet,
+    CyclicWord,
+    Word,
+    all_reduced_words,
+    parse_word,
+    reduce,
+)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -39,6 +49,80 @@ A3 = Alphabet(3)
 
 def w(text, alphabet=A2):
     return parse_word(alphabet, text)
+
+
+def _fold_oracle(n, pairs, base):
+    """Fold a nondeterministic labeled graph by re-examining every vertex
+    whose targets changed, until no (vertex, letter) has two targets."""
+    parent = list(range(n))
+    out = [dict() for _ in range(n)]
+    for (v, letter), targets in pairs.items():
+        out[v].setdefault(letter, []).extend(targets)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            for letter, targets in out[b].items():
+                out[a].setdefault(letter, []).extend(targets)
+            out[b] = {}
+        return a
+
+    queue = list(range(n))
+    while queue:
+        v = find(queue.pop())
+        for letter, targets in list(out[v].items()):
+            canon = {find(t) for t in targets}
+            out[v][letter] = list(canon)
+            if len(canon) > 1:
+                keep = canon.pop()
+                for t in canon:
+                    keep = union(keep, t)
+                queue += [find(v), keep]
+                break
+    reps = sorted({find(v) for v in range(n)})
+    relabel = {r: i for i, r in enumerate(reps)}
+    transitions = {}
+    for v in reps:
+        for letter, targets in out[v].items():
+            (target,) = {find(t) for t in targets}
+            transitions[(relabel[v], letter)] = relabel[target]
+    return len(reps), transitions, relabel[find(base)]
+
+
+def wedge_core_oracle(generators):
+    """The core as a wedge of generator loops at vertex 0, folded and then
+    trimmed of valence-1 vertices other than the basepoint."""
+    pairs = {}
+    n = 1
+    for gen in generators:
+        prev = 0
+        for i, letter in enumerate(gen.letters):
+            nxt = 0 if i == len(gen.letters) - 1 else n
+            if nxt == n:
+                n += 1
+            pairs.setdefault((prev, letter), set()).add(nxt)
+            pairs.setdefault((nxt, -letter), set()).add(prev)
+            prev = nxt
+    return _trim(*_fold_oracle(n, pairs, 0))
+
+
+def generating_sets(alphabet):
+    letters = [l for i in range(1, alphabet.rank + 1) for l in (i, -i)]
+    word = st.lists(st.sampled_from(letters), max_size=6).map(
+        lambda l: reduce(alphabet, l)
+    )
+    return st.lists(word, max_size=4)
+
+
+ranked_generating_sets = st.sampled_from([A2, A3]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), generating_sets(alphabet))
+)
 
 
 class TestFolding:
@@ -55,14 +139,57 @@ class TestFolding:
         assert core.rank() == 2
 
     def test_fold_order_confluence(self):
-        gens = [w(s) for s in ["ab", "aab", "bbA", "abAB", "ba"]]
+        # the based core is unique and BFS-numbered, so reordering and
+        # inverting generators changes neither the class nor the numbering
         rng = random.Random(4)
-        keys = set()
-        for _ in range(15):
-            shuffled = gens[:]
-            rng.shuffle(shuffled)
-            keys.add(subgroup_class(A2, shuffled).key)
-        assert len(keys) == 1
+        for texts in (
+            ["ab", "aab", "bbA", "abAB", "ba"],
+            # a rank-4 subgroup with a 5-vertex core; the last is redundant
+            ["aab", "bAb", "abbA", "bbb", "aabbAb"],
+        ):
+            gens = [w(s) for s in texts]
+            keys = set()
+            tables = set()
+            for _ in range(15):
+                shuffled = [g.inverse() if rng.random() < 0.5 else g for g in gens]
+                rng.shuffle(shuffled)
+                keys.add(subgroup_class(A2, shuffled).key)
+                tables.add(tuple(fold_core(A2, shuffled).transitions.items()))
+            assert len(keys) == 1
+            assert len(tables) == 1
+
+    def test_numbering_is_canonical_across_bases(self):
+        # a free basis read back from the core generates the same subgroup,
+        # so folding it must reproduce the core exactly
+        rng = random.Random(5)
+        pool = [word for word in all_reduced_words(A3, 4) if len(word)]
+        for _ in range(40):
+            core = fold_core(A3, rng.sample(pool, rng.randint(1, 4)))
+            again = fold_core(A3, core.generators())
+            assert again.n_vertices == core.n_vertices
+            assert again.transitions == core.transitions
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_generating_sets)
+    def test_matches_wedge_fold_oracle(self, case):
+        alphabet, gens = case
+        core = fold_core(alphabet, gens)
+        n, transitions, base = wedge_core_oracle(gens)
+        assert (core.n_vertices, core.n_edges()) == (n, len(transitions) // 2)
+        assert core.base == 0
+        assert _pointed_iso(core.transitions, core.n_vertices, transitions, n, 0, base)
+        assert all(membership(g, core) for g in gens)
+        valence = [0] * core.n_vertices
+        for (v, _letter) in core.transitions:
+            valence[v] += 1
+        assert all(d >= 2 for d in valence[1:])
+
+    def test_closing_edge_collision(self):
+        # the middle of bab^-1 starts and ends at the basepoint with b, so
+        # its closing edge collides with its first and the ends fold
+        core = fold_core(A2, [w("baB")])
+        assert (core.n_vertices, core.n_edges()) == (2, 2)
+        assert membership(w("baB"), core) and not membership(w("a"), core)
 
     def test_trivial_subgroup(self):
         core = fold_core(A2, [])
@@ -79,6 +206,19 @@ class TestFolding:
             rebuilt = StallingsCore(A3, core.n_vertices, core.transitions, core.base)
             assert rebuilt.transitions == core.transitions
             assert all(membership(g, core) for g in gens)
+
+    def test_generators_are_reduced_words(self):
+        # generators() builds its words unchecked; the validating
+        # constructor must leave each of them as it is
+        rng = random.Random(8)
+        pool = [word for word in all_reduced_words(A3, 5) if len(word)]
+        for _ in range(80):
+            core = fold_core(A3, rng.sample(pool, rng.randint(1, 4)))
+            gens = core.generators()
+            assert len(gens) == core.rank()
+            for g in gens:
+                assert Word(A3, g.letters).letters == g.letters
+                assert membership(g, core)
 
     def test_constructor_rejects_unpaired_transition(self):
         with pytest.raises(ValueError, match="inverse pairs"):
