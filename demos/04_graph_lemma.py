@@ -28,7 +28,7 @@ swap = next(
     for f in enumerate_automorphisms(rose2)
     if f.dart_perm[0] == 2 and f.dart_perm[2] == 0
 )
-print(f"  matrix mod 3: {h1_action_mod3(rose2, swap).tolist()}")
+print(f"  matrix mod 3: {[list(row) for row in h1_action_mod3(rose2, swap)]}")
 print(f"  classification: {ivanov_check(rose2, swap).value}")
 
 print("\n== triangle rotations survive the hypotheses ==")

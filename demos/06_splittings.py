@@ -56,7 +56,7 @@ print(f"  full subforest:      {joined} (Grushko rank {joined.grushko_rank()})")
 
 print("\n== vertex homology images mod 3 ==")
 for v in (0, 1):
-    print(f"  vertex {v}: span rows {vertex_homology_image(segment, v).tolist()}")
+    print(f"  vertex {v}: span rows {[list(row) for row in vertex_homology_image(segment, v)]}")
 
 print("\n== twist groups ==")
 big = edge_of_groups(F3, [parse_word(F3, "a"), parse_word(F3, "b")], [parse_word(F3, "c")])

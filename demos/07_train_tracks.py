@@ -33,7 +33,7 @@ print("== the fibonacci map a -> ab, b -> a ==")
 fib = rose_map("ab", "a")
 filt = filtration_of(fib)
 stratum = filt.strata[0]
-print(f"  one stratum, matrix {stratum.matrix.tolist()}")
+print(f"  one stratum, matrix {[list(row) for row in stratum.matrix]}")
 print(f"  class {stratum.kind}, lambda = {stratum.pf_eigenvalue:.10f}")
 print(f"  partition: {aperiodic_partition(fib, stratum)}")
 print(f"  illegal turns (darts): {illegal_turns(fib)['illegal']}")

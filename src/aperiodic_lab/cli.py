@@ -160,7 +160,7 @@ def analyze_graph_map(args) -> dict:
             "edges": list(stratum.edges),
             "class": stratum.kind,
             "lambda": stratum.pf_eigenvalue,
-            "matrix": stratum.matrix.tolist(),
+            "matrix": [list(row) for row in stratum.matrix],
         }
         if stratum.kind != "Zero":
             partition = rtt.aperiodic_partition(graph_map, stratum)

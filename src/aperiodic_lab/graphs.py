@@ -15,7 +15,7 @@ import itertools
 from enum import Enum
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-import numpy as np
+from .homology import IntMatrix, identity_matrix
 
 
 class FiniteGraph:
@@ -269,9 +269,9 @@ def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[Gra
     return autos
 
 
-def _cycle_coordinates(graph: FiniteGraph, darts: Sequence[int], non_tree: Dict[int, int]) -> np.ndarray:
+def _cycle_coordinates(graph: FiniteGraph, darts: Sequence[int], non_tree: Dict[int, int]) -> List[int]:
     """Coordinates of a closed dart path in the non-tree-edge cycle basis."""
-    coords = np.zeros(len(non_tree), dtype=np.int64)
+    coords = [0] * len(non_tree)
     for d in darts:
         e = d >> 1
         if e in non_tree:
@@ -297,18 +297,15 @@ def h1_basis(graph: FiniteGraph) -> Tuple[Dict[int, int], Dict[int, int], List[L
     return parent_dart, non_tree, cycles
 
 
-def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> np.ndarray:
+def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> IntMatrix:
     """Matrix of f_* on H_1(X, Z/3Z) in the non-tree-edge basis of a fixed
     spanning tree; column i is the image of the i-th fundamental cycle."""
-    if not graph.is_connected():
-        raise ValueError("graph is not connected")
     _, non_tree, cycles = h1_basis(graph)
-    k = len(non_tree)
-    matrix = np.zeros((k, k), dtype=np.int64)
-    for i, cycle in enumerate(cycles):
-        image = [f.dart_perm[d] for d in cycle]
-        matrix[:, i] = _cycle_coordinates(graph, image, non_tree)
-    return matrix % 3
+    columns = [
+        _cycle_coordinates(graph, [f.dart_perm[d] for d in cycle], non_tree)
+        for cycle in cycles
+    ]
+    return tuple(tuple(col[i] % 3 for col in columns) for i in range(len(non_tree)))
 
 
 class IvanovOutcome(Enum):
@@ -357,8 +354,8 @@ def ivanov_check(graph: FiniteGraph, f: GraphAutomorphism) -> IvanovOutcome:
     leaves = [v for v in range(graph.n_vertices) if graph.valence(v) == 1]
     if any(f.vertex_perm[v] != v for v in leaves):
         return IvanovOutcome.HYPOTHESIS_FAILS
-    k = len(h1_basis(graph)[1])
-    if not np.array_equal(h1_action_mod3(graph, f), np.eye(k, dtype=np.int64) % 3):
+    action = h1_action_mod3(graph, f)
+    if action != identity_matrix(len(action)):
         return IvanovOutcome.HYPOTHESIS_FAILS
     if f.is_identity():
         return IvanovOutcome.IDENTITY

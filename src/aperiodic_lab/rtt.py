@@ -15,10 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-
+from .homology import IntMatrix
 from .splittings import GraphMapRep
 
 
@@ -52,7 +49,7 @@ def _check_tight_images(f: GraphMapRep) -> None:
             raise ValueError(f"image of edge {e} has backtracking")
 
 
-def transition_matrix(f: GraphMapRep) -> np.ndarray:
+def transition_matrix(f: GraphMapRep) -> IntMatrix:
     """Whole-graph edge-transition matrix of f.
 
     Entry (e', e) counts occurrences of e' in either orientation inside the
@@ -60,11 +57,11 @@ def transition_matrix(f: GraphMapRep) -> np.ndarray:
     is its principal submatrix on the stratum's edges.
     """
     n = f.domain.graph.n_edges
-    counts = np.zeros((n, n), dtype=np.int64)
-    for e in range(n):
-        for d in f.edge_images[e]:
-            counts[d >> 1, e] += 1
-    return counts
+    counts = [[0] * n for _ in range(n)]
+    for e, path in enumerate(f.edge_images):
+        for d in path:
+            counts[d >> 1][e] += 1
+    return tuple(tuple(row) for row in counts)
 
 
 class TransitionMatrix:
@@ -76,7 +73,7 @@ class TransitionMatrix:
 
     __slots__ = ("edges", "matrix", "kind", "pf_eigenvalue")
 
-    def __init__(self, edges: Tuple[int, ...], matrix: np.ndarray):
+    def __init__(self, edges: Tuple[int, ...], matrix: IntMatrix):
         kind, lam = _classify(matrix)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "matrix", matrix)
@@ -93,115 +90,77 @@ class TransitionMatrix:
         )
 
 
-LAMBDA_TOL = 1e-8
-POWER_TOL = 1e-10
+def _exceeds_spectral_radius(matrix: IntMatrix, p: int, q: int) -> bool:
+    """Whether p/q > rho(M), for M >= 0 and q > 0.
 
-
-def _char_poly_coeffs(matrix: np.ndarray) -> List[int]:
-    """Exact integer coefficients of det(xI - M), by interpolation with
-    integer determinants at n+1 points."""
-    from .homology import det as det_int
-
-    n = matrix.shape[0]
-    points = list(range(n + 1))
-    values = []
-    for x in points:
-        shifted = tuple(
-            tuple(
-                int(x) * (1 if i == j else 0) - int(matrix[i, j]) for j in range(n)
-            )
-            for i in range(n)
-        )
-        values.append(det_int(shifted))
-    # Newton's divided differences with exact fractions
-    from fractions import Fraction
-
-    coeffs = [Fraction(v) for v in values]
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - level])
-    # expand Newton form to monomial coefficients
-    poly = [Fraction(0)] * (n + 1)
-    acc = [Fraction(1)]
-    for i in range(n + 1):
-        for j, c in enumerate(acc):
-            poly[j] += coeffs[i] * c
-        new_acc = [Fraction(0)] * (len(acc) + 1)
-        for j, c in enumerate(acc):
-            new_acc[j] -= c * points[i]
-            new_acc[j + 1] += c
-        acc = new_acc
-    return [int(c) for c in poly]
-
-
-def _eval_poly(coeffs: Sequence[int], x: float) -> float:
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
-def _power_iteration(matrix: np.ndarray) -> float:
-    # iterate on M + I: primitive whenever M is irreducible, so the
-    # iteration converges even for periodic M; eigenvalues shift by 1
-    n = matrix.shape[0]
-    m = matrix.astype(float) + np.eye(n)
-    vec = np.ones(n) / n
-    lam = 1.0
-    for _ in range(100_000):
-        nxt = m @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return 0.0
-        nxt /= norm
-        new_lam = float(nxt @ (m @ nxt)) / float(nxt @ nxt)
-        if abs(new_lam - lam) <= POWER_TOL * max(1.0, abs(new_lam)) / 100:
-            return new_lam - 1.0
-        lam = new_lam
-        vec = nxt
-    return lam - 1.0
-
-
-def _is_permutation_matrix(matrix: np.ndarray) -> bool:
-    n = matrix.shape[0]
-    return (
-        np.all((matrix == 0) | (matrix == 1))
-        and np.all(matrix.sum(axis=0) == 1)
-        and np.all(matrix.sum(axis=1) == 1)
-    )
-
-
-def _classify(matrix: np.ndarray) -> Tuple[str, float]:
-    """Zero, NEG, or EG with the PF eigenvalue.
-
-    An irreducible nonnegative integer matrix has eigenvalue exactly 1 iff
-    it is a permutation matrix, which decides the boundary case exactly;
-    otherwise power iteration is cross-checked against a sign change of the
-    exact characteristic polynomial.
+    x > rho(M) exactly when xI - M is a nonsingular M-matrix, that is when
+    every leading principal minor of xI - M is positive (Berman and
+    Plemmons, ch. 6); scaling by q > 0 keeps the signs.  Fraction-free
+    (Bareiss) elimination without row exchanges leaves the k-th leading
+    principal minor of pI - qM as its k-th pivot, so the pass stops at the
+    first pivot that is not positive.
     """
-    if not matrix.any():
+    n = len(matrix)
+    a = [
+        [(p if i == j else 0) - q * x for j, x in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return True
+
+
+def _pf_eigenvalue(matrix: IntMatrix) -> float:
+    """rho(M) of a nonnegative integer matrix, correctly rounded to a float.
+
+    The least and greatest row sums bound rho(M) (Collatz-Wielandt), so
+    rho lies in [lo, hi) for lo = least row sum and hi = greatest row sum
+    + 1.  Bisection over dyadic rationals keeps that invariant with the
+    exact test ``_exceeds_spectral_radius`` and stops once both ends round
+    to the same float; rounding is monotone, so rho rounds to it too.  The
+    loop ends because rho is an integer or irrational (it is an algebraic
+    integer), never a tie between two floats.
+    """
+    q = 1
+    lo = min(sum(row) for row in matrix)
+    hi = max(sum(row) for row in matrix) + 1
+    while lo / q != hi / q:
+        if (lo + hi) & 1:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        mid = (lo + hi) // 2
+        if _exceeds_spectral_radius(matrix, mid, q):
+            hi = mid
+        else:
+            lo = mid
+    return lo / q
+
+
+def _classify(matrix: IntMatrix) -> Tuple[str, float]:
+    """Zero, NEG, or EG with the PF eigenvalue, decided exactly.
+
+    A stratum matrix is zero or irreducible, and an irreducible matrix has
+    rho = 1 exactly when it is a permutation matrix (Lind and Marcus,
+    section 4.5).  Proof: an irreducible nonzero integer matrix has a
+    positive entry in every row, so every row sum is at least 1, and the
+    least and greatest row sums bound rho.  If every row sum is 1, then
+    rho = 1, and the matrix has one 1 per row, so its digraph is a single
+    cycle: a permutation matrix.  Otherwise the row sums are all equal to
+    some k >= 2, giving rho = k, or they differ, and for an irreducible
+    matrix rho then exceeds the least row sum (Perron-Frobenius); either
+    way rho > 1 and the stratum is EG.
+    """
+    if not any(any(row) for row in matrix):
         return "Zero", 0.0
-    if _is_permutation_matrix(matrix):
+    if all(sum(row) == 1 for row in matrix):
         return "NEG", 1.0
-    lam = _power_iteration(matrix)
-    coeffs = _char_poly_coeffs(matrix)
-    lo, hi = lam * (1 - 1e-6) - 1e-9, lam * (1 + 1e-6) + 1e-9
-    if not (_eval_poly(coeffs, lo) <= 0.0 <= _eval_poly(coeffs, hi)):
-        # fall back: walk down from the row-sum bound to bracket the largest
-        # real root (simple for irreducible matrices), then bisect
-        hi = float(matrix.sum(axis=1).max()) + 1.0
-        lo = hi
-        while lo > 0 and _eval_poly(coeffs, lo) > 0:
-            lo -= 0.25
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if _eval_poly(coeffs, mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        lam = (lo + hi) / 2
-    kind = "EG" if lam > 1.0 + LAMBDA_TOL else "NEG"
-    return kind, lam
+    return "EG", _pf_eigenvalue(matrix)
 
 
 class Filtration:
@@ -235,24 +194,36 @@ class Filtration:
 
 def filtration_of(f: GraphMapRep) -> Filtration:
     """Maximal filtration from the condensation of the edge-transition
-    digraph, with one transition matrix per stratum."""
+    digraph, with one transition matrix per stratum.
+
+    Edges e and e' share a stratum iff each reaches the other; reachability
+    sets take O(n (n + m)) for n edges and m arrows.  A stratum is named by
+    its least edge, so the order of the strata depends on the map alone.
+    """
     _check_tight_images(f)
     counts = transition_matrix(f)
-    n = counts.shape[0]
+    n = len(counts)
     # digraph arrow e -> e' when e' appears in the image of e
-    adjacency = sp.csr_matrix((counts.T > 0).astype(np.int8))
-    n_comp, labels = csgraph.connected_components(
-        adjacency, directed=True, connection="strong"
-    )
+    arcs = [[e2 for e2 in range(n) if counts[e2][e]] for e in range(n)]
+    reach: List[Set[int]] = []
+    for e in range(n):
+        seen = {e}
+        stack = [e]
+        while stack:
+            for e2 in arcs[stack.pop()]:
+                if e2 not in seen:
+                    seen.add(e2)
+                    stack.append(e2)
+        reach.append(seen)
+    labels = [min(e2 for e2 in reach[e] if e in reach[e2]) for e in range(n)]
     # order components so successors (image edges) come earlier
     comp_edges: Dict[int, List[int]] = {}
+    successors: Dict[int, Set[int]] = {}
     for e in range(n):
         comp_edges.setdefault(labels[e], []).append(e)
-    successors: Dict[int, Set[int]] = {c: set() for c in range(n_comp)}
-    for e in range(n):
-        for e2 in range(n):
-            if counts[e2, e] and labels[e2] != labels[e]:
-                successors[labels[e]].add(labels[e2])
+        successors.setdefault(labels[e], set()).update(
+            labels[e2] for e2 in arcs[e] if labels[e2] != labels[e]
+        )
     order: List[int] = []
     placed: Set[int] = set()
 
@@ -264,13 +235,13 @@ def filtration_of(f: GraphMapRep) -> Filtration:
         placed.add(c)
         order.append(c)
 
-    for c in sorted(range(n_comp), key=lambda c: min(comp_edges[c])):
+    for c in sorted(comp_edges):
         place(c)
 
     strata = []
     for c in order:
-        edges = tuple(sorted(comp_edges[c]))
-        block = counts[np.ix_(edges, edges)]
+        edges = tuple(comp_edges[c])
+        block = tuple(tuple(counts[i][j] for j in edges) for i in edges)
         strata.append(TransitionMatrix(edges, block))
     return Filtration(f, strata)
 

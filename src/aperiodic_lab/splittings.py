@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .aut import (
     FreeAutomorphism,
     OuterClass,
@@ -28,7 +26,7 @@ from .aut import (
     outer_eq,
 )
 from .graphs import FiniteGraph, GraphAutomorphism, enumerate_automorphisms
-from .homology import word_exponent_vector
+from .homology import IntMatrix, word_exponent_vector
 from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
@@ -75,6 +73,9 @@ class MarkedGraph:
         tree_set = frozenset(tree_edges)
         if len(tree_set) != graph.n_vertices - 1:
             raise ValueError("spanning tree must have n_vertices - 1 edges")
+        # n - 1 edges that reach every vertex form a spanning tree
+        if len(_tree_parent_darts(graph, tree_set)) != graph.n_vertices - 1:
+            raise ValueError("tree edges must span the graph without a cycle")
         non_tree = [e for e in range(graph.n_edges) if e not in tree_set]
         if sorted(loop_words) != non_tree:
             raise ValueError("need exactly one marking word per non-tree edge")
@@ -117,6 +118,20 @@ class MarkedGraph:
     def non_tree_edges(self) -> List[int]:
         return [e for e in range(self.graph.n_edges) if e not in self.tree_edges]
 
+    def fundamental_loops(self) -> Dict[int, List[int]]:
+        """For each non-tree edge e, in increasing order, the closed dart path
+        at vertex 0 that runs along this marking's tree to the origin of e,
+        crosses e forward and returns along the tree."""
+        graph = self.graph
+        parent_dart = _tree_parent_darts(graph, self.tree_edges)
+        loops = {}
+        for e in self.non_tree_edges():
+            u, v = graph.edges[e]
+            to_u = graph.tree_path_darts(parent_dart, u)
+            from_v = [d ^ 1 for d in reversed(graph.tree_path_darts(parent_dart, v))]
+            loops[e] = to_u + [2 * e] + from_v
+        return loops
+
     def vertex_rank(self, v: int) -> int:
         return len(self.vertex_groups.get(v, ()))
 
@@ -141,6 +156,20 @@ class MarkedGraph:
             f"MarkedGraph(N={self.alphabet.rank}, {self.graph!r}, "
             f"loops={{{loops}}}, groups={{{groups}}})"
         )
+
+
+def _tree_parent_darts(graph: FiniteGraph, tree_edges: frozenset) -> Dict[int, int]:
+    """Parent dart of every vertex other than 0 that a walk from vertex 0
+    along ``tree_edges`` reaches."""
+    parent_dart: Dict[int, int] = {}
+    stack = [0]
+    while stack:
+        for d in graph.darts_at(stack.pop()):
+            w = graph.dart_head(d)
+            if (d >> 1) in tree_edges and w != 0 and w not in parent_dart:
+                parent_dart[w] = d
+                stack.append(w)
+    return parent_dart
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +255,17 @@ def _coordinates(marked: MarkedGraph, phi: FreeAutomorphism) -> FreeAutomorphism
 
 
 def _graph_free_part_images(
-    marked: MarkedGraph, h: GraphAutomorphism, free_alphabet: Alphabet
+    loops: Dict[int, List[int]], h: GraphAutomorphism, free_alphabet: Alphabet
 ) -> List[Word]:
     """Images of the free-part basis under the graph automorphism: each
-    fundamental loop maps to a loop; collapse tree edges, read non-tree
-    letters."""
-    graph = marked.graph
-    parent_dart, _ = graph.spanning_tree()
-    non_tree = marked.non_tree_edges()
-    index = {e: i + 1 for i, e in enumerate(non_tree)}
+    fundamental loop (``MarkedGraph.fundamental_loops``) maps to a loop;
+    collapse tree edges, read non-tree letters."""
+    index = {e: i + 1 for i, e in enumerate(loops)}
     images = []
-    for e in non_tree:
-        u, v = graph.edges[e]
-        to_u = graph.tree_path_darts(parent_dart, u)
-        from_v = [d ^ 1 for d in reversed(graph.tree_path_darts(parent_dart, v))]
-        cycle = to_u + [2 * e] + from_v
-        mapped = [h.dart_perm[d] for d in cycle]
+    for cycle in loops.values():
         letters = []
-        for d in mapped:
+        for d in cycle:
+            d = h.dart_perm[d]
             edge = d >> 1
             if edge in index:
                 letters.append(index[edge] if d & 1 == 0 else -index[edge])
@@ -337,6 +359,7 @@ def invariance_test(
             except ValueError:
                 return None
 
+    loops = marked.fundamental_loops()
     for h in enumerate_automorphisms(marked.graph, max_edges):
         ok = True
         for v in group_vertices:
@@ -357,8 +380,8 @@ def invariance_test(
         ):
             continue
         if b:
-            h_forward = _graph_free_part_images(marked, h, free_alphabet)
-            h_backward = _graph_free_part_images(marked, h.inverse(), free_alphabet)
+            h_forward = _graph_free_part_images(loops, h, free_alphabet)
+            h_backward = _graph_free_part_images(loops, h.inverse(), free_alphabet)
             try:
                 h_star = FreeAutomorphism(free_alphabet, h_forward, h_backward)
             except ValueError:
@@ -449,9 +472,6 @@ def induced_outer(
     if marked.vertex_groups:
         raise ValueError("induced_outer supports trivial vertex groups only")
     alphabet = marked.alphabet
-    graph = marked.graph
-    parent_dart, _ = graph.spanning_tree()
-    non_tree = marked.non_tree_edges()
 
     def dart_word(d: int) -> Word:
         e = d >> 1
@@ -461,11 +481,7 @@ def induced_outer(
         return w if d & 1 == 0 else w.inverse()
 
     forward = []
-    for e in non_tree:
-        u, v = graph.edges[e]
-        to_u = graph.tree_path_darts(parent_dart, u)
-        from_v = [d ^ 1 for d in reversed(graph.tree_path_darts(parent_dart, v))]
-        cycle = to_u + [2 * e] + from_v
+    for cycle in marked.fundamental_loops().values():
         image_word = Word(alphabet)
         for d in cycle:
             for dd in f.dart_image(d):
@@ -556,38 +572,32 @@ def induced_ffs(
     return FreeFactorSystem(marked.witness, subsets)
 
 
-def vertex_homology_image(marked: MarkedGraph, v: int) -> np.ndarray:
+def vertex_homology_image(marked: MarkedGraph, v: int) -> IntMatrix:
     """Row-reduced basis (over Z/3Z) of the span of the abelianized marked
     generators of the vertex group; for a free splitting this span is a
     direct summand of dimension equal to the vertex-group rank."""
     gens = marked.vertex_groups.get(v, ())
-    n = marked.alphabet.rank
-    if not gens:
-        return np.zeros((0, n), dtype=np.int64)
-    rows = np.array([word_exponent_vector(g) for g in gens], dtype=np.int64) % 3
-    return _row_reduce_mod3(rows)
+    return _row_reduce_mod3([word_exponent_vector(g) for g in gens])
 
 
-def _row_reduce_mod3(rows: np.ndarray) -> np.ndarray:
-    rows = rows.copy() % 3
+def _row_reduce_mod3(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Reduced row echelon basis over Z/3Z of the span of ``rows``."""
+    rows = [[x % 3 for x in row] for row in rows]
     pivot_row = 0
-    n_cols = rows.shape[1]
-    for col in range(n_cols):
-        pivot = None
-        for r in range(pivot_row, rows.shape[0]):
-            if rows[r, col] % 3:
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[[pivot_row, pivot]] = rows[[pivot, pivot_row]]
-        inv = 1 if rows[pivot_row, col] % 3 == 1 else 2
-        rows[pivot_row] = (rows[pivot_row] * inv) % 3
-        for r in range(rows.shape[0]):
-            if r != pivot_row and rows[r, col] % 3:
-                rows[r] = (rows[r] - rows[r, col] * rows[pivot_row]) % 3
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        # 1 and 2 are their own inverses mod 3
+        inv = rows[pivot_row][col]
+        rows[pivot_row] = [(x * inv) % 3 for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != pivot_row and c:
+                rows[r] = [(x - c * y) % 3 for x, y in zip(rows[r], rows[pivot_row])]
         pivot_row += 1
-    return rows[:pivot_row]
+    return tuple(tuple(row) for row in rows[:pivot_row])
 
 
 def twist_descriptor(marked: MarkedGraph) -> dict:

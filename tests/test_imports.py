@@ -1,9 +1,13 @@
 """No module of the package imports a name at module level that it never
-uses, and no module-level private function or class goes unreferenced in
-the package.  There is no linter in the toolchain, so these stdlib ``ast``
+uses, no module-level private function or class goes unreferenced in the
+package, and the package imports nothing outside itself and the standard
+library.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,54 @@ def test_checker_finds_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def third_party_imports(source: str) -> list:
+    """(line, module) of every import, at any depth, that is neither
+    relative nor of a standard-library module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found.extend(
+            (node.lineno, m) for m in modules
+            if m.split(".")[0] not in sys.stdlib_module_names
+        )
+    return found
+
+
+def test_checker_finds_third_party_import():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from . import words\n"
+        "from .words import Word\n"
+        "def f():\n"
+        "    from scipy.sparse import csgraph\n"
+    )
+    assert third_party_imports(source) == [(2, "numpy"), (6, "scipy.sparse")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_and_relative_imports(path):
+    assert third_party_imports(path.read_text()) == []
+
+
+def test_every_module_imports_without_numpy_or_scipy():
+    # a None entry in sys.modules makes any import of that name fail
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    code = (
+        "import importlib, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('aperiodic_lab.' + name)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )

@@ -1,12 +1,18 @@
+import itertools
 import math
 import random
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from aperiodic_lab.homology import det, mat_mul, mat_pow
 
 from aperiodic_lab.rtt import (
     Filtration,
     VerificationFailed,
+    _classify,
+    _exceeds_spectral_radius,
+    _pf_eigenvalue,
     aperiodic_partition,
     bcc_bound,
     bcc_inequality_holds,
@@ -24,7 +30,7 @@ from aperiodic_lab.rtt import (
 )
 from aperiodic_lab.graphs import FiniteGraph
 from aperiodic_lab.splittings import GraphMapRep, graph_map_from_words, rose_marked
-from aperiodic_lab.words import Alphabet, parse_word
+from aperiodic_lab.words import Alphabet, Word, parse_word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -75,7 +81,7 @@ class TestFiltration:
     def test_fibonacci_single_stratum(self):
         filt = filtration_of(FIB)
         assert len(filt.strata) == 1
-        assert filt.strata[0].matrix.tolist() == [[1, 1], [1, 0]]
+        assert filt.strata[0].matrix == ((1, 1), (1, 0))
 
     def test_lower_triangular_two_strata(self):
         filt = filtration_of(LOWER)
@@ -87,7 +93,7 @@ class TestFiltration:
     def test_identity_all_unit_strata(self):
         filt = filtration_of(IDENT)
         assert len(filt.strata) == 2
-        assert all(s.matrix.tolist() == [[1]] for s in filt.strata)
+        assert all(s.matrix == ((1,),) for s in filt.strata)
 
     def test_invariance_of_initial_unions(self):
         for graph_map in (FIB, PERIOD2, LOWER, IDENT):
@@ -119,11 +125,119 @@ class TestClassification:
         kind, lam = classify_stratum(filtration_of(PERIOD2).strata[0])
         assert kind == "EG" and abs(lam - 2.0) < 1e-8
 
+    def test_exact_lambdas(self):
+        # correctly rounded: the golden ratio's nearest float, and exactly 2
+        assert filtration_of(FIB).strata[0].pf_eigenvalue == 1.618033988749895
+        assert filtration_of(PERIOD2).strata[0].pf_eigenvalue == 2.0
+
     def test_pf_row_sum_bounds(self):
         for graph_map in (FIB, PERIOD2):
             stratum = filtration_of(graph_map).strata[0]
-            sums = stratum.matrix.sum(axis=1)
-            assert sums.min() - 1e-9 <= stratum.pf_eigenvalue <= sums.max() + 1e-9
+            sums = [sum(row) for row in stratum.matrix]
+            assert min(sums) <= stratum.pf_eigenvalue <= max(sums)
+
+
+def _warshall(n, arcs):
+    """Reflexive-transitive closure of a digraph on 0..n-1 as a boolean
+    matrix, by Warshall's triple loop."""
+    reach = [[i == j or j in arcs[i] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+def _is_irreducible(matrix):
+    n = len(matrix)
+    arcs = [{j for j in range(n) if matrix[i][j]} for i in range(n)]
+    return all(all(row) for row in _warshall(n, arcs))
+
+
+nonnegative_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(lambda rows: tuple(tuple(row) for row in rows))
+
+
+class TestExactSpectralRadius:
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_matrices)
+    def test_within_row_sum_bounds_of_powers(self, m):
+        # (min row sum of M^k)^(1/k) <= rho(M) <= (max row sum of M^k)^(1/k)
+        lam = _pf_eigenvalue(m)
+        for k in range(1, 7):
+            sums = [sum(row) for row in mat_pow(m, k)]
+            assert min(sums) <= lam**k * (1 + 1e-12)
+            assert lam**k <= max(sums) * (1 + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_matrices, st.integers(0, 40), st.integers(1, 8))
+    def test_exceeds_matches_leading_minors(self, m, p, q):
+        # the Bareiss pass without row exchanges against determinants of the
+        # leading principal submatrices of pI - qM, computed one by one
+        n = len(m)
+        shifted = [[(p if i == j else 0) - q * m[i][j] for j in range(n)] for i in range(n)]
+        minors = [det(tuple(tuple(row[:k]) for row in shifted[:k])) for k in range(1, n + 1)]
+        assert _exceeds_spectral_radius(m, p, q) == all(x > 0 for x in minors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_matrices)
+    def test_classification_matches_bisection(self, m):
+        # the row-sum shortcut for NEG agrees with bisecting every irreducible
+        # matrix: rho = 1 exactly for permutation matrices, rho > 1 otherwise
+        assume(_is_irreducible(m) and any(any(row) for row in m))
+        n = len(m)
+        permutations = {
+            tuple(tuple(int(j == perm[i]) for j in range(n)) for i in range(n))
+            for perm in itertools.permutations(range(n))
+        }
+        kind, lam = _classify(m)
+        assert (kind == "NEG") == (m in permutations)
+        if kind == "NEG":
+            assert lam == _pf_eigenvalue(m) == 1.0
+        else:
+            assert kind == "EG" and lam == _pf_eigenvalue(m) > 1.0
+
+    def test_zero_matrix(self):
+        assert _classify(((0,),)) == ("Zero", 0.0)
+        assert _pf_eigenvalue(((0, 0), (0, 0))) == 0.0
+
+
+rose_words = st.integers(1, 5).flatmap(
+    lambda rank: st.lists(
+        st.lists(
+            st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i))),
+            min_size=1,
+            max_size=5,
+        ),
+        min_size=rank,
+        max_size=rank,
+    )
+)
+
+
+class TestStrataPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(rose_words)
+    def test_strata_are_mutual_reachability_classes(self, images):
+        alphabet = Alphabet(len(images))
+        words = [Word(alphabet, letters) for letters in images]
+        assume(all(word.letters for word in words))
+        graph_map = graph_map_from_words(rose_marked(alphabet), words)
+        n = len(images)
+        arcs = [{d >> 1 for d in graph_map.edge_images[e]} for e in range(n)]
+        reach = _warshall(n, arcs)
+        classes = {
+            tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)
+        }
+        strata = filtration_of(graph_map).strata
+        assert sorted(s.edges for s in strata) == sorted(classes)
+        # every arrow stays in its stratum or points to an earlier one
+        position = {e: r for r, s in enumerate(strata) for e in s.edges}
+        assert all(position[e2] <= position[e] for e in range(n) for e2 in arcs[e])
 
 
 class TestAperiodicPartition:
@@ -131,8 +245,8 @@ class TestAperiodicPartition:
         part = aperiodic_partition(FIB, filtration_of(FIB).strata[0])
         assert part["aperiodic"] and part["period"] == 1
         # cross-check: some power of the matrix is positive
-        m = np.array([[1, 1], [1, 0]])
-        assert (np.linalg.matrix_power(m, 2) > 0).all()
+        m = filtration_of(FIB).strata[0].matrix
+        assert all(x > 0 for row in mat_pow(m, 2) for x in row)
 
     def test_doubling_period_two(self):
         part = aperiodic_partition(PERIOD2, filtration_of(PERIOD2).strata[0])
@@ -164,7 +278,7 @@ class TestAperiodicPartition:
 def _zero_stratum():
     from aperiodic_lab.rtt import TransitionMatrix
 
-    return TransitionMatrix((0,), np.zeros((1, 1), dtype=np.int64))
+    return TransitionMatrix((0,), ((0,),))
 
 
 class TestTurns:
@@ -277,6 +391,12 @@ def _self_composite(graph_map):
 CANCELLING = rose_map(["ab", "Ba"])
 
 
+def _entries(a, b):
+    """Pairs of corresponding entries of two matrices of one shape."""
+    assert len(a) == len(b) and all(len(ra) == len(rb) for ra, rb in zip(a, b))
+    return [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+
+
 class TestTransitionFunctoriality:
     # whole-graph matrices: the strata of f . f need not match those of f
 
@@ -285,21 +405,21 @@ class TestTransitionFunctoriality:
         for graph_map in (FIB, PERIOD2, LOWER):
             m = transition_matrix(graph_map)
             m2 = transition_matrix(_self_composite(graph_map))
-            assert (m2 <= m @ m).all()
+            assert all(x <= y for x, y in _entries(m2, mat_mul(m, m)))
 
     def test_equality_without_cancellation(self):
         # positive maps compose without cancellation at junctions
         m = transition_matrix(FIB)
         m2 = transition_matrix(_self_composite(FIB))
-        assert (m2 == m @ m).all()
+        assert m2 == mat_mul(m, m)
 
     def test_strict_drop_with_cancellation(self):
         # a -> ab, b -> Ba: f(f(a)) = ab Ba tightens to aa, so entry (b, a)
         # falls from 2 to 0
         m = transition_matrix(CANCELLING)
         m2 = transition_matrix(_self_composite(CANCELLING))
-        assert (m2 <= m @ m).all()
-        assert (m2 < m @ m).any()
+        assert all(x <= y for x, y in _entries(m2, mat_mul(m, m)))
+        assert any(x < y for x, y in _entries(m2, mat_mul(m, m)))
 
     def test_strata_are_principal_submatrices(self):
         # the square of CANCELLING is reducible: two strata in a 2x2 matrix
@@ -307,7 +427,7 @@ class TestTransitionFunctoriality:
             whole = transition_matrix(graph_map)
             for stratum in filtration_of(graph_map).strata:
                 edges = stratum.edges
-                assert (stratum.matrix == whole[np.ix_(edges, edges)]).all()
+                assert stratum.matrix == tuple(tuple(whole[i][j] for j in edges) for i in edges)
 
 
 class TestFileFormat:
