@@ -3,8 +3,7 @@
 Subcommands run the theorem-verification experiments, the exhaustive
 integer-matrix scans, and the train track analyzer.  Every run writes a
 JSON report (stdout by default) and exits 0 exactly when no violations
-were found.  APERIODIC_LAB_THREADS controls worker processes for the
-exhaustive scans; there is no CLI flag for it.
+were found.
 """
 
 from __future__ import annotations

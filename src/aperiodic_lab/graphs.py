@@ -19,17 +19,27 @@ from .homology import IntMatrix, identity_matrix
 
 
 class FiniteGraph:
-    """Vertices 0..n-1 and an edge list; loops and parallel edges allowed."""
+    """Vertices 0..n-1 and an edge list; loops and parallel edges allowed.
 
-    __slots__ = ("n_vertices", "edges")
+    The darts at each vertex are listed once, in ascending order, when the
+    graph is built.  ``_lemma`` holds the leaves and the H_1 basis that
+    ``ivanov_check`` needs, filled on first use by ``_lemma_data``.
+    """
+
+    __slots__ = ("n_vertices", "edges", "_incidence", "_lemma")
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int]]):
         edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in edges:
+        incidence: List[List[int]] = [[] for _ in range(n_vertices)]
+        for e, (u, v) in enumerate(edges):
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range")
+            incidence[u].append(2 * e)
+            incidence[v].append(2 * e + 1)
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_incidence", tuple(tuple(ds) for ds in incidence))
+        object.__setattr__(self, "_lemma", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGraph is immutable")
@@ -55,17 +65,17 @@ class FiniteGraph:
         return 2 * len(self.edges)
 
     def dart_origin(self, dart: int) -> int:
-        u, v = self.edges[dart >> 1]
-        return u if dart & 1 == 0 else v
+        return self.edges[dart >> 1][dart & 1]
 
     def dart_head(self, dart: int) -> int:
         return self.dart_origin(dart ^ 1)
 
-    def darts_at(self, vertex: int) -> List[int]:
-        return [d for d in range(self.n_darts()) if self.dart_origin(d) == vertex]
+    def darts_at(self, vertex: int) -> Tuple[int, ...]:
+        """The darts leaving ``vertex``, in ascending order."""
+        return self._incidence[vertex]
 
     def valence(self, vertex: int) -> int:
-        return len(self.darts_at(vertex))
+        return len(self._incidence[vertex])
 
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
@@ -74,7 +84,7 @@ class FiniteGraph:
         stack = [0]
         while stack:
             v = stack.pop()
-            for d in self.darts_at(v):
+            for d in self._incidence[v]:
                 w = self.dart_head(d)
                 if w not in seen:
                     seen.add(w)
@@ -88,10 +98,10 @@ class FiniteGraph:
         parent_dart: Dict[int, int] = {}
         tree_edges: List[int] = []
         seen = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for d in sorted(self.darts_at(v)):
+        queue = [root] if self.n_vertices else []
+        # the loop also visits the vertices appended while it runs
+        for v in queue:
+            for d in self._incidence[v]:
                 w = self.dart_head(d)
                 if w not in seen:
                     seen.add(w)
@@ -297,10 +307,20 @@ def h1_basis(graph: FiniteGraph) -> Tuple[Dict[int, int], Dict[int, int], List[L
     return parent_dart, non_tree, cycles
 
 
+def _lemma_data(graph: FiniteGraph) -> Tuple[Tuple[int, ...], Dict[int, int], List[List[int]]]:
+    """(leaves, non-tree edge index map, fundamental cycles) of a connected
+    graph, computed on the first call and kept on the graph."""
+    if graph._lemma is None:
+        _, non_tree, cycles = h1_basis(graph)
+        leaves = tuple(v for v in range(graph.n_vertices) if graph.valence(v) == 1)
+        object.__setattr__(graph, "_lemma", (leaves, non_tree, cycles))
+    return graph._lemma
+
+
 def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> IntMatrix:
     """Matrix of f_* on H_1(X, Z/3Z) in the non-tree-edge basis of a fixed
     spanning tree; column i is the image of the i-th fundamental cycle."""
-    _, non_tree, cycles = h1_basis(graph)
+    _, non_tree, cycles = _lemma_data(graph)
     columns = [
         _cycle_coordinates(graph, [f.dart_perm[d] for d in cycle], non_tree)
         for cycle in cycles
@@ -349,9 +369,7 @@ def ivanov_check(graph: FiniteGraph, f: GraphAutomorphism) -> IvanovOutcome:
 
     Any other outcome raises TheoremViolation.
     """
-    if not graph.is_connected():
-        raise ValueError("graph is not connected")
-    leaves = [v for v in range(graph.n_vertices) if graph.valence(v) == 1]
+    leaves, _, _ = _lemma_data(graph)  # raises if the graph is not connected
     if any(f.vertex_perm[v] != v for v in leaves):
         return IvanovOutcome.HYPOTHESIS_FAILS
     action = h1_action_mod3(graph, f)

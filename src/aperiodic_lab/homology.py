@@ -12,9 +12,9 @@ are saturated by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,12 +31,12 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return mat
 
 
+@functools.cache
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -48,14 +48,19 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
-    result = identity_matrix(len(m))
+    """m^k for k >= 0 by binary powering, with no product by the identity
+    and no squaring past the top bit."""
+    if k < 0:
+        raise ValueError("mat_pow needs k >= 0")
+    result = None
     base = m
-    while k:
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return identity_matrix(len(m)) if result is None else result
+        base = mat_mul(base, base)
 
 
 def mat_mod(m: IntMatrix, modulus: int) -> IntMatrix:
@@ -82,10 +87,6 @@ def det(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return abs(det(m)) == 1
 
 
 def _row_echelon_with_transform(m: IntMatrix) -> Tuple[List[List[int]], List[List[int]]]:
@@ -263,8 +264,9 @@ def euler_totient(k: int) -> int:
     return count
 
 
+@functools.cache
 def order_bound(n: int) -> int:
-    """lcm of all k with totient(k) <= n.
+    """lcm of all k with totient(k) <= n, computed once per n.
 
     Any finite-order element of GL_n(Z) has order dividing this bound: its
     minimal polynomial is a product of cyclotomic polynomials of degree <= n.
@@ -302,99 +304,129 @@ def per_subgroup(m: IntMatrix) -> Sublattice:
 
 
 def finite_order(m: IntMatrix) -> Optional[int]:
-    """Least k with m^k = I, or None; None certifies infinite order."""
+    """Least k with m^k = I, or None; None certifies infinite order.
+
+    The eigenvalues of a finite-order m are roots of unity, so its trace is
+    at most n in absolute value.  Every finite order divides the bound L,
+    so m has finite order iff m^L = I, and then its order is L with each
+    prime factor p stripped while m^(order / p) = I still holds.
+    """
     _check_gl(m)
     n = len(m)
+    if abs(sum(m[i][i] for i in range(n))) > n:
+        return None
     ident = identity_matrix(n)
-    power = ident
-    for k in range(1, order_bound(n) + 1):
-        power = mat_mul(power, m)
-        if power == ident:
-            return k
-    return None
+    bound = order_bound(n)
+    if mat_pow(m, bound) != ident:
+        return None
+    order = bound
+    rest, p = bound, 2
+    while rest > 1:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while order % p == 0 and mat_pow(m, order // p) == ident:
+                order //= p
+        p += 1
+    return order
 
 
 # ---------------------------------------------------------------------------
 # exhaustive desk-scale scans
 
 
+def _last_row_cofactors(rows: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The cofactors c of the last row: det(rows + (r,)) = c . r for every
+    row r.  For three rows this is the cross product of the first two."""
+    n = len(rows) + 1
+    if n == 1:
+        return (1,)
+    return tuple(
+        (-1) ** (n - 1 + j) * det(tuple(row[:j] + row[j + 1 :] for row in rows))
+        for j in range(n)
+    )
+
+
 def _congruence_matrices(n: int, bound: int, level: int):
-    """All M in GL_n(Z), entries in [-bound, bound], M = I mod level."""
-    choices = []
-    for i in range(n):
-        for j in range(n):
-            target = 1 if i == j else 0
-            vals = [x for x in range(-bound, bound + 1) if (x - target) % level == 0]
-            choices.append(vals)
-    for flat in itertools.product(*choices):
-        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if abs(det(m)) == 1:
-            yield m
+    """All M in GL_n(Z), entries in [-bound, bound], M = I mod level, in
+    lexicographic order of their entries.
 
-
-def _thread_count() -> int:
-    """Worker processes for the exhaustive scans; the environment variable is
-    the only concurrency control."""
-    try:
-        return max(1, int(os.environ.get("APERIODIC_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _minkowski_shard(task) -> Tuple[int, list]:
-    n, bound, level, shard, n_shards = task
-    ident = identity_matrix(n)
-    enumerated = 0
-    violations = []
-    for i, m in enumerate(_congruence_matrices(n, bound, level)):
-        if i % n_shards != shard:
+    The first n - 1 rows range over the box.  For the last row r,
+    det M = c . r with c the cofactors of that row, so once the off-diagonal
+    entries of r are chosen (partial sum s), its diagonal entry is
+    (+-1 - s) / c[-1], kept if it is an integer in the box and = 1 mod
+    level; when c[-1] = 0 every diagonal entry works iff s = +-1.  Rows
+    whose cofactors have a common factor admit no completion.  Cost: one
+    cofactor vector per choice of the first n - 1 rows and O(1) per choice
+    of the last row's off-diagonal entries, |D|^(n-1) |O|^(n^2-n) steps for
+    D and O the admissible diagonal and off-diagonal entries, so |D| times
+    fewer than the box holds; n = 3 at level 3 takes 11 664 steps at
+    bound 5 and 562 500 at bound 8, against 46 656 and 3.4M determinants
+    for filtering the box.
+    """
+    box = range(-bound, bound + 1)
+    diagonal = [x for x in box if (x - 1) % level == 0]
+    off = [x for x in box if x % level == 0]
+    diagonal_set = set(diagonal)
+    heads = itertools.product(
+        *(
+            itertools.product(*(diagonal if i == j else off for j in range(n)))
+            for i in range(n - 1)
+        )
+    )
+    tails = list(itertools.product(off, repeat=n - 1))
+    for head in heads:
+        cofactors = _last_row_cofactors(head)
+        if math.gcd(*cofactors) != 1:
             continue
-        enumerated += 1
-        order = finite_order(m)
-        if order is not None and m != ident:
-            violations.append({"matrix": [list(r) for r in m], "order": order})
-    return enumerated, violations
+        pivot = cofactors[-1]
+        # targets in the order that makes the solved diagonal entry ascend
+        targets = (-1, 1) if pivot > 0 else (1, -1)
+        for tail in tails:
+            s = sum(c * x for c, x in zip(cofactors, tail))
+            if pivot:
+                for target in targets:
+                    last, rem = divmod(target - s, pivot)
+                    if not rem and last in diagonal_set:
+                        yield head + (tail + (last,),)
+            elif s in (-1, 1):
+                for last in diagonal:
+                    yield head + (tail + (last,),)
 
 
-def _perfix_shard(task) -> Tuple[int, list]:
-    n, bound, shard, n_shards = task
-    enumerated = 0
-    violations = []
-    for i, m in enumerate(_congruence_matrices(n, bound, 3)):
-        if i % n_shards != shard:
-            continue
-        enumerated += 1
-        if per_subgroup(m) != fix_subgroup(m):
-            violations.append({"matrix": [list(r) for r in m]})
-    return enumerated, violations
-
-
-def _run_sharded(shard_fn, tasks) -> Tuple[int, list]:
-    if len(tasks) == 1:
-        results = [shard_fn(tasks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(shard_fn, tasks))
-    enumerated = sum(r[0] for r in results)
-    violations = [v for r in results for v in r[1]]
-    violations.sort(key=lambda v: v["matrix"])
-    return enumerated, violations
+def _check_scan_args(n: int, bound: int, level: int) -> None:
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
 
 
 def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     """Enumerate the level-``level`` congruence subgroup of GL_n(Z) inside the
     entry box [-bound, bound] and record every finite-order non-identity
     element.  At level 3 the expected violation count is zero.
+
+    The enumeration solves for each matrix's last diagonal entry (see
+    ``_congruence_matrices``), and each matrix then costs a trace or one
+    power M^L for the order bound L (see ``finite_order``); at n = 3,
+    level 3 the box of bound 5 holds 973 matrices and that of bound 8
+    holds 13 609.
     """
+    _check_scan_args(n, bound, level)
     if n > 3 or bound > 8:
         raise ValueError("scan limited to n <= 3, bound <= 8")
     start = time.perf_counter()
-    shards = _thread_count()
-    enumerated, violations = _run_sharded(
-        _minkowski_shard, [(n, bound, level, s, shards) for s in range(shards)]
-    )
+    ident = identity_matrix(n)
+    enumerated = 0
+    violations = []
+    for m in _congruence_matrices(n, bound, level):
+        enumerated += 1
+        order = finite_order(m)
+        if order is not None and m != ident:
+            violations.append({"matrix": [list(r) for r in m], "order": order})
+    violations.sort(key=lambda v: v["matrix"])
     return {
         "n": n,
         "bound": bound,
@@ -407,14 +439,22 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
 
 def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     """For every level-3 congruence matrix in the box, check that the periodic
-    sublattice equals the fixed sublattice."""
+    sublattice equals the fixed sublattice.
+
+    Enumerated as in ``minkowski_scan``; each matrix then costs a power
+    M^L and two integer kernels.
+    """
+    _check_scan_args(n, bound, 3)
     if n > 3 or bound > 6:
         raise ValueError("check limited to n <= 3, bound <= 6")
     start = time.perf_counter()
-    shards = _thread_count()
-    enumerated, violations = _run_sharded(
-        _perfix_shard, [(n, bound, s, shards) for s in range(shards)]
-    )
+    enumerated = 0
+    violations = []
+    for m in _congruence_matrices(n, bound, 3):
+        enumerated += 1
+        if per_subgroup(m) != fix_subgroup(m):
+            violations.append({"matrix": [list(r) for r in m]})
+    violations.sort(key=lambda v: v["matrix"])
     return {
         "n": n,
         "bound": bound,

@@ -224,19 +224,24 @@ def filtration_of(f: GraphMapRep) -> Filtration:
         successors.setdefault(labels[e], set()).update(
             labels[e2] for e2 in arcs[e] if labels[e2] != labels[e]
         )
+    # depth-first post-order from each component in ascending order,
+    # children in ascending order, on an explicit stack
     order: List[int] = []
     placed: Set[int] = set()
-
-    def place(c: int) -> None:
-        if c in placed:
-            return
-        for child in sorted(successors[c]):
-            place(child)
-        placed.add(c)
-        order.append(c)
-
-    for c in sorted(comp_edges):
-        place(c)
+    for root in sorted(comp_edges):
+        if root in placed:
+            continue
+        stack = [(root, iter(sorted(successors[root])))]
+        while stack:
+            c, children = stack[-1]
+            for child in children:
+                if child not in placed:
+                    stack.append((child, iter(sorted(successors[child]))))
+                    break
+            else:
+                stack.pop()
+                placed.add(c)
+                order.append(c)
 
     strata = []
     for c in order:

@@ -391,8 +391,13 @@ def cores_conjugate(a: StallingsCore, b: StallingsCore) -> bool:
     propagation from candidate start vertices."""
     if a.alphabet != b.alphabet:
         return False
-    na, ta, _ = _trim(a.n_vertices, a.transitions, None)
     nb, tb, _ = _trim(b.n_vertices, b.transitions, None)
+    return _conjugate_to_trimmed(a, nb, tb)
+
+
+def _conjugate_to_trimmed(a: StallingsCore, nb: int, tb: Dict[Tuple[int, int], int]) -> bool:
+    """``cores_conjugate(a, b)`` for b given by its trim with no basepoint."""
+    na, ta, _ = _trim(a.n_vertices, a.transitions, None)
     if na != nb or len(ta) != len(tb):
         return False
     if not ta and not tb:
@@ -642,15 +647,16 @@ def orbit_period(
             current = core
         return OrbitOutcome(NO_PERIOD, None, max_iter)
     # iterate on raw folded cores; canonicalization is deferred to the
-    # (cheap, size-guarded) conjugacy comparison against the start
-    start_core = start.representative
-    current_core = start_core
+    # (cheap, size-guarded) conjugacy comparison against the start, whose
+    # basepoint-free trim is taken once
+    current_core = start.representative
+    n_start, t_start, _ = _trim(current_core.n_vertices, current_core.transitions, None)
     for k in range(1, max_iter + 1):
         gens = [phi.apply(g) for g in current_core.generators()]
         current_core = fold_core(start.alphabet, gens)
         if current_core.n_edges() > length_cap:
             return OrbitOutcome(BLOWUP, None, k)
-        if cores_conjugate(current_core, start_core):
+        if _conjugate_to_trimmed(current_core, n_start, t_start):
             return _period(k, k)
     return OrbitOutcome(NO_PERIOD, None, max_iter)
 

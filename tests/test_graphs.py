@@ -133,6 +133,70 @@ class TestIvanovCheck:
         assert count > 500
 
 
+    def test_basis_and_leaves_once_per_graph(self, monkeypatch):
+        import aperiodic_lab.graphs as graphs_module
+
+        calls = []
+        original = graphs_module.h1_basis
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(graphs_module, "h1_basis", counting)
+        n_graphs = 0
+        for graph in connected_multigraphs(3):
+            n_graphs += 1
+            for f in enumerate_automorphisms(graph):
+                ivanov_check(graph, f)
+                h1_action_mod3(graph, f)
+        assert len(calls) == n_graphs
+
+    def test_disconnected_rejected(self):
+        two_loops = FiniteGraph(2, [(0, 0), (1, 1)])
+        ident = GraphAutomorphism(two_loops, (0, 1), (0, 1, 2, 3))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ivanov_check(two_loops, ident)
+
+
+def _bfs_tree_oracle(graph, root=0):
+    """The BFS tree as the dart scan built it: darts found by testing every
+    dart's origin, a queue popped from the front."""
+    parent_dart, tree_edges, seen, queue = {}, [], {root}, [root]
+    while queue:
+        v = queue.pop(0)
+        for d in [d for d in range(graph.n_darts()) if graph.dart_origin(d) == v]:
+            w = graph.dart_head(d)
+            if w not in seen:
+                seen.add(w)
+                parent_dart[w] = d
+                tree_edges.append(d >> 1)
+                queue.append(w)
+    return parent_dart, tree_edges
+
+
+class TestIncidence:
+    def test_darts_at_matches_origin_scan(self):
+        rng = random.Random(5)
+        for graph in list(connected_multigraphs(4)) + [FiniteGraph(0, ())]:
+            edges = list(graph.edges)
+            rng.shuffle(edges)
+            for g in (graph, FiniteGraph(graph.n_vertices, edges)):
+                for v in range(g.n_vertices):
+                    scan = [d for d in range(g.n_darts()) if g.dart_origin(d) == v]
+                    assert list(g.darts_at(v)) == scan
+                    assert g.valence(v) == len(scan)
+
+    def test_spanning_tree_is_the_bfs_tree(self):
+        rng = random.Random(6)
+        for graph in connected_multigraphs(4):
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+            rng.shuffle(edges)
+            for g in (graph, FiniteGraph(graph.n_vertices, edges)):
+                assert g.spanning_tree() == _bfs_tree_oracle(g)
+
+
 class TestGeneration:
     def test_counts_small(self):
         by_edges = {}

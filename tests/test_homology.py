@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from aperiodic_lab.aut import (
     standard_generators,
     transvection,
 )
+from aperiodic_lab.cli import main
 from aperiodic_lab.homology import (
     Sublattice,
+    _congruence_matrices,
     abelian_standing_assumptions_check,
     abelianization,
     det,
@@ -261,6 +264,181 @@ class TestScans:
             minkowski_scan(4, 2)
         with pytest.raises(ValueError):
             abelian_standing_assumptions_check(2, 7)
+
+    @pytest.mark.parametrize("args", [(0, 2, 3), (-1, 2, 3), (2, -1, 3), (2, 2, 0), (2, 2, -3)])
+    def test_minkowski_rejects_bad_box(self, args):
+        with pytest.raises(ValueError):
+            minkowski_scan(*args)
+
+    @pytest.mark.parametrize("args", [(0, 2), (2, -1)])
+    def test_abelian_rejects_bad_box(self, args):
+        with pytest.raises(ValueError):
+            abelian_standing_assumptions_check(*args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minkowski", "--level", "0"],
+            ["minkowski", "--rank", "0"],
+            ["minkowski", "--bound", "-1"],
+            ["abelian", "--rank", "0"],
+        ],
+    )
+    def test_cli_bad_box_is_a_value_error(self, argv):
+        # formerly ZeroDivisionError (level 0) and IndexError (rank 0)
+        with pytest.raises(ValueError):
+            main(argv)
+
+    def test_empty_box(self):
+        report = minkowski_scan(2, 0)
+        assert report["enumerated"] == 0 and report["violations"] == []
+
+
+def det_filter_matrices(n, bound, level):
+    """Oracle: every matrix of the box that is = I mod level, in
+    lexicographic order, kept when its determinant is +-1."""
+    choices = []
+    for i in range(n):
+        for j in range(n):
+            target = 1 if i == j else 0
+            choices.append([x for x in range(-bound, bound + 1) if (x - target) % level == 0])
+    for flat in itertools.product(*choices):
+        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        if abs(det(m)) == 1:
+            yield m
+
+
+def box_size(n, bound, level):
+    diagonal = sum(1 for x in range(-bound, bound + 1) if (x - 1) % level == 0)
+    off = sum(1 for x in range(-bound, bound + 1) if x % level == 0)
+    return diagonal**n * off ** (n * n - n)
+
+
+# the oracle filters every matrix of the box; boxes of more than 50 000
+# matrices (n = 3 at level 1 from bound 2, at level 2 from bound 4) are
+# checked by closure under symmetries instead
+ORACLE_BOXES = [
+    (n, level, bound)
+    for n in (1, 2, 3)
+    for level in (1, 2, 3, 4)
+    for bound in range(5)
+    if box_size(n, bound, level) <= 50_000
+] + [(3, 3, 5)]
+
+
+def power_loop_order(m):
+    """Oracle: the least k <= order_bound(n) with m^k = I, one product at
+    a time."""
+    ident = identity_matrix(len(m))
+    power = ident
+    for k in range(1, order_bound(len(m)) + 1):
+        power = mat_mul(power, m)
+        if power == ident:
+            return k
+    return None
+
+
+def elementary(n, rng):
+    """A random elementary matrix and its inverse: a row swap, a sign
+    change or a transvection by +-1, +-2."""
+    m = [list(row) for row in identity_matrix(n)]
+    inv = [list(row) for row in identity_matrix(n)]
+    kind = rng.randrange(3)
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if kind == 0 and n > 1:
+        m[i], m[j] = m[j], m[i]
+        inv[i], inv[j] = inv[j], inv[i]
+    elif kind == 1 or n == 1:
+        m[i][i] = inv[i][i] = -1
+    else:
+        m[i][j] = rng.choice((-2, -1, 1, 2))
+        inv[i][j] = -m[i][j]
+    return tuple(map(tuple, m)), tuple(map(tuple, inv))
+
+
+def signed_permutation(n, rng):
+    perm = rng.sample(range(n), n)
+    return tuple(
+        tuple(rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)) for i in range(n)
+    )
+
+
+class TestCongruenceEnumeration:
+    @pytest.mark.parametrize("n,level,bound", ORACLE_BOXES)
+    def test_equals_determinant_filter(self, n, level, bound):
+        assert list(_congruence_matrices(n, bound, level)) == list(
+            det_filter_matrices(n, bound, level)
+        )
+
+    @pytest.mark.parametrize("n,level,bound", [(3, 1, 2), (3, 2, 4)])
+    def test_large_boxes_closed_under_symmetries(self, n, level, bound):
+        # the enumeration treats the last row apart; transposes and
+        # simultaneous row and column permutations must land in it again
+        found = list(_congruence_matrices(n, bound, level))
+        assert found == sorted(set(found))
+        members = set(found)
+        for m in found:
+            assert all(abs(x) <= bound for row in m for x in row)
+            assert mat_mod(m, level) == mat_mod(identity_matrix(n), level)
+            assert abs(det(m)) == 1
+            assert tuple(zip(*m)) in members
+            # a transposition and an n-cycle generate every permutation
+            for perm in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)):
+                assert tuple(tuple(m[perm[i]][perm[j]] for j in range(n)) for i in range(n)) in members
+
+    def test_bound_eight_count(self):
+        assert sum(1 for _ in _congruence_matrices(3, 8, 3)) == 13_609
+
+    def test_bound_six_count(self):
+        assert sum(1 for _ in _congruence_matrices(3, 6, 3)) == 6073
+
+
+class TestFiniteOrderOracle:
+    def test_every_scan_matrix(self):
+        boxes = [(3, 5, 3), (3, 2, 2), (2, 3, 1), (3, 1, 1)]
+        for n, bound, level in boxes:
+            for m in _congruence_matrices(n, bound, level):
+                assert finite_order(m) == power_loop_order(m), m
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_elementary_products(self, n):
+        rng = random.Random(600 + n)
+        for _ in range(150):
+            m = identity_matrix(n)
+            for _ in range(rng.randrange(8)):
+                m = mat_mul(m, elementary(n, rng)[0])
+            assert finite_order(m) == power_loop_order(m), m
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conjugated_signed_permutations(self, n):
+        # P S P^-1 with S a signed permutation has finite order, and a
+        # product P of elementary matrices spreads it over every entry
+        rng = random.Random(700 + n)
+        for _ in range(60):
+            s = signed_permutation(n, rng)
+            m = s
+            for _ in range(rng.randrange(1, 5)):
+                e, e_inv = elementary(n, rng)
+                m = mat_mul(mat_mul(e, m), e_inv)
+            order = finite_order(m)
+            assert order is not None and order == power_loop_order(m) == power_loop_order(s)
+
+    def test_companion_of_order_eight(self):
+        companion = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        assert finite_order(companion) == power_loop_order(companion) == 8
+
+
+class TestMatPow:
+    def test_against_repeated_products(self):
+        m = ((1, 3, 0), (0, 1, -3), (3, 0, 1))
+        power = identity_matrix(3)
+        for k in range(14):
+            assert mat_pow(m, k) == power
+            power = mat_mul(power, m)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            mat_pow(ROTATION, -1)
 
 
 class TestMatrixIO:

@@ -110,6 +110,57 @@ class TestFiltration:
         with pytest.raises(ValueError):
             filtration_of(bad)
 
+    def test_stratum_order_matches_recursive_post_order(self):
+        rng = random.Random(1200)
+        for _ in range(300):
+            rank = rng.randrange(2, 13)
+            alphabet = Alphabet(rank)
+            words = []
+            for _ in range(rank):
+                # images over a few petals give chains and branching DAGs
+                petals = rng.sample(range(1, rank + 1), rng.randrange(1, min(rank, 3) + 1))
+                letters = []
+                while not letters:
+                    raw = [rng.choice(petals) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 5))]
+                    letters = Word(alphabet, raw).letters
+                words.append(Word(alphabet, letters))
+            graph_map = graph_map_from_words(rose_marked(alphabet), words)
+            strata = filtration_of(graph_map).strata
+            assert [s.edges[0] for s in strata] == _recursive_stratum_order(graph_map, strata)
+
+    def test_long_chain_needs_no_recursion(self):
+        # a_i -> a_i a_(i+1), last petal fixed: 1200 strata in one chain,
+        # deeper than the interpreter's recursion limit
+        n = 1200
+        alphabet = Alphabet(n)
+        words = [Word(alphabet, (i, i + 1)) for i in range(1, n)] + [Word(alphabet, (n,))]
+        strata = filtration_of(graph_map_from_words(rose_marked(alphabet), words)).strata
+        assert [s.edges for s in strata] == [(e,) for e in reversed(range(n))]
+        assert all(s.kind == "NEG" for s in strata)
+
+
+def _recursive_stratum_order(graph_map, strata):
+    """Oracle: least edges of the strata in the order of a recursive
+    depth-first post-order, from each stratum in order of its least edge,
+    the strata its images meet first."""
+    label = {e: s.edges[0] for s in strata for e in s.edges}
+    successors = {c: set() for c in label.values()}
+    for e, path in enumerate(graph_map.edge_images):
+        successors[label[e]].update(label[d >> 1] for d in path if label[d >> 1] != label[e])
+    order, placed = [], set()
+
+    def place(c):
+        if c in placed:
+            return
+        for child in sorted(successors[c]):
+            place(child)
+        placed.add(c)
+        order.append(c)
+
+    for c in sorted(successors):
+        place(c)
+    return order
+
 
 class TestClassification:
     def test_golden_ratio(self):

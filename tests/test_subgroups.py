@@ -426,6 +426,32 @@ class TestOrbits:
     def test_exact_word_orbit_period(self):
         assert exact_word_orbit(swap(A2, 1, 2), w("a")) == OrbitOutcome("Period", 2)
 
+    def test_class_orbits_match_per_step_comparison(self):
+        # oracle: compare every iterate with the untrimmed start through
+        # cores_conjugate, as the probe did before it trimmed the start once
+        def oracle(phi, start, max_iter, length_cap):
+            current = start.representative
+            for k in range(1, max_iter + 1):
+                current = fold_core(start.alphabet, [phi.apply(g) for g in current.generators()])
+                if current.n_edges() > length_cap:
+                    return ("Blowup", None, k)
+                if cores_conjugate(current, start.representative):
+                    return ("Period", k, k)
+            return ("NoPeriodWithin", None, max_iter)
+
+        rng = random.Random(31)
+        kinds = set()
+        for alphabet in (A2, A3):
+            gens = standard_generators(alphabet.rank, "nielsen")
+            words = [word for word in all_reduced_words(alphabet, 3) if len(word)]
+            for _ in range(40):
+                phi = sample(gens, rng.randrange(1, 4), rng.randrange(2**32))
+                start = subgroup_class(alphabet, rng.sample(words, rng.randrange(1, 3)))
+                out = orbit_period(phi, start, max_iter=6, length_cap=200)
+                assert (out.kind, out.period, out.iterations) == oracle(phi, start, 6, 200)
+                kinds.add(out.kind)
+        assert kinds == {"Period", "NoPeriodWithin", "Blowup"}
+
 
 class TestTheoremInvariantSampled:
     def test_ia3_word_orbits_never_properly_periodic(self):
