@@ -109,8 +109,10 @@ def _unchecked(
 
 
 def identity_automorphism(alphabet: Alphabet) -> FreeAutomorphism:
+    # the basis composed with itself is the basis, so certifying it would
+    # only cost 2N substitutions of 2N-entry tables
     basis = tuple(Word(alphabet, (i,)) for i in alphabet.letters())
-    return FreeAutomorphism(alphabet, basis, basis)
+    return _unchecked(alphabet, basis, basis)
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
@@ -146,16 +148,21 @@ def is_inner(phi: FreeAutomorphism) -> Optional[Word]:
     element; the search over the x_1-exponent is bounded by
     |phi(x_1)| + |phi(x_2)|, and any hit is verified on all letters.
     """
-    alphabet = phi.alphabet
+    return _inner_conjugator(phi.alphabet, phi.forward)
+
+
+def _inner_conjugator(alphabet: Alphabet, forward: Sequence[Word]) -> Optional[Word]:
+    # ``is_inner`` on the forward images of an automorphism, for callers
+    # that hold the images but no certified inverse
     if alphabet.rank == 1:
         # Aut(Z) = {+-1}; inner iff identity
-        return Word(alphabet) if phi.is_identity() else None
+        return Word(alphabet) if forward[0].letters == (1,) else None
 
     from .words import _strip_conjugation
 
     cosets = []
     for i in alphabet.letters():
-        core, conj = _strip_conjugation(phi.forward[i - 1])
+        core, conj = _strip_conjugation(forward[i - 1])
         if core.letters != (i,):
             return None
         cosets.append(conj)
@@ -176,16 +183,15 @@ def is_inner(phi: FreeAutomorphism) -> Optional[Word]:
         diff = v2.inverse() * candidate
         if any(abs(l) != 2 for l in diff.letters):
             continue
-        if _conjugates_all(phi, candidate):
+        if _conjugates_all(alphabet, forward, candidate):
             return candidate
     return None
 
 
-def _conjugates_all(phi: FreeAutomorphism, w: Word) -> bool:
-    alphabet = phi.alphabet
+def _conjugates_all(alphabet: Alphabet, forward: Sequence[Word], w: Word) -> bool:
     w_inv = w.inverse()
     return all(
-        phi.forward[i - 1] == w * Word(alphabet, (i,)) * w_inv
+        forward[i - 1] == w * Word(alphabet, (i,)) * w_inv
         for i in alphabet.letters()
     )
 

@@ -190,6 +190,19 @@ def _adjacency_counts(graph: FiniteGraph) -> Dict[Tuple[int, int], int]:
     return counts
 
 
+def _unchecked_automorphism(
+    graph: FiniteGraph, vertex_perm: Tuple[int, ...], dart_perm: Tuple[int, ...]
+) -> GraphAutomorphism:
+    # for permutations consistent by construction: ``enumerate_automorphisms``
+    # builds each dart image from the vertex images, so the per-dart checks
+    # of the constructor can never fail there
+    f = object.__new__(GraphAutomorphism)
+    object.__setattr__(f, "graph", graph)
+    object.__setattr__(f, "vertex_perm", vertex_perm)
+    object.__setattr__(f, "dart_perm", dart_perm)
+    return f
+
+
 def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[GraphAutomorphism]:
     """All automorphisms, by backtracking on vertex images with incidence
     pruning, then assigning parallel-edge bijections and loop orientations."""
@@ -275,7 +288,7 @@ def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[Gra
                         else:
                             dart_perm[2 * e] = 2 * e_img + 1
                             dart_perm[2 * e + 1] = 2 * e_img
-            autos.append(GraphAutomorphism(graph, vp, dart_perm))
+            autos.append(_unchecked_automorphism(graph, vp, tuple(dart_perm)))
     return autos
 
 

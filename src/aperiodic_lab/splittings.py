@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .aut import (
     FreeAutomorphism,
     OuterClass,
+    _inner_conjugator,
     compose,
     identity_automorphism,
     inverse,
-    outer_eq,
 )
 from .graphs import FiniteGraph, GraphAutomorphism, enumerate_automorphisms
 from .homology import IntMatrix, word_exponent_vector
@@ -35,7 +35,7 @@ from .subgroups import (
     fold_core,
     subgroup_class,
 )
-from .words import Alphabet, Word, parse_word, word_str
+from .words import Alphabet, Word, apply_endo, parse_word, word_str
 
 
 class MarkedGraph:
@@ -229,22 +229,27 @@ def theta_marked(alphabet: Alphabet) -> MarkedGraph:
 # the free-part quotient
 
 
+def _vertex_letters(marked: MarkedGraph) -> Dict[int, List[int]]:
+    """Basis letters of each nontrivial vertex group in marking coordinates,
+    read off ``basis_layout``."""
+    letters: Dict[int, List[int]] = {}
+    for idx, (kind, v, _) in enumerate(marked.basis_layout):
+        if kind == "vertex":
+            letters.setdefault(v, []).append(idx + 1)
+    return letters
+
+
 def _project_free_part(
-    word: Word, layout: Sequence[Tuple[str, int, int]], free_alphabet: Alphabet
+    word: Word, loop_index: Dict[int, int], free_alphabet: Alphabet
 ) -> Word:
     """Quotient by the normal closure of all vertex generators: delete
-    vertex-generator letters, keep loop letters, reduce."""
-    loop_positions = {}
-    for idx, (kind, _, _) in enumerate(layout):
-        if kind == "loop":
-            loop_positions[idx + 1] = len(loop_positions) + 1
+    vertex-generator letters, renumber loop letters by ``loop_index``,
+    reduce."""
     letters = []
     for letter in word.letters:
-        pos = abs(letter)
-        if pos in loop_positions:
-            letters.append(
-                loop_positions[pos] if letter > 0 else -loop_positions[pos]
-            )
+        j = loop_index.get(abs(letter))
+        if j is not None:
+            letters.append(j if letter > 0 else -j)
     return Word(free_alphabet, letters)
 
 
@@ -274,119 +279,73 @@ def _graph_free_part_images(
 
 
 def invariance_test(
-    marked: MarkedGraph, phi: FreeAutomorphism, max_edges: int = 10
+    marked: MarkedGraph, phi: FreeAutomorphism
 ) -> Optional[GraphAutomorphism]:
     """A graph self-isomorphism realizing phi on the marking, or None.
 
-    None means the splitting is not phi-invariant.  A witness h must
-    transport each vertex-group class the way phi does, and induce on the
-    free-part quotient the same outer automorphism as phi.
+    None means the splitting is not phi-invariant.  Write psi = mu^-1 phi mu
+    for phi in marking coordinates, G_v for the vertex group at v, and rho
+    for the action of psi on the free part, F_N modulo the normal closure of
+    the vertex groups, which is free on the loop letters.  A witness h sends
+    each group vertex v to a vertex w with psi(G_v) conjugate to G_w, and
+    its action h* on the free part equals rho up to an inner automorphism.
+
+    - h* collapses the spanning tree after h, reading the non-tree letters
+      of each image loop.  This is an automorphism even when h moves vertex
+      0: h is a homeomorphism from the graph based at 0 to the graph based
+      at h(0), and collapsing the tree is a homotopy equivalence onto a
+      rose whatever the basepoint.  Reading h^-1 the same way does not give
+      its inverse: h* (h^-1)* is conjugation by the read of h applied to
+      the tree path from 0 to h^-1(0), which need not stay in the tree.
+      So no inverse of h* is built.
+    - Conjugate subgroups have equal rank, so matching classes checks
+      ranks.  A bijection that maps the group vertices into the group
+      vertices maps them onto themselves, so trivial vertices land on
+      trivial vertices.
+    - Once h matches the classes, psi permutes them, so it maps the normal
+      closure N of the vertex groups onto itself, and so does psi^-1.  So
+      psi^-1 descends to the quotient, and projecting psi's backward images
+      gives exactly rho^-1.  Then rho^-1 h* is inner iff rho and h* agree
+      in Out, which one ``is_inner`` on forward images decides.
     """
-    if marked.graph.n_edges > max_edges:
-        raise ValueError("graph too large for invariance enumeration")
-    psi = _coordinates(marked, phi)
+    return _realizing_symmetry(marked, _coordinates(marked, phi))
+
+
+def _realizing_symmetry(
+    marked: MarkedGraph, psi: FreeAutomorphism
+) -> Optional[GraphAutomorphism]:
+    """``invariance_test`` for psi already in marking coordinates."""
     alphabet = marked.alphabet
-
-    group_vertices = sorted(marked.vertex_groups)
-    start = {}
-    position = 1
-    for v in group_vertices:
-        start[v] = position
-        position += len(marked.vertex_groups[v])
+    groups = _vertex_letters(marked)
     base_cores = {
-        v: fold_core(
-            alphabet,
-            [
-                Word(alphabet, (start[v] + j,))
-                for j in range(len(marked.vertex_groups[v]))
-            ],
-        )
-        for v in group_vertices
+        w: fold_core(alphabet, [Word(alphabet, (l,)) for l in letters])
+        for w, letters in groups.items()
     }
-    image_cores = {
-        v: fold_core(
-            alphabet,
-            [
-                psi.forward[start[v] + j - 1]
-                for j in range(len(marked.vertex_groups[v]))
-            ],
-        )
-        for v in group_vertices
-    }
+    matches = {}
+    for v, letters in groups.items():
+        image = fold_core(alphabet, [psi.forward[l - 1] for l in letters])
+        matches[v] = {w for w, core in base_cores.items() if cores_conjugate(image, core)}
+        if not matches[v]:
+            return None
 
-    b = marked.free_rank()
-    free_alphabet = Alphabet(b) if b else None
-    rho = None
-    if b:
-        if not marked.vertex_groups:
-            # nothing to collapse: the free-part action is psi itself
-            rho = psi
-        else:
-            # psi descends to the quotient iff it permutes the vertex-group
-            # classes; bail out early when it does not
-            available = list(group_vertices)
-            for v in group_vertices:
-                match = next(
-                    (
-                        w
-                        for w in available
-                        if cores_conjugate(image_cores[v], base_cores[w])
-                    ),
-                    None,
-                )
-                if match is None:
-                    return None
-                available.remove(match)
-            loop_letters = [
-                idx + 1
-                for idx, (kind, _, _) in enumerate(marked.basis_layout)
-                if kind == "loop"
-            ]
-            forward = [
-                _project_free_part(
-                    psi.forward[l - 1], marked.basis_layout, free_alphabet
-                )
-                for l in loop_letters
-            ]
-            backward = [
-                _project_free_part(
-                    psi.backward[l - 1], marked.basis_layout, free_alphabet
-                )
-                for l in loop_letters
-            ]
-            try:
-                rho = FreeAutomorphism(free_alphabet, forward, backward)
-            except ValueError:
-                return None
-
-    loops = marked.fundamental_loops()
-    for h in enumerate_automorphisms(marked.graph, max_edges):
-        ok = True
-        for v in group_vertices:
-            w = h.vertex_perm[v]
-            if marked.vertex_rank(w) != marked.vertex_rank(v):
-                ok = False
-                break
-            if w not in base_cores or not cores_conjugate(image_cores[v], base_cores[w]):
-                ok = False
-                break
-        if not ok:
+    loop_letters = [
+        idx + 1 for idx, (kind, _, _) in enumerate(marked.basis_layout) if kind == "loop"
+    ]
+    if loop_letters:
+        free_alphabet = Alphabet(len(loop_letters))
+        loop_index = {l: j for j, l in enumerate(loop_letters, 1)}
+        rho_inverse = [
+            _project_free_part(psi.backward[l - 1], loop_index, free_alphabet)
+            for l in loop_letters
+        ]
+        loops = marked.fundamental_loops()
+    for h in enumerate_automorphisms(marked.graph):
+        if any(h.vertex_perm[v] not in matches[v] for v in matches):
             continue
-        # trivial vertices must not land on group vertices
-        if any(
-            marked.vertex_rank(h.vertex_perm[v]) != 0
-            for v in range(marked.graph.n_vertices)
-            if marked.vertex_rank(v) == 0
-        ):
-            continue
-        if b:
-            h_forward = _graph_free_part_images(loops, h, free_alphabet)
-            h_backward = _graph_free_part_images(loops, h.inverse(), free_alphabet)
-            try:
-                h_star = FreeAutomorphism(free_alphabet, h_forward, h_backward)
-            except ValueError:
-                continue
-            if not outer_eq(rho, h_star):
+        if loop_letters:
+            h_star = _graph_free_part_images(loops, h, free_alphabet)
+            images = [apply_endo(rho_inverse, w) for w in h_star]
+            if _inner_conjugator(free_alphabet, images) is None:
                 continue
         return h
     return None
@@ -499,14 +458,20 @@ def splitting_orbit_period(
     max_iter: int = 12,
     length_cap: int = 10_000,
 ) -> OrbitOutcome:
-    """Least p with the splitting phi^p-invariant, else NoPeriodWithin;
-    Blowup when the power's basis images outgrow the length cap."""
+    """Least p with the splitting phi^p-invariant, else NoPeriodWithin.
+
+    The orbit runs in marking coordinates: psi = mu^-1 phi mu is built once
+    and psi^p = mu^-1 phi^p mu is one compose per step.  Blowup when the
+    basis images of psi^p outgrow the length cap; for a marking whose
+    witness is the identity, psi^p is phi^p.
+    """
+    psi = _coordinates(marked, phi)
     power = identity_automorphism(marked.alphabet)
     for p in range(1, max_iter + 1):
-        power = compose(phi, power)
+        power = compose(psi, power)
         if power.max_image_length() > length_cap:
             return OrbitOutcome("Blowup", None, p)
-        if invariance_test(marked, power) is not None:
+        if _realizing_symmetry(marked, power) is not None:
             return OrbitOutcome("Period", p, p)
     return OrbitOutcome("NoPeriodWithin", None, max_iter)
 
@@ -552,21 +517,10 @@ def induced_ffs(
     for v in vertices:
         components.setdefault(find(v), []).append(v)
 
-    group_vertices = sorted(marked.vertex_groups)
-    start = {}
-    position = 1
-    for v in group_vertices:
-        start[v] = position
-        position += len(marked.vertex_groups[v])
-
+    letters = _vertex_letters(marked)
     subsets = []
     for comp in components.values():
-        indices = []
-        for v in comp:
-            if v in marked.vertex_groups:
-                indices.extend(
-                    start[v] + j for j in range(len(marked.vertex_groups[v]))
-                )
+        indices = [l for v in comp for l in letters.get(v, ())]
         if indices:
             subsets.append(frozenset(indices))
     return FreeFactorSystem(marked.witness, subsets)

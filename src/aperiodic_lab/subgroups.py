@@ -415,11 +415,6 @@ def _conjugate_to_trimmed(a: StallingsCore, nb: int, tb: Dict[Tuple[int, int], i
     return False
 
 
-def conjugacy_eq(h: SubgroupConjClass, k: SubgroupConjClass) -> bool:
-    """True iff the canonical cyclic cores coincide."""
-    return h == k
-
-
 def conjugate_into(
     a: StallingsCore, b: StallingsCore, conj_bound: int
 ) -> Optional[Word]:

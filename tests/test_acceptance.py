@@ -320,7 +320,7 @@ def test_criterion_11_oracle_agreements():
             assert membership(word, core)
             membership_checked += 1
 
-    # conjugacy_eq vs bounded conjugator search (length <= 6)
+    # cores_conjugate vs bounded conjugator search (length <= 6)
     conjugators = all_reduced_words(a2, 6)
     short_pool = [w for w in all_reduced_words(a2, 2) if len(w)]
     conjugacy_checked = 0

@@ -58,6 +58,14 @@ class TestCertify:
     def test_identity_accepted(self):
         assert identity_automorphism(A2).is_identity()
 
+    def test_identity_equals_validated_basis_pair(self):
+        for rank in range(1, 7):
+            alphabet = Alphabet(rank)
+            basis = [Word(alphabet, (i,)) for i in alphabet.letters()]
+            checked = FreeAutomorphism(alphabet, basis, basis)
+            ident = identity_automorphism(alphabet)
+            assert ident == checked and ident.backward == checked.backward
+
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             certify(A2, [w("a")], [w("a")])

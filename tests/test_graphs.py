@@ -50,6 +50,18 @@ class TestEnumeration:
             for g in autos:
                 assert f.compose(g) in table
 
+    def test_every_enumerated_automorphism_passes_the_constructor(self):
+        # enumeration skips the constructor's checks; the validating
+        # constructor must accept each result and rebuild it unchanged
+        checked = 0
+        for graph in connected_multigraphs(4):
+            autos = enumerate_automorphisms(graph)
+            assert len(set(autos)) == len(autos)
+            for f in autos:
+                assert GraphAutomorphism(graph, f.vertex_perm, f.dart_perm) == f
+                checked += 1
+        assert checked == 800
+
     def test_size_cap(self):
         big = FiniteGraph(1, [(0, 0)] * 11)
         with pytest.raises(ValueError):

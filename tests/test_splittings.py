@@ -16,7 +16,7 @@ from aperiodic_lab.aut import (
     swap,
     transvection,
 )
-from aperiodic_lab.graphs import FiniteGraph
+from aperiodic_lab.graphs import FiniteGraph, enumerate_automorphisms
 from aperiodic_lab.splittings import (
     GraphMapRep,
     MarkedGraph,
@@ -34,7 +34,7 @@ from aperiodic_lab.splittings import (
     twist_descriptor,
     vertex_homology_image,
 )
-from aperiodic_lab.subgroups import OrbitOutcome, conjugacy_eq, subgroup_class
+from aperiodic_lab.subgroups import OrbitOutcome, cores_conjugate, fold_core
 from aperiodic_lab.words import Alphabet, Word, parse_word
 
 A2 = Alphabet(2)
@@ -107,6 +107,10 @@ class TestMarkedGraphValidation:
             MarkedGraph(
                 A2, graph, [0], {1: w("a"), 2: w("b")}, {}, identity_automorphism(A2)
             )
+
+    def test_wide_rose_builds(self):
+        marked = rose_marked(Alphabet(1200))
+        assert marked.free_rank() == 1200 and marked.witness.is_identity()
 
     def test_parser_rejects_tree_with_cycle(self):
         text = "V 3\n0 1\n1 0\n1 2\n2 2\ntree 0 1\nloop 2 a\nloop 3 b\n"
@@ -207,6 +211,241 @@ class TestSplittingOrbit:
             for marked in pool:
                 out = splitting_orbit_period(marked, phi, max_iter=6, length_cap=2000)
                 assert not (out.kind == "Period" and out.period > 1)
+
+
+def one_vertex_group_marked():
+    """One vertex with group <a> and one loop marked b."""
+    return MarkedGraph(
+        A2, FiniteGraph(1, [(0, 0)]), [], {0: w("b")}, {0: [w("a")]}, identity_automorphism(A2)
+    )
+
+
+def two_vertex_groups_marked():
+    """Rank 3: vertices with groups <a> and <b>, joined by two edges; the
+    non-tree edge is marked c."""
+    return MarkedGraph(
+        A3,
+        FiniteGraph(2, [(0, 1), (0, 1)]),
+        [0],
+        {1: parse_word(A3, "c")},
+        {0: [parse_word(A3, "a")], 1: [parse_word(A3, "b")]},
+        identity_automorphism(A3),
+    )
+
+
+def oracle_markings():
+    return {
+        2: [
+            rose_marked(A2),
+            segment(),
+            *(theta_with_tree(t) for t in range(3)),
+            one_vertex_group_marked(),
+        ],
+        3: [
+            rose_marked(A3),
+            edge_of_groups(A3, [parse_word(A3, "a")], [parse_word(A3, "b"), parse_word(A3, "c")]),
+            two_vertex_groups_marked(),
+        ],
+    }
+
+
+def _oracle_project(word, layout, free_alphabet):
+    loop_positions = {}
+    for idx, (kind, _, _) in enumerate(layout):
+        if kind == "loop":
+            loop_positions[idx + 1] = len(loop_positions) + 1
+    letters = []
+    for letter in word.letters:
+        pos = abs(letter)
+        if pos in loop_positions:
+            letters.append(loop_positions[pos] if letter > 0 else -loop_positions[pos])
+    return Word(free_alphabet, letters)
+
+
+def _oracle_loop_images(loops, h, free_alphabet):
+    index = {e: i + 1 for i, e in enumerate(loops)}
+    images = []
+    for cycle in loops.values():
+        letters = []
+        for d in cycle:
+            d = h.dart_perm[d]
+            if d >> 1 in index:
+                letters.append(index[d >> 1] if d & 1 == 0 else -index[d >> 1])
+        images.append(Word(free_alphabet, letters))
+    return images
+
+
+def oracle_invariance_test(marked, phi):
+    """The former invariance_test: greedy class matching, per-h rank and
+    trivial-vertex checks, and h* certified against the read of h^-1.  That
+    read is the inverse of h* only when h fixes vertex 0, so this misses
+    every witness that moves vertex 0."""
+    mu = marked.witness
+    psi = compose(inverse(mu), compose(phi, mu))
+    alphabet = marked.alphabet
+    group_vertices = sorted(marked.vertex_groups)
+    start = {}
+    position = 1
+    for v in group_vertices:
+        start[v] = position
+        position += len(marked.vertex_groups[v])
+    base_cores = {
+        v: fold_core(alphabet, [Word(alphabet, (start[v] + j,)) for j in range(marked.vertex_rank(v))])
+        for v in group_vertices
+    }
+    image_cores = {
+        v: fold_core(alphabet, [psi.forward[start[v] + j - 1] for j in range(marked.vertex_rank(v))])
+        for v in group_vertices
+    }
+    b = marked.free_rank()
+    free_alphabet = Alphabet(b) if b else None
+    rho = None
+    if b:
+        if not marked.vertex_groups:
+            rho = psi
+        else:
+            available = list(group_vertices)
+            for v in group_vertices:
+                match = next(
+                    (u for u in available if cores_conjugate(image_cores[v], base_cores[u])), None
+                )
+                if match is None:
+                    return None
+                available.remove(match)
+            loop_letters = [
+                idx + 1 for idx, (kind, _, _) in enumerate(marked.basis_layout) if kind == "loop"
+            ]
+            forward = [_oracle_project(psi.forward[l - 1], marked.basis_layout, free_alphabet) for l in loop_letters]
+            backward = [_oracle_project(psi.backward[l - 1], marked.basis_layout, free_alphabet) for l in loop_letters]
+            try:
+                rho = FreeAutomorphism(free_alphabet, forward, backward)
+            except ValueError:
+                return None
+    loops = marked.fundamental_loops()
+    for h in enumerate_automorphisms(marked.graph):
+        ok = True
+        for v in group_vertices:
+            u = h.vertex_perm[v]
+            if marked.vertex_rank(u) != marked.vertex_rank(v):
+                ok = False
+                break
+            if u not in base_cores or not cores_conjugate(image_cores[v], base_cores[u]):
+                ok = False
+                break
+        if not ok:
+            continue
+        if any(
+            marked.vertex_rank(h.vertex_perm[v]) != 0
+            for v in range(marked.graph.n_vertices)
+            if marked.vertex_rank(v) == 0
+        ):
+            continue
+        if b:
+            h_forward = _oracle_loop_images(loops, h, free_alphabet)
+            h_backward = _oracle_loop_images(loops, h.inverse(), free_alphabet)
+            try:
+                h_star = FreeAutomorphism(free_alphabet, h_forward, h_backward)
+            except ValueError:
+                continue
+            if not outer_eq(rho, h_star):
+                continue
+        return h
+    return None
+
+
+def oracle_samples():
+    """Seeded nielsen and ia3 samples of budgets 1-3 at ranks 2 and 3."""
+    for rank in (2, 3):
+        for family in ("nielsen", "ia3"):
+            gens = standard_generators(rank, family)
+            for budget in (1, 2, 3):
+                rng = random.Random(1000 * rank + 10 * budget + len(family))
+                for _ in range(12):
+                    yield rank, sample(gens, budget, rng.randrange(2**32))
+
+
+def oracle_cases():
+    """Every oracle sample on every oracle marking of its rank."""
+    markings = oracle_markings()
+    for rank, phi in oracle_samples():
+        for marked in markings[rank]:
+            yield marked, phi
+
+
+# the 12 automorphisms of the theta graph, by vertex permutation and edge
+# permutation, with the automorphism of F_2 each induces on theta_marked
+# (forward images of a, b; then their certified inverse images)
+THETA_SYMMETRIES = {
+    ((0, 1), (0, 1, 2)): (("a", "b"), ("a", "b")),
+    ((0, 1), (0, 2, 1)): (("b", "a"), ("b", "a")),
+    ((0, 1), (1, 0, 2)): (("A", "bA"), ("A", "bA")),
+    ((0, 1), (1, 2, 0)): (("bA", "A"), ("B", "aB")),
+    ((0, 1), (2, 0, 1)): (("B", "aB"), ("bA", "A")),
+    ((0, 1), (2, 1, 0)): (("aB", "B"), ("aB", "B")),
+    ((1, 0), (0, 1, 2)): (("A", "B"), ("A", "B")),
+    ((1, 0), (0, 2, 1)): (("B", "A"), ("B", "A")),
+    ((1, 0), (1, 0, 2)): (("a", "Ba"), ("a", "aB")),
+    ((1, 0), (1, 2, 0)): (("Ba", "a"), ("b", "bA")),
+    ((1, 0), (2, 0, 1)): (("b", "Ab"), ("aB", "a")),
+    ((1, 0), (2, 1, 0)): (("Ab", "b"), ("bA", "b")),
+}
+
+
+class TestInvarianceOracle:
+    def test_theta_vertex_swap_found(self):
+        # a -> a, b -> Ba is induced by the symmetry that swaps the two
+        # vertices and the edges 0 and 1
+        phi = FreeAutomorphism(A2, [w("a"), w("Ba")], [w("a"), w("aB")])
+        h = invariance_test(theta_marked(A2), phi)
+        assert h is not None and h.vertex_perm == (1, 0)
+        assert splitting_orbit_period(theta_marked(A2), phi) == OrbitOutcome("Period", 1)
+
+    def test_every_theta_symmetry_is_found(self):
+        marked = theta_marked(A2)
+        seen = set()
+        for h in enumerate_automorphisms(THETA):
+            key = (h.vertex_perm, tuple(h.dart_perm[2 * e] >> 1 for e in range(3)))
+            forward, backward = THETA_SYMMETRIES[key]
+            phi = FreeAutomorphism(A2, [w(t) for t in forward], [w(t) for t in backward])
+            # theta's symmetries act faithfully on H_1, so h is the only
+            # witness
+            assert invariance_test(marked, phi) == h, key
+            seen.add(key)
+        assert seen == set(THETA_SYMMETRIES)
+
+    def test_agrees_with_oracle_except_vertex_zero_moves(self):
+        compared = differences = 0
+        for marked, phi in oracle_cases():
+            mine = invariance_test(marked, phi)
+            old = oracle_invariance_test(marked, phi)
+            compared += 1
+            if (mine is None) != (old is None):
+                # only a witness that moves vertex 0 is new
+                assert old is None and mine.vertex_perm[0] != 0, (marked, phi)
+                differences += 1
+        assert compared == 2 * 3 * 12 * 9
+        assert differences > 0
+
+    def test_orbit_matches_iterated_invariance_test(self):
+        # psi^p in marking coordinates against phi^p through the public
+        # test.  With an identity witness psi^p is phi^p, so the caps agree;
+        # the asymmetric rose runs uncapped.
+        asym = rose_marked(A2, [w("a"), w("ab")], [w("a"), w("Ab")])
+        cases = [(marked, phi, 300) for marked, phi in oracle_cases()]
+        cases += [(asym, phi, 10**9) for rank, phi in oracle_samples() if rank == 2]
+        for marked, phi, cap in cases:
+            power = identity_automorphism(marked.alphabet)
+            expected = OrbitOutcome("NoPeriodWithin", None, 4)
+            for p in range(1, 5):
+                power = compose(phi, power)
+                if power.max_image_length() > cap:
+                    expected = OrbitOutcome("Blowup", None, p)
+                    break
+                if invariance_test(marked, power) is not None:
+                    expected = OrbitOutcome("Period", p, p)
+                    break
+            got = splitting_orbit_period(marked, phi, max_iter=4, length_cap=cap)
+            assert (got, got.iterations) == (expected, expected.iterations), (marked, phi)
 
 
 class TestInducedFFS:
