@@ -54,9 +54,6 @@ class FreeAutomorphism:
     def apply(self, word: Word) -> Word:
         return apply_endo(self.forward, word)
 
-    def apply_inverse(self, word: Word) -> Word:
-        return apply_endo(self.backward, word)
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeAutomorphism)

@@ -13,10 +13,12 @@ initial union is invariant under the map.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .homology import IntMatrix
 from .splittings import GraphMapRep
+from .subgroups import _find, _identify
 
 
 def tighten(graph, darts: Sequence[int]) -> Tuple[int, ...]:
@@ -279,13 +281,11 @@ def aperiodic_partition(f: GraphMapRep, stratum: TransitionMatrix) -> dict:
             e2 = d >> 1
             if e2 in index:
                 arcs[i].append(index[e2])
-    # BFS layers from edge 0
-    import math
-
+    # BFS layers from edge 0; the loop also visits the edges appended while
+    # it runs, so the list is its own queue
     dist = {0: 0}
     queue = [0]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for v in arcs[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
@@ -323,64 +323,63 @@ def direction_map(f: GraphMapRep) -> Dict[int, int]:
     }
 
 
-def _merge_time_bounded(df: Dict[int, int], d1: int, d2: int, cap: int) -> bool:
-    """Whether iterating DF ever merges the pair (within |darts|^2 steps)."""
-    a, b = d1, d2
-    for _ in range(cap):
-        if a == b:
-            return True
-        a, b = df[a], df[b]
-    return a == b
-
-
 def illegal_turns(f: GraphMapRep) -> dict:
     """Classify every turn (unordered pair of darts at a common vertex).
 
     A turn is degenerate if its darts coincide, illegal if some DF-iterate
-    merges them, legal otherwise.
+    merges them, legal otherwise.  Two darts that ever merge do so within
+    n = |darts| steps.  At the step before their first merge the two walks
+    stand on distinct darts with one image, and DF is injective on the darts
+    of its cycles, so one walk is still off every cycle.  That walk has so
+    far visited pairwise distinct darts off the cycles, fewer than n of
+    them since a cycle exists.  Merged walks stay merged, so a turn is
+    illegal iff DF^n, taken by repeated squaring, sends both darts to one.
     """
     graph = f.domain.graph
+    n = graph.n_darts()
     df = direction_map(f)
-    cap = graph.n_darts() ** 2 + 1
+    power, step = list(range(n)), [df[d] for d in range(n)]
+    k = n
+    while k:
+        if k & 1:
+            power = [step[d] for d in power]
+        step = [step[d] for d in step]
+        k >>= 1
     degenerate, illegal, legal = [], [], []
     for v in range(graph.n_vertices):
-        darts = [d for d in range(graph.n_darts()) if graph.dart_origin(d) == v]
-        for d1, d2 in itertools.combinations_with_replacement(darts, 2):
-            turn = (min(d1, d2), max(d1, d2))
+        # darts_at lists ascending, so each pair is already (min, max)
+        for turn in itertools.combinations_with_replacement(graph.darts_at(v), 2):
+            d1, d2 = turn
             if d1 == d2:
                 degenerate.append(turn)
-            elif _merge_time_bounded(df, d1, d2, cap):
+            elif power[d1] == power[d2]:
                 illegal.append(turn)
             else:
                 legal.append(turn)
     return {"degenerate": degenerate, "illegal": illegal, "legal": legal}
 
 
-def _turns_in_path(graph, darts: Sequence[int]) -> List[Tuple[int, int]]:
-    turns = []
-    for d1, d2 in zip(darts, darts[1:]):
-        a, b = d1 ^ 1, d2
-        turns.append((min(a, b), max(a, b)))
-    return turns
+def _turns_in_path(darts: Sequence[int]) -> List[Tuple[int, int]]:
+    return [(min(d1 ^ 1, d2), max(d1 ^ 1, d2)) for d1, d2 in zip(darts, darts[1:])]
 
 
-def verify_rtt(f: GraphMapRep, filtration: Optional[Filtration] = None, path_cap: int = 20) -> dict:
-    """Check the three train track conditions on every EG stratum.
+def verify_rtt(f: GraphMapRep, filtration: Optional[Filtration] = None) -> dict:
+    """Check the three train track conditions on every EG stratum H_r,
+    each exactly.
 
-    Condition 1 is exact (directions of the stratum stay in the stratum).
-    Condition 2 is bounded: connecting paths in the lower filtration part
-    with endpoints in the stratum are enumerated up to ``path_cap`` edges
-    and their tight images must be nondegenerate with endpoints attached to
-    the stratum; longer paths are reported as unverified.  Condition 3 uses
-    the local criterion: images of stratum edges cross only legal turns of
-    stratum height.
+    Condition 1: DF maps the directions of H_r into H_r.  Condition 2:
+    every nontrivial tight path in G_{r-1} with endpoints u, v at vertices
+    of H_r has a nontrivial tight image, from f(u) to f(v), both again
+    vertices of H_r; ``_condition2`` decides it by folding and proves it.
+    Condition 3, the local criterion: images of stratum edges cross only
+    legal turns of stratum height.  ``condition2.bounded`` stays in the
+    report for its readers and is always false.
     """
     if filtration is None:
         filtration = filtration_of(f)
     graph = f.domain.graph
     df = direction_map(f)
-    turn_info = illegal_turns(f)
-    illegal_set = set(turn_info["illegal"])
+    illegal_set = set(illegal_turns(f)["illegal"])
     report = {"strata": [], "all_pass": True}
     for r, stratum in enumerate(filtration.strata):
         if stratum.kind != "EG":
@@ -390,49 +389,20 @@ def verify_rtt(f: GraphMapRep, filtration: Optional[Filtration] = None, path_cap
         stratum_vertices = {graph.dart_origin(d) for d in stratum_darts}
 
         cond1 = all(df[d] in stratum_darts for d in stratum_darts)
-
-        lower = filtration.edges_below(r)
-        cond2_violations = []
-        cond2_unverified = 0
-        checked = 0
-        if lower:
-            for sigma in _paths_in_subgraph(graph, lower, stratum_vertices, path_cap):
-                checked += 1
-                image = map_path(f, sigma)
-                endpoints_ok = (
-                    image
-                    and graph.dart_origin(image[0]) in stratum_vertices
-                    and graph.dart_head(image[-1]) in stratum_vertices
-                )
-                if not image or not endpoints_ok:
-                    cond2_violations.append([int(d) for d in sigma])
-            cond2_unverified = _count_longer_paths_exist(
-                graph, lower, stratum_vertices, path_cap
-            )
-        cond3_violations = []
-        for e in stratum.edges:
-            for dart in (2 * e, 2 * e + 1):
-                image = f.dart_image(dart)
-                for turn in _turns_in_path(graph, image):
-                    if (
-                        (turn[0] >> 1) in edges
-                        and (turn[1] >> 1) in edges
-                        and turn in illegal_set
-                    ):
-                        cond3_violations.append(
-                            {"edge": e, "turn": [int(turn[0]), int(turn[1])]}
-                        )
+        cond2_violations = _condition2(f, filtration.edges_below(r), stratum_vertices)
+        cond3_violations = [
+            {"edge": e, "turn": list(turn)}
+            for e in stratum.edges
+            for dart in (2 * e, 2 * e + 1)
+            for turn in _turns_in_path(f.dart_image(dart))
+            if (turn[0] >> 1) in edges and (turn[1] >> 1) in edges and turn in illegal_set
+        ]
         entry = {
             "stratum": r,
             "edges": list(stratum.edges),
             "lambda": stratum.pf_eigenvalue,
             "condition1": cond1,
-            "condition2": {
-                "paths_checked": checked,
-                "violations": cond2_violations,
-                "bounded": bool(cond2_unverified),
-                "cap": path_cap,
-            },
+            "condition2": {"violations": cond2_violations, "bounded": False},
             "condition3": {"violations": cond3_violations},
         }
         passed = cond1 and not cond2_violations and not cond3_violations
@@ -442,44 +412,93 @@ def verify_rtt(f: GraphMapRep, filtration: Optional[Filtration] = None, path_cap
     return report
 
 
-def _paths_in_subgraph(
-    graph, edges: Set[int], endpoints: Set[int], cap: int
-):
-    """Tight edge paths of length <= cap inside ``edges`` joining two
-    vertices of ``endpoints``."""
-    allowed = [d for d in range(graph.n_darts()) if (d >> 1) in edges]
-    stack = [
-        (d,) for d in allowed if graph.dart_origin(d) in endpoints
-    ]
-    while stack:
-        path = stack.pop()
-        head = graph.dart_head(path[-1])
-        if head in endpoints:
-            yield path
-        if len(path) < cap:
-            for d in allowed:
-                if graph.dart_origin(d) == head and d != (path[-1] ^ 1):
-                    stack.append(path + (d,))
+def _condition2(f: GraphMapRep, lower: Set[int], stratum_vertices: Set[int]) -> List[dict]:
+    """Violations of train track condition 2 for the stratum on
+    ``stratum_vertices`` above the edges ``lower`` of G_{r-1}.  Each names
+    the ends u, v of a nontrivial tight path in G_{r-1} whose tight image is
+    trivial (kind "trivial"; u == v for a loop) or ends off the stratum's
+    vertices (kind "endpoint").
 
+    Take a component C of G_{r-1} holding vertices W of H_r.  Subdivide
+    each edge e of C into one edge per dart of f(e), labelled by that dart
+    (its reverse by the reverse dart), and fold to Gamma with quotient q.
+    The labels make Gamma -> G an immersion that takes q(sigma) to f(sigma)
+    for a path sigma in C, and immersions keep paths reduced, so the tight
+    image of sigma is trivial iff q(sigma) is null-homotopic rel endpoints.
+    Folding is onto on pi_1 (Stallings), and the path classes from u to v
+    form a pi_1(C, v)-torsor, so q maps them onto those from q(u) to q(v).
+    Hence, for u != v in W, some path from u to v has a trivial image iff
+    q(u) == q(v).  Some nontrivial loop at u in W has a trivial image iff
+    q_* has a kernel (for one u iff for all, moving loops along paths).  A
+    free group of finite rank is Hopfian, so the surjection q_* has a
+    kernel iff rank(Gamma) < rank(C).
 
-def _count_longer_paths_exist(graph, edges: Set[int], endpoints: Set[int], cap: int) -> int:
-    """1 if tight paths longer than the cap exist (the bounded check is then
-    inconclusive for those), else 0."""
-    allowed = [d for d in range(graph.n_darts()) if (d >> 1) in edges]
-    frontier = [
-        (d,) for d in allowed if graph.dart_origin(d) in endpoints
+    A nontrivial tight path from u in W to W exists iff C has rank >= 1 (a
+    loop) or W has a second vertex (the tree path); its image starts at
+    f(u), which must lie in the stratum.  The work is near-linear in the
+    length of the images of C's edges.
+    """
+    graph = f.domain.graph
+    lower_darts = [
+        [d for d in graph.darts_at(v) if (d >> 1) in lower]
+        for v in range(graph.n_vertices)
     ]
-    for _ in range(cap):
-        next_frontier = []
-        for path in frontier:
-            head = graph.dart_head(path[-1])
-            for d in allowed:
-                if graph.dart_origin(d) == head and d != (path[-1] ^ 1):
-                    next_frontier.append(path + (d,))
-        frontier = next_frontier
-        if not frontier:
-            return 0
-    return 1 if frontier else 0
+    violations: List[dict] = []
+    seen: Set[int] = set()
+    for root in sorted(stratum_vertices):
+        if root in seen or not lower_darts[root]:
+            continue
+        # the component C of root in G_{r-1}, numbered in discovery order
+        index = {root: 0}
+        order = [root]
+        component_edges = set()
+        for x in order:
+            for d in lower_darts[x]:
+                component_edges.add(d >> 1)
+                y = graph.dart_head(d)
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+        seen.update(order)
+        rank = len(component_edges) - len(order) + 1
+        W = [v for v in sorted(order) if v in stratum_vertices]
+
+        # subdivide and fold: each edge x -> y becomes a chain through
+        # fresh vertices spelling f(e), and every labelled edge is folded
+        # onto any edge with its label at its tail as it is added
+        out: List[Dict[int, int]] = [{} for _ in order]
+        parent = list(range(len(order)))
+        for e in sorted(component_edges):
+            x, y = graph.edges[e]
+            path = f.edge_images[e]
+            fresh = range(len(out), len(out) + len(path) - 1)
+            out.extend({} for _ in fresh)
+            parent.extend(fresh)
+            chain = [index[x], *fresh, index[y]]
+            for a, d, b in zip(chain, path, chain[1:]):
+                # fold onto an edge labelled d at a, else enter the edge and
+                # fold its reverse onto an edge labelled d ^ 1 at b
+                a, b = _find(parent, a), _find(parent, b)
+                kept = out[a].setdefault(d, b)
+                if kept == b:
+                    kept, b = out[b].setdefault(d ^ 1, a), a
+                _identify(out, parent, kept, b)
+        roots = {_find(parent, x) for x in range(len(out))}
+        folded_rank = sum(len(out[x]) for x in roots) // 2 - len(roots) + 1
+
+        if rank >= 1 or len(W) >= 2:
+            for u in W:
+                if f.vertex_images[u] not in stratum_vertices:
+                    v = u if rank >= 1 else next(w for w in W if w != u)
+                    violations.append({"kind": "endpoint", "from": u, "to": v})
+        first: Dict[int, int] = {}
+        for v in W:
+            u = first.setdefault(_find(parent, index[v]), v)
+            if u != v:
+                violations.append({"kind": "trivial", "from": u, "to": v})
+        if folded_rank < rank:
+            violations.append({"kind": "trivial", "from": W[0], "to": W[0]})
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,8 @@ from .homology import IntMatrix, word_exponent_vector
 from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
-    SubgroupConjClass,
     cores_conjugate,
     fold_core,
-    subgroup_class,
 )
 from .words import Alphabet, Word, apply_endo, parse_word, word_str
 
@@ -137,12 +135,6 @@ class MarkedGraph:
 
     def free_rank(self) -> int:
         return len(self.non_tree_edges())
-
-    def vertex_class(self, v: int) -> Optional[SubgroupConjClass]:
-        gens = self.vertex_groups.get(v)
-        if not gens:
-            return None
-        return subgroup_class(self.alphabet, list(gens))
 
     def __repr__(self):
         loops = ", ".join(

@@ -1,13 +1,14 @@
 """Stallings cores for finitely generated subgroups of F_N.
 
 A core is a folded, edge-labeled, based graph; membership is path tracing,
-conjugacy of subgroups is equality of canonicalized basepoint-free cores.
+conjugacy of subgroups is isomorphism of basepoint-free cores.
 Free factor systems are produced by construction (images of basis subsets
 under certified automorphisms) and carry their witness.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aut import FreeAutomorphism
@@ -152,10 +153,45 @@ def _letter_order(alphabet: Alphabet) -> List[int]:
     return sorted(alphabet.signed_letters(), key=lambda l: (abs(l), l < 0))
 
 
+def _find(parent: List[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _identify(out: List[Dict[int, int]], parent: List[int], a: int, b: int) -> None:
+    """Identify vertices ``a`` and ``b`` of a folded graph and fold what the
+    identification makes clash.
+
+    ``out[v]`` maps each label at a live vertex v to a target, which is
+    resolved through ``parent`` when read.  The vertex of smaller out-degree
+    moves its edges into the other's dict, and each clash (existing target,
+    moved target) is pushed onto a stack to be identified in turn; the
+    moved edge of a clash is dropped, since it is the kept one folded.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        a, b = _find(parent, a), _find(parent, b)
+        if a == b:
+            continue
+        if len(out[a]) < len(out[b]):
+            a, b = b, a
+        parent[b] = a
+        edges = out[a]
+        for label, moved in out[b].items():
+            kept = edges.setdefault(label, moved)
+            if kept != moved:
+                stack.append((kept, moved))
+        out[b] = {}
+
+
 def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
     """The based Stallings core of the subgroup generated by ``generators``,
     numbered by breadth-first search from the basepoint in the letter order
-    of ``_bfs_encoding``.
+    of ``_letter_order``.
 
     The graph is kept folded while it grows: each vertex has one dict from
     letter to target, and ``parent`` is a union-find forest (path halving)
@@ -165,11 +201,8 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
     exist; fresh vertices are made only for the unmatched middle.  If
     nothing is left in the middle, the two traces meet and their ends are
     identified, and if the edge that closes the middle collides with one
-    already there, their other ends are.  Identification works through a
-    merge stack: the vertex of smaller out-degree moves its edges into the
-    other's dict, and each clash (existing target, moved target) is pushed
-    to be identified in turn.  This is near-linear in the total generator
-    length.
+    already there, their other ends are, by ``_identify``.  This is
+    near-linear in the total generator length.
 
     No trimming is needed.  Each vertex made for the middle of a reduced
     word has two distinct outgoing letters, since the word does not
@@ -181,48 +214,24 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
     """
     out: List[Dict[int, int]] = [{}]
     parent = [0]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def identify(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if len(out[a]) < len(out[b]):
-                a, b = b, a
-            parent[b] = a
-            edges = out[a]
-            for letter, moved in out[b].items():
-                kept = edges.setdefault(letter, moved)
-                if kept != moved:
-                    stack.append((kept, moved))
-            out[b] = {}
-
     for gen in generators:
         letters = gen.letters
-        i, u = 0, find(0)
+        i, u = 0, _find(parent, 0)
         while i < len(letters):
             nxt = out[u].get(letters[i])
             if nxt is None:
                 break
-            u = find(nxt)
+            u = _find(parent, nxt)
             i += 1
-        j, v = len(letters), find(0)
+        j, v = len(letters), _find(parent, 0)
         while j > i:
             nxt = out[v].get(-letters[j - 1])
             if nxt is None:
                 break
-            v = find(nxt)
+            v = _find(parent, nxt)
             j -= 1
         if i == j:
-            identify(u, v)
+            _identify(out, parent, u, v)
             continue
         # u has no edge for the middle's first letter and v none for the
         # inverse of its last, so only the closing edge can collide: when
@@ -236,10 +245,10 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
         out[u][letters[j - 1]] = v
         kept = out[v].setdefault(-letters[j - 1], u)
         if kept != u:
-            identify(kept, u)
+            _identify(out, parent, kept, u)
 
     letter_order = _letter_order(alphabet)
-    base = find(0)
+    base = _find(parent, 0)
     number = {base: 0}
     order = [base]
     transitions: Dict[Tuple[int, int], int] = {}
@@ -250,7 +259,7 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
             w = edges.get(letter)
             if w is None:
                 continue
-            w = find(w)
+            w = _find(parent, w)
             if w not in number:
                 number[w] = len(order)
                 order.append(w)
@@ -271,51 +280,29 @@ def membership(word: Word, core: StallingsCore) -> bool:
     return core.trace(word) == core.base
 
 
-def _bfs_encoding(
-    alphabet: Alphabet, transitions: Dict[Tuple[int, int], int], start: int
-) -> tuple:
-    """Deterministic BFS encoding of the component of ``start``; isomorphic
-    pointed graphs produce equal encodings."""
-    letter_order = _letter_order(alphabet)
-    number = {start: 0}
-    order = [start]
-    i = 0
-    table = []
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for letter in letter_order:
-            w = transitions.get((v, letter))
-            if w is None:
-                continue
-            if w not in number:
-                number[w] = len(number)
-                order.append(w)
-            table.append((number[v], letter, number[w]))
-    return tuple(sorted(table))
-
-
 class SubgroupConjClass:
-    """Conjugacy class of a finitely generated subgroup: the canonicalized
-    basepoint-free core, plus a representative for further computation."""
+    """Conjugacy class of a finitely generated subgroup: a representative
+    core and its basepoint-free trim, the cyclic core.
 
-    __slots__ = ("alphabet", "key", "representative")
+    Two subgroups are conjugate iff their cyclic cores are isomorphic as
+    labelled graphs, so ``==`` is ``_conjugate_to_trimmed`` and the hash
+    reads isomorphism invariants of the trim: its vertex and edge counts
+    and its sorted vertex signatures.
+    """
+
+    __slots__ = ("alphabet", "representative", "_cyclic_core", "_hash")
 
     def __init__(self, representative: StallingsCore):
         n, transitions, _ = _trim(
             representative.n_vertices, representative.transitions, None
         )
-        if n == 0:
-            # trivial subgroup: empty cyclic core
-            key: tuple = ()
-        else:
-            key = min(
-                _bfs_encoding(representative.alphabet, transitions, v)
-                for v in range(n)
-            )
+        signatures = tuple(sorted(_vertex_signature(transitions, n).values()))
         object.__setattr__(self, "alphabet", representative.alphabet)
-        object.__setattr__(self, "key", key)
         object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "_cyclic_core", (n, transitions))
+        object.__setattr__(
+            self, "_hash", hash((representative.alphabet, n, len(transitions), signatures))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupConjClass is immutable")
@@ -324,11 +311,12 @@ class SubgroupConjClass:
         return (
             isinstance(other, SubgroupConjClass)
             and self.alphabet == other.alphabet
-            and self.key == other.key
+            and self._hash == other._hash
+            and _conjugate_to_trimmed(self.representative, *other._cyclic_core)
         )
 
     def __hash__(self):
-        return hash((self.alphabet, self.key))
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(word_str(g) for g in self.representative.generators())
@@ -336,9 +324,6 @@ class SubgroupConjClass:
 
     def rank(self) -> int:
         return self.representative.rank()
-
-    def core_size(self) -> int:
-        return self.representative.n_edges()
 
 
 def subgroup_class(alphabet: Alphabet, generators: Sequence[Word]) -> SubgroupConjClass:
@@ -494,12 +479,11 @@ class FreeFactorSystem:
         return (
             isinstance(other, FreeFactorSystem)
             and self.alphabet == other.alphabet
-            and sorted(c.key for c in self.classes)
-            == sorted(c.key for c in other.classes)
+            and Counter(self.classes) == Counter(other.classes)
         )
 
     def __hash__(self):
-        return hash((self.alphabet, tuple(sorted(c.key for c in self.classes))))
+        return hash((self.alphabet, tuple(sorted(map(hash, self.classes)))))
 
     def grushko_rank(self) -> int:
         """k + N' for the decomposition into k factors and a complement of
@@ -618,8 +602,20 @@ def orbit_period(
     Compares each iterate against the starting class only; growth beyond
     ``length_cap`` (word length or total core edges) reports Blowup.
     """
+    return _orbit(phi, start, max_iter, length_cap)[0]
+
+
+def _orbit(
+    phi: FreeAutomorphism,
+    start: Union[SubgroupConjClass, CyclicWord],
+    max_iter: int,
+    length_cap: int,
+) -> Tuple[OrbitOutcome, List[int]]:
+    """``orbit_period`` with the size of every iterate it computed: the
+    cyclic word length or the core's edge count."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    sizes: List[int] = []
     if isinstance(start, CyclicWord):
         # iterate on cyclically reduced cores; rotation equality via string
         # doubling keeps each step linear in the word length
@@ -633,27 +629,28 @@ def orbit_period(
         for k in range(1, max_iter + 1):
             image = phi.apply(current)
             core, _ = _strip_conjugation(image)
+            sizes.append(len(core))
             if len(core) > length_cap:
-                return OrbitOutcome(BLOWUP, None, k)
+                return OrbitOutcome(BLOWUP, None, k), sizes
             if len(core) == len(start.letters):
                 doubled = encode(core.letters + core.letters)
                 if (not start.letters) or start_encoded in doubled:
-                    return _period(k, k)
+                    return _period(k, k), sizes
             current = core
-        return OrbitOutcome(NO_PERIOD, None, max_iter)
-    # iterate on raw folded cores; canonicalization is deferred to the
-    # (cheap, size-guarded) conjugacy comparison against the start, whose
-    # basepoint-free trim is taken once
+        return OrbitOutcome(NO_PERIOD, None, max_iter), sizes
+    # iterate on raw folded cores, each compared with the start's cyclic
+    # core by the size-guarded isomorphism test
     current_core = start.representative
-    n_start, t_start, _ = _trim(current_core.n_vertices, current_core.transitions, None)
+    n_start, t_start = start._cyclic_core
     for k in range(1, max_iter + 1):
         gens = [phi.apply(g) for g in current_core.generators()]
         current_core = fold_core(start.alphabet, gens)
+        sizes.append(current_core.n_edges())
         if current_core.n_edges() > length_cap:
-            return OrbitOutcome(BLOWUP, None, k)
+            return OrbitOutcome(BLOWUP, None, k), sizes
         if _conjugate_to_trimmed(current_core, n_start, t_start):
-            return _period(k, k)
-    return OrbitOutcome(NO_PERIOD, None, max_iter)
+            return _period(k, k), sizes
+    return OrbitOutcome(NO_PERIOD, None, max_iter), sizes
 
 
 def orbit_report(
@@ -664,22 +661,10 @@ def orbit_report(
 ) -> dict:
     """JSON-ready record of an orbit probe: input, outcome, period,
     iterations, and the sizes seen along the way."""
-    sizes = []
+    outcome, sizes = _orbit(phi, start, max_iter, length_cap)
     if isinstance(start, CyclicWord):
-        from .words import _strip_conjugation
-
-        current = start.as_word()
-        outcome = orbit_period(phi, start, max_iter, length_cap)
-        for _ in range(outcome.iterations):
-            current, _ = _strip_conjugation(phi.apply(current))
-            sizes.append(len(current))
         label = word_str(start.as_word())
     else:
-        core = start.representative
-        outcome = orbit_period(phi, start, max_iter, length_cap)
-        for _ in range(outcome.iterations):
-            core = fold_core(start.alphabet, [phi.apply(g) for g in core.generators()])
-            sizes.append(core.n_edges())
         label = repr(start)
     return {
         "input": label,

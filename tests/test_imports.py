@@ -1,18 +1,21 @@
 """No module of the package imports a name at module level that it never
 uses, no module-level private function or class goes unreferenced in the
-package, and the package imports nothing outside itself and the standard
+package, no public function, class or method goes unmentioned in the
+repository, and the package imports nothing outside itself and the standard
 library.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "aperiodic_lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "aperiodic_lab"
 
 
 def _annotations(tree):
@@ -124,6 +127,70 @@ def test_checker_finds_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def public_definitions(source: str) -> list:
+    """Names of the module-level functions and classes and of the methods
+    of module-level classes that do not start with an underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for sub in [node, *members]:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not sub.name.startswith("_"):
+                    names.append(sub.name)
+    return names
+
+
+def unmentioned_public_names(package: dict, others: list) -> list:
+    """Public names defined in the ``package`` sources (module -> text)
+    that occur, as whole words, nowhere in the package or ``others`` (a
+    list of texts) beyond their own definitions."""
+    defined = {}
+    for module, source in package.items():
+        for name in public_definitions(source):
+            defined.setdefault(name, []).append(module)
+    texts = [*package.values(), *others]
+    unmentioned = []
+    for name, modules in defined.items():
+        pattern = re.compile(rf"\b{name}\b")
+        if sum(len(pattern.findall(text)) for text in texts) <= len(modules):
+            unmentioned.extend((module, name) for module in modules)
+    return sorted(unmentioned)
+
+
+def test_checker_finds_unmentioned_public_name():
+    package = {
+        "a.py": (
+            "def dead():\n"
+            "    pass\n"
+            "def used():\n"
+            "    pass\n"
+            "class Thing:\n"
+            "    def method(self):\n"
+            "        return used()\n"
+            "    def unread(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "def unread():\n    pass\n",
+    }
+    others = ["Thing().method()\n", "see `helper` in the README\n"]
+    assert unmentioned_public_names(package, others) == [
+        ("a.py", "dead"), ("a.py", "unread"), ("b.py", "unread")
+    ]
+
+
+def test_every_public_name_is_mentioned():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [
+        path.read_text()
+        for directory in ("tests", "demos", "bench")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+    others.append((ROOT / "README.md").read_text())
+    assert unmentioned_public_names(package, others) == []
 
 
 def third_party_imports(source: str) -> list:

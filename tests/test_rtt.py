@@ -29,7 +29,8 @@ from aperiodic_lab.rtt import (
     verify_rtt,
 )
 from aperiodic_lab.graphs import FiniteGraph
-from aperiodic_lab.splittings import GraphMapRep, graph_map_from_words, rose_marked
+from aperiodic_lab.aut import identity_automorphism
+from aperiodic_lab.splittings import GraphMapRep, MarkedGraph, graph_map_from_words, rose_marked
 from aperiodic_lab.words import Alphabet, Word, parse_word
 
 A2 = Alphabet(2)
@@ -332,9 +333,69 @@ def _zero_stratum():
     return TransitionMatrix((0,), ((0,),))
 
 
+def _merge_time_bounded(df, d1, d2, cap):
+    """Oracle: whether iterating DF merges the pair within ``cap`` steps."""
+    a, b = d1, d2
+    for _ in range(cap):
+        if a == b:
+            return True
+        a, b = df[a], df[b]
+    return a == b
+
+
+def _illegal_turns_oracle(graph_map):
+    """Oracle: every turn classified by walking both darts n_darts^2 + 1
+    steps, the darts of each vertex found by a scan over all darts."""
+    graph = graph_map.domain.graph
+    df = direction_map(graph_map)
+    cap = graph.n_darts() ** 2 + 1
+    degenerate, illegal, legal = [], [], []
+    for v in range(graph.n_vertices):
+        darts = [d for d in range(graph.n_darts()) if graph.dart_origin(d) == v]
+        for d1, d2 in itertools.combinations_with_replacement(darts, 2):
+            turn = (min(d1, d2), max(d1, d2))
+            if d1 == d2:
+                degenerate.append(turn)
+            elif _merge_time_bounded(df, d1, d2, cap):
+                illegal.append(turn)
+            else:
+                legal.append(turn)
+    return {"degenerate": degenerate, "illegal": illegal, "legal": legal}
+
+
+def _chain_map(n):
+    """The rose map a_i -> a_i a_(i+1), last petal fixed."""
+    alphabet = Alphabet(n)
+    words = [Word(alphabet, (i, i + 1)) for i in range(1, n)] + [Word(alphabet, (n,))]
+    return graph_map_from_words(rose_marked(alphabet), words)
+
+
 class TestTurns:
     def test_identity_no_illegal(self):
         assert not illegal_turns(IDENT)["illegal"]
+
+    def test_chain_matches_oracle(self):
+        # DF walks down the chain before merging: merge times up to n - 1
+        graph_map = _chain_map(45)
+        report = illegal_turns(graph_map)
+        assert report == _illegal_turns_oracle(graph_map)
+        assert report["illegal"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rose_words)
+    def test_matches_oracle_on_roses(self, images):
+        alphabet = Alphabet(len(images))
+        words = [Word(alphabet, letters) for letters in images]
+        assume(all(word.letters for word in words))
+        graph_map = graph_map_from_words(rose_marked(alphabet), words)
+        assert illegal_turns(graph_map) == _illegal_turns_oracle(graph_map)
+
+    def test_matches_oracle_on_two_vertex_maps(self):
+        rng = random.Random(88)
+        for _ in range(200):
+            graph_map = _random_two_vertex_map(rng)
+            if graph_map is not None:
+                assert illegal_turns(graph_map) == _illegal_turns_oracle(graph_map)
 
     def test_fibonacci_illegal_turn(self):
         # darts: a = 0, a^-1 = 1, b = 2, b^-1 = 3; DF merges a and b
@@ -368,6 +429,272 @@ class TestVerifyRTT:
         graph_map = rose_map(["a", "bc", "b"], alphabet=A3)
         report = verify_rtt(graph_map)
         assert report["all_pass"]
+
+
+    def test_three_petal_map_passes(self):
+        # condition 2 over the lower petals a, b, which carry tight paths of
+        # every length
+        graph_map = rose_map(["ab", "a", "cac"], alphabet=A3)
+        report = verify_rtt(graph_map)
+        assert report["all_pass"]
+        assert [s["edges"] for s in report["strata"]] == [[0, 1], [2]]
+        assert report["strata"][1]["condition2"] == {"violations": [], "bounded": False}
+        filtration = filtration_of(graph_map)
+        assert _condition2_oracle(graph_map, filtration, 1, 8) == ([], True)
+
+    def test_lower_path_with_trivial_image(self):
+        # a -> a, b -> a, c -> cbc: the lower path a b^-1 maps to a a^-1, a
+        # point, so the folded lower rose loses a petal
+        graph_map = rose_map(["a", "a", "cbc"], alphabet=A3)
+        report = verify_rtt(graph_map)
+        assert not report["all_pass"]
+        (entry,) = report["strata"]
+        assert entry["edges"] == [2]
+        assert entry["condition2"]["violations"] == [{"kind": "trivial", "from": 0, "to": 0}]
+        violations, _ = _condition2_oracle(graph_map, filtration_of(graph_map), 2, 4)
+        assert (0, 3) in violations
+
+    def test_fold_identifies_stratum_vertices(self):
+        # lower edges e0 = (0, 1) -> e1 and the loop e1 at 0 -> e1; the EG
+        # pair e2 = (0, 1), e3 = (1, 0) both map to e2 e3.  Both vertices
+        # map to 0, and the lower path e1^-1 e0 from 0 to 1 maps to a point.
+        graph_map = _graph_map(
+            [(0, 1), (0, 0), (0, 1), (1, 0)], (0, 0), [[2], [2], [4, 6], [4, 6]]
+        )
+        filtration = filtration_of(graph_map)
+        assert [s.edges for s in filtration.strata] == [(1,), (0,), (2, 3)]
+        report = verify_rtt(graph_map, filtration)
+        (entry,) = report["strata"]
+        assert entry["condition1"] and not entry["condition3"]["violations"]
+        assert entry["condition2"]["violations"] == [{"kind": "trivial", "from": 0, "to": 1}]
+        violations, _ = _condition2_oracle(graph_map, filtration, 2, 4)
+        assert (3, 0) in violations
+
+    def test_fold_of_a_tree_identifies_stratum_vertices(self):
+        # the lower tree 0 -e0- 1 -e1- 2 with e0 -> e0 and e1 = (2, 1) -> e0
+        # folds 0 onto 2; the EG pair e2 = (0, 2), e3 = (2, 0) maps to e2 e3.
+        # The enumeration is complete here and flags the path e0 e1^-1.
+        graph_map = _graph_map(
+            [(0, 1), (2, 1), (0, 2), (2, 0)], (0, 1, 0), [[0], [0], [4, 6], [4, 6]]
+        )
+        filtration = filtration_of(graph_map)
+        assert [s.edges for s in filtration.strata] == [(0,), (1,), (2, 3)]
+        (entry,) = verify_rtt(graph_map, filtration)["strata"]
+        assert entry["condition1"] and not entry["condition3"]["violations"]
+        assert entry["condition2"]["violations"] == [{"kind": "trivial", "from": 0, "to": 2}]
+        assert _condition2_oracle(graph_map, filtration, 2, 8) == ([(2, 1), (0, 3)], False)
+
+    def test_matches_enumeration_on_random_roses(self):
+        rng = random.Random(2024)
+        compared = flagged = 0
+        for _ in range(150):
+            rank = rng.randrange(2, 5)
+            alphabet = Alphabet(rank)
+            words = []
+            for i in range(1, rank + 1):
+                # images over petals up to i + 1 give a stack of strata
+                petals = list(range(1, min(rank, i + 1) + 1))
+                letters = ()
+                while not letters:
+                    raw = [rng.choice(petals) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 5))]
+                    letters = Word(alphabet, raw).letters
+                words.append(Word(alphabet, letters))
+            graph_map = graph_map_from_words(rose_marked(alphabet), words)
+            c, f, _ = _compare_with_enumeration(graph_map)
+            compared += c
+            flagged += f
+        assert compared >= 25 and flagged >= 4
+
+    def test_matches_enumeration_on_random_two_vertex_maps(self):
+        rng = random.Random(77)
+        compared = flagged = complete = 0
+        for _ in range(400):
+            graph_map = _random_two_vertex_map(rng)
+            if graph_map is not None:
+                c, f, k = _compare_with_enumeration(graph_map)
+                compared += c
+                flagged += f
+                complete += k
+        assert compared >= 100 and flagged >= 20 and complete >= 20
+
+
+def _paths_in_subgraph(graph, edges, endpoints, cap):
+    """Oracle: tight edge paths of length <= cap inside ``edges`` joining
+    two vertices of ``endpoints``."""
+    allowed = [d for d in range(graph.n_darts()) if (d >> 1) in edges]
+    stack = [(d,) for d in allowed if graph.dart_origin(d) in endpoints]
+    while stack:
+        path = stack.pop()
+        head = graph.dart_head(path[-1])
+        if head in endpoints:
+            yield path
+        if len(path) < cap:
+            for d in allowed:
+                if graph.dart_origin(d) == head and d != (path[-1] ^ 1):
+                    stack.append(path + (d,))
+
+
+def _count_longer_paths_exist(graph, edges, endpoints, cap):
+    """Oracle: 1 if tight paths longer than the cap start at ``endpoints``
+    inside ``edges`` (the enumeration is then truncated), else 0."""
+    allowed = [d for d in range(graph.n_darts()) if (d >> 1) in edges]
+    frontier = [(d,) for d in allowed if graph.dart_origin(d) in endpoints]
+    for _ in range(cap):
+        next_frontier = []
+        for path in frontier:
+            head = graph.dart_head(path[-1])
+            for d in allowed:
+                if graph.dart_origin(d) == head and d != (path[-1] ^ 1):
+                    next_frontier.append(path + (d,))
+        frontier = next_frontier
+        if not frontier:
+            return 0
+    return 1 if frontier else 0
+
+
+def _stratum_vertices(graph_map, filtration, r):
+    graph = graph_map.domain.graph
+    edges = set(filtration.strata[r].edges)
+    return {graph.dart_origin(d) for d in range(graph.n_darts()) if (d >> 1) in edges}
+
+
+def _condition2_oracle(graph_map, filtration, r, cap):
+    """Oracle: (violating paths, truncated) of condition 2 for stratum r by
+    enumerating the tight lower paths of length <= cap between stratum
+    vertices."""
+    graph = graph_map.domain.graph
+    vertices = _stratum_vertices(graph_map, filtration, r)
+    lower = filtration.edges_below(r)
+    if not lower:
+        return [], False
+    violations = []
+    for sigma in _paths_in_subgraph(graph, lower, vertices, cap):
+        image = map_path(graph_map, sigma)
+        if (
+            not image
+            or graph.dart_origin(image[0]) not in vertices
+            or graph.dart_head(image[-1]) not in vertices
+        ):
+            violations.append(sigma)
+    return violations, bool(_count_longer_paths_exist(graph, lower, vertices, cap))
+
+
+def _compare_with_enumeration(graph_map):
+    """Check every EG stratum's condition-2 verdict against enumeration.
+
+    Each path the enumeration flags must be accounted for by a reported
+    violation: a trivial image by the reported identifications (u != v) or
+    by a lost loop in its component (u == v), an image off the stratum by
+    an endpoint violation at one of its ends.  Where the enumeration is not
+    truncated, the verdicts must agree.  Returns the number of strata whose
+    lower part touches them, of those with a violation, and of those
+    enumerated in full.
+    """
+    graph = graph_map.domain.graph
+    filtration = filtration_of(graph_map)
+    report = verify_rtt(graph_map, filtration)
+    compared = flagged = complete = 0
+    for entry in report["strata"]:
+        r = entry["stratum"]
+        lower = filtration.edges_below(r)
+        touching = any(
+            (d >> 1) in lower
+            for v in _stratum_vertices(graph_map, filtration, r)
+            for d in graph.darts_at(v)
+        )
+        cap = 8 if len(lower) <= 2 else 5
+        expected, truncated = _condition2_oracle(graph_map, filtration, r, cap)
+        found = entry["condition2"]["violations"]
+        assert entry["condition2"]["bounded"] is False
+        component = _components(graph, lower)
+        identified = {v: v for v in range(graph.n_vertices)}
+
+        def root(v):
+            while identified[v] != v:
+                v = identified[v]
+            return v
+
+        for violation in found:
+            if violation["kind"] == "trivial" and violation["from"] != violation["to"]:
+                identified[root(violation["to"])] = root(violation["from"])
+        lost_loops = {
+            component[v["from"]] for v in found if v["kind"] == "trivial" and v["from"] == v["to"]
+        }
+        off_stratum = {v["from"] for v in found if v["kind"] == "endpoint"}
+        for sigma in expected:
+            u, v = graph.dart_origin(sigma[0]), graph.dart_head(sigma[-1])
+            if not map_path(graph_map, sigma):
+                if u == v:
+                    assert component[u] in lost_loops, (graph_map, sigma)
+                else:
+                    assert root(u) == root(v), (graph_map, sigma)
+            else:
+                assert u in off_stratum or v in off_stratum, (graph_map, sigma)
+        if not truncated:
+            assert bool(found) == bool(expected), (graph_map, r)
+            complete += touching
+        compared += touching
+        flagged += bool(found)
+    return compared, flagged, complete
+
+
+def _components(graph, edges):
+    """Component label (least vertex) of every vertex in the subgraph of
+    ``edges``; a vertex off those edges is its own component."""
+    label = list(range(graph.n_vertices))
+    for v in range(graph.n_vertices):
+        stack, seen = [v], {v}
+        while stack:
+            x = stack.pop()
+            for d in graph.darts_at(x):
+                y = graph.dart_head(d)
+                if (d >> 1) in edges and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        label[v] = min(seen)
+    return label
+
+
+def _graph_map(edges, vertex_images, images):
+    """A graph map on vertices 0..n-1 whose first n - 1 edges form the tree
+    and whose other edges, in order, mark the standard basis."""
+    n = len(vertex_images)
+    graph = FiniteGraph(n, edges)
+    alphabet = Alphabet(len(edges) - n + 1)
+    loops = {e: Word(alphabet, (e - n + 2,)) for e in range(n - 1, len(edges))}
+    marked = MarkedGraph(alphabet, graph, range(n - 1), loops, {}, identity_automorphism(alphabet))
+    return GraphMapRep(marked, vertex_images, images)
+
+
+def _random_two_vertex_map(rng):
+    """A seeded random map on a two-vertex graph whose edge i maps to a
+    tight walk over edges up to i + 1, so the strata stack up; None when no
+    walk with the right ends turns up."""
+    n_edges = rng.randrange(3, 6)
+    edges = [(0, 1)] + [rng.choice([(0, 0), (1, 1), (0, 1), (1, 0)]) for _ in range(n_edges - 1)]
+    graph = FiniteGraph(2, edges)
+    if min(graph.valence(0), graph.valence(1)) < 2:
+        return None
+    vertex_images = (rng.randrange(2), rng.randrange(2))
+    images = []
+    for e, (u, v) in enumerate(edges):
+        allowed = [d for d in range(2 * n_edges) if (d >> 1) <= e + 1]
+        for _ in range(50):
+            length = rng.randrange(1, 5)
+            walk = []
+            at, back = vertex_images[u], None
+            while len(walk) < length:
+                options = [d for d in allowed if graph.dart_origin(d) == at and d != back]
+                if not options:
+                    break
+                walk.append(rng.choice(options))
+                at, back = graph.dart_head(walk[-1]), walk[-1] ^ 1
+            if walk and at == vertex_images[v]:
+                images.append(walk)
+                break
+        else:
+            return None
+    return _graph_map(edges, vertex_images, images)
 
 
 class TestBoundedCancellation:

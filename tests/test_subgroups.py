@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from aperiodic_lab.aut import (
     ad,
     basis_cycle,
+    compose,
     identity_automorphism,
     partial_conjugation,
     sample,
@@ -30,6 +31,8 @@ from aperiodic_lab.subgroups import (
     parse_subgroup,
     subgroup_class,
     subgroup_str,
+    SubgroupConjClass,
+    _letter_order,
     _pointed_iso,
     _trim,
 )
@@ -119,6 +122,32 @@ def generating_sets(alphabet):
     return st.lists(word, max_size=4)
 
 
+def _bfs_encoding(alphabet, transitions, start):
+    """Oracle: deterministic BFS encoding of the component of ``start``;
+    isomorphic pointed graphs produce equal encodings."""
+    letter_order = _letter_order(alphabet)
+    number = {start: 0}
+    order = [start]
+    table = []
+    for v in order:
+        for letter in letter_order:
+            target = transitions.get((v, letter))
+            if target is None:
+                continue
+            if target not in number:
+                number[target] = len(number)
+                order.append(target)
+            table.append((number[v], letter, number[target]))
+    return tuple(sorted(table))
+
+
+def canonical_key(core):
+    """Oracle: the least BFS encoding of the basepoint-free trim over all
+    its vertices, a complete conjugacy invariant of the subgroup."""
+    n, transitions, _ = _trim(core.n_vertices, core.transitions, None)
+    return min(_bfs_encoding(core.alphabet, transitions, v) for v in range(n))
+
+
 ranked_generating_sets = st.sampled_from([A2, A3]).flatmap(
     lambda alphabet: st.tuples(st.just(alphabet), generating_sets(alphabet))
 )
@@ -152,7 +181,7 @@ class TestFolding:
             for _ in range(15):
                 shuffled = [g.inverse() if rng.random() < 0.5 else g for g in gens]
                 rng.shuffle(shuffled)
-                keys.add(subgroup_class(A2, shuffled).key)
+                keys.add(canonical_key(fold_core(A2, shuffled)))
                 tables.add(tuple(fold_core(A2, shuffled).transitions.items()))
             assert len(keys) == 1
             assert len(tables) == 1
@@ -302,14 +331,40 @@ class TestConjugacy:
     def test_lazy_comparison_matches_canonical(self):
         rng = random.Random(17)
         pool = [word for word in all_reduced_words(A2, 3) if len(word)]
-        for _ in range(30):
-            a = fold_core(A2, rng.sample(pool, 2))
-            b = fold_core(A2, rng.sample(pool, 2))
-            from aperiodic_lab.subgroups import SubgroupConjClass
+        equal = 0
+        for _ in range(300):
+            gens = rng.sample(pool, rng.randint(1, 2))
+            if rng.random() < 0.5:
+                g = rng.choice(pool)
+                others = [g * x * g.inverse() for x in reversed(gens)]
+            else:
+                others = rng.sample(pool, rng.randint(1, 2))
+            a, b = fold_core(A2, gens), fold_core(A2, others)
+            expected = canonical_key(a) == canonical_key(b)
+            assert cores_conjugate(a, b) == expected
+            assert (SubgroupConjClass(a) == SubgroupConjClass(b)) == expected
+            if expected:
+                assert hash(SubgroupConjClass(a)) == hash(SubgroupConjClass(b))
+                equal += 1
+        assert 50 <= equal <= 250
 
-            assert cores_conjugate(a, b) == (
-                SubgroupConjClass(a) == SubgroupConjClass(b)
-            )
+    def test_equal_invariants_need_not_be_conjugate(self):
+        # <abaB> and <abAb>: cycles of four edges with the same vertex
+        # signatures, so the same hash, but no rotation of either word or
+        # its inverse spells the other, so the classes differ
+        a = subgroup_class(A2, [w("abaB")])
+        b = subgroup_class(A2, [w("abAb")])
+        assert canonical_key(a.representative) != canonical_key(b.representative)
+        assert hash(a) == hash(b) and a != b
+
+    def test_classes_in_sets(self):
+        classes = [
+            subgroup_class(A2, [w("a")]),
+            subgroup_class(A2, [w("baB")]),
+            subgroup_class(A2, [w("aa")]),
+            subgroup_class(A2, [w("b")]),
+        ]
+        assert len(set(classes)) == 3
 
 
 class TestConjugateInto:
@@ -338,6 +393,21 @@ class TestFreeFactorSystems:
         assert basis_ffs(A3, [[1]]).grushko_rank() == 3
         assert basis_ffs(A3, [[1, 2]]).grushko_rank() == 2
         assert basis_ffs(A2, [[1], [2]]).grushko_rank() == 2
+
+    def test_equality_compares_classes_as_multisets(self):
+        # the swap witness lists [<b>], [<a>]: the same classes in another
+        # order, and conjugating a factor keeps its class
+        plain = basis_ffs(A3, [[1], [2]])
+        swapped = FreeFactorSystem(swap(A3, 1, 2), [frozenset([1]), frozenset([2])])
+        twisted = FreeFactorSystem(
+            compose(ad(parse_word(A3, "c")), swap(A3, 1, 2)),
+            [frozenset([2]), frozenset([1])],
+        )
+        assert swapped == plain and hash(swapped) == hash(plain)
+        assert twisted == plain and hash(twisted) == hash(plain)
+        assert plain != basis_ffs(A3, [[1], [3]])
+        assert plain != basis_ffs(A3, [[1]])
+        assert len({plain, swapped, twisted, basis_ffs(A3, [[1, 2]])}) == 2
 
     def test_sporadic(self):
         assert basis_ffs(A2, [[1], [2]]).is_sporadic()
@@ -442,6 +512,47 @@ class TestOrbits:
                 start = subgroup_class(alphabet, rng.sample(words, rng.randrange(1, 3)))
                 out = orbit_period(phi, start, max_iter=6, length_cap=200)
                 assert (out.kind, out.period, out.iterations) == oracle(phi, start, 6, 200)
+                kinds.add(out.kind)
+        assert kinds == {"Period", "NoPeriodWithin", "Blowup"}
+
+
+    def test_report_sizes_match_rerun(self):
+        # oracle: the probe's outcome, then the orbit run again for as many
+        # steps as it took, measuring each iterate
+        from aperiodic_lab.subgroups import orbit_report
+        from aperiodic_lab.words import _strip_conjugation
+
+        def rerun(phi, start, steps):
+            sizes = []
+            if isinstance(start, CyclicWord):
+                current = start.as_word()
+                for _ in range(steps):
+                    current, _ = _strip_conjugation(phi.apply(current))
+                    sizes.append(len(current))
+            else:
+                core = start.representative
+                for _ in range(steps):
+                    core = fold_core(start.alphabet, [phi.apply(g) for g in core.generators()])
+                    sizes.append(core.n_edges())
+            return sizes
+
+        rng = random.Random(32)
+        kinds = set()
+        for alphabet in (A2, A3):
+            gens = standard_generators(alphabet.rank, "nielsen")
+            words = [word for word in all_reduced_words(alphabet, 3) if len(word)]
+            for _ in range(40):
+                phi = sample(gens, rng.randrange(1, 4), rng.randrange(2**32))
+                if rng.random() < 0.5:
+                    start = CyclicWord(alphabet, rng.choice(words).letters)
+                else:
+                    start = subgroup_class(alphabet, rng.sample(words, rng.randrange(1, 3)))
+                report = orbit_report(phi, start, max_iter=6, length_cap=60)
+                out = orbit_period(phi, start, max_iter=6, length_cap=60)
+                assert (report["outcome"], report["period"], report["iterations"]) == (
+                    out.kind, out.period, out.iterations
+                )
+                assert report["core_sizes"] == rerun(phi, start, out.iterations)
                 kinds.add(out.kind)
         assert kinds == {"Period", "NoPeriodWithin", "Blowup"}
 
