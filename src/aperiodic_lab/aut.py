@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .words import Alphabet, Word, apply_endo, parse_word, word_str
+from .words import Alphabet, Frozen, Word, apply_endo, parse_word, word_str
 
 
 class CompositeNotIdentity(ValueError):
@@ -23,7 +23,7 @@ class CompositeNotIdentity(ValueError):
         )
 
 
-class FreeAutomorphism:
+class FreeAutomorphism(Frozen):
     """An automorphism given by forward and backward basis images.
 
     Construction checks that both composites fix every basis letter.
@@ -47,9 +47,6 @@ class FreeAutomorphism:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "backward", backward)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeAutomorphism is immutable")
 
     def apply(self, word: Word) -> Word:
         return apply_endo(self.forward, word)
@@ -87,29 +84,11 @@ class FreeAutomorphism:
         return result
 
 
-def certify(alphabet: Alphabet, forward: Sequence[Word], backward: Sequence[Word]) -> FreeAutomorphism:
-    """Build an automorphism, rejecting pairs that do not invert each other."""
-    return FreeAutomorphism(alphabet, forward, backward)
-
-
-def _unchecked(
-    alphabet: Alphabet, forward: Tuple[Word, ...], backward: Tuple[Word, ...]
-) -> FreeAutomorphism:
-    # for products of already certified automorphisms, where the composite
-    # identities hold by construction; re-verification is quadratic in the
-    # image lengths and dominates long compositions
-    phi = object.__new__(FreeAutomorphism)
-    object.__setattr__(phi, "alphabet", alphabet)
-    object.__setattr__(phi, "forward", forward)
-    object.__setattr__(phi, "backward", backward)
-    return phi
-
-
 def identity_automorphism(alphabet: Alphabet) -> FreeAutomorphism:
     # the basis composed with itself is the basis, so certifying it would
     # only cost 2N substitutions of 2N-entry tables
     basis = tuple(Word(alphabet, (i,)) for i in alphabet.letters())
-    return _unchecked(alphabet, basis, basis)
+    return FreeAutomorphism._trusted(alphabet, basis, basis)
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
@@ -120,11 +99,14 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
         raise ValueError("alphabet mismatch")
     forward = tuple(apply_endo(phi.forward, w) for w in psi.forward)
     backward = tuple(apply_endo(psi.backward, w) for w in phi.backward)
-    return _unchecked(phi.alphabet, forward, backward)
+    # the composite identities hold by construction; re-verification is
+    # quadratic in the image lengths and dominates long compositions
+    return FreeAutomorphism._trusted(phi.alphabet, forward, backward)
 
 
 def inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
-    return _unchecked(phi.alphabet, phi.backward, phi.forward)
+    # a certified pair read backwards is certified
+    return FreeAutomorphism._trusted(phi.alphabet, phi.backward, phi.forward)
 
 
 def ad(word: Word) -> FreeAutomorphism:
@@ -200,16 +182,13 @@ def outer_eq(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
     return is_inner(compose(phi, inverse(psi))) is not None
 
 
-class OuterClass:
+class OuterClass(Frozen):
     """An automorphism up to post-composition with inner automorphisms."""
 
     __slots__ = ("representative",)
 
     def __init__(self, representative: FreeAutomorphism):
         object.__setattr__(self, "representative", representative)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OuterClass is immutable")
 
     @property
     def alphabet(self) -> Alphabet:

@@ -52,12 +52,13 @@ def _write_report(report: dict, out: Optional[str], csv_path: Optional[str]) -> 
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
+    # only conjugacy has the word-pool flags; the others keep the defaults
+    pool = {k: v for k, v in vars(args).items() if k in ("pool_size", "pool_length")}
     return harness.ExperimentConfig(
         rank=args.rank,
         samples=args.samples,
         budget=args.budget,
-        pool_size=args.pool_size,
-        pool_length=args.pool_length,
+        **pool,
         max_iter=args.max_iter,
         length_cap=args.length_cap,
         seed=args.seed,
@@ -69,8 +70,6 @@ def _add_experiment_args(parser, rank=2, samples=100, budget=5, max_iter=12, len
     parser.add_argument("--rank", type=int, default=rank, help="ambient free-group rank N")
     parser.add_argument("--samples", type=int, default=samples, help="number of sampled automorphisms")
     parser.add_argument("--budget", type=int, default=budget, help="generators per sampled product")
-    parser.add_argument("--pool-size", type=int, default=5, dest="pool_size")
-    parser.add_argument("--pool-length", type=int, default=6, dest="pool_length")
     parser.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
     parser.add_argument("--length-cap", type=int, default=length_cap, dest="length_cap")
     parser.add_argument("--seed", type=int, default=0)
@@ -87,6 +86,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("conjugacy", help="periodic conjugacy classes are fixed")
     _add_experiment_args(p)
+    p.add_argument("--pool-size", type=int, default=5, dest="pool_size", help="cyclic words per sample")
+    p.add_argument("--pool-length", type=int, default=6, dest="pool_length", help="longest pool word")
     p = sub.add_parser("factors", help="periodic free factor classes are fixed")
     _add_experiment_args(p, rank=3, budget=4, length_cap=3000)
     p = sub.add_parser("torsion", help="no torsion in the congruence kernel")

@@ -16,9 +16,10 @@ from enum import Enum
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .homology import IntMatrix, identity_matrix
+from .words import Frozen
 
 
-class FiniteGraph:
+class FiniteGraph(Frozen):
     """Vertices 0..n-1 and an edge list; loops and parallel edges allowed.
 
     The darts at each vertex are listed once, in ascending order, when the
@@ -40,9 +41,6 @@ class FiniteGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_incidence", tuple(tuple(ds) for ds in incidence))
         object.__setattr__(self, "_lemma", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGraph is immutable")
 
     def __eq__(self, other):
         return (
@@ -120,7 +118,7 @@ class FiniteGraph:
         return list(reversed(path))
 
 
-class GraphAutomorphism:
+class GraphAutomorphism(Frozen):
     """Vertex permutation plus a dart permutation commuting with reversal."""
 
     __slots__ = ("graph", "vertex_perm", "dart_perm")
@@ -140,9 +138,6 @@ class GraphAutomorphism:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_perm", vertex_perm)
         object.__setattr__(self, "dart_perm", dart_perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphAutomorphism is immutable")
 
     def __eq__(self, other):
         return (
@@ -188,19 +183,6 @@ def _adjacency_counts(graph: FiniteGraph) -> Dict[Tuple[int, int], int]:
         key = (min(u, v), max(u, v))
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _unchecked_automorphism(
-    graph: FiniteGraph, vertex_perm: Tuple[int, ...], dart_perm: Tuple[int, ...]
-) -> GraphAutomorphism:
-    # for permutations consistent by construction: ``enumerate_automorphisms``
-    # builds each dart image from the vertex images, so the per-dart checks
-    # of the constructor can never fail there
-    f = object.__new__(GraphAutomorphism)
-    object.__setattr__(f, "graph", graph)
-    object.__setattr__(f, "vertex_perm", vertex_perm)
-    object.__setattr__(f, "dart_perm", dart_perm)
-    return f
 
 
 def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[GraphAutomorphism]:
@@ -288,11 +270,13 @@ def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[Gra
                         else:
                             dart_perm[2 * e] = 2 * e_img + 1
                             dart_perm[2 * e + 1] = 2 * e_img
-            autos.append(_unchecked_automorphism(graph, vp, tuple(dart_perm)))
+            # each dart image is built from the vertex images, so the
+            # per-dart checks of the constructor can never fail here
+            autos.append(GraphAutomorphism._trusted(graph, vp, tuple(dart_perm)))
     return autos
 
 
-def _cycle_coordinates(graph: FiniteGraph, darts: Sequence[int], non_tree: Dict[int, int]) -> List[int]:
+def _cycle_coordinates(darts: Sequence[int], non_tree: Dict[int, int]) -> List[int]:
     """Coordinates of a closed dart path in the non-tree-edge cycle basis."""
     coords = [0] * len(non_tree)
     for d in darts:
@@ -335,7 +319,7 @@ def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> IntMatrix:
     spanning tree; column i is the image of the i-th fundamental cycle."""
     _, non_tree, cycles = _lemma_data(graph)
     columns = [
-        _cycle_coordinates(graph, [f.dart_perm[d] for d in cycle], non_tree)
+        _cycle_coordinates([f.dart_perm[d] for d in cycle], non_tree)
         for cycle in cycles
     ]
     return tuple(tuple(col[i] % 3 for col in columns) for i in range(len(non_tree)))

@@ -19,7 +19,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from .aut import FreeAutomorphism
-from .words import Word
+from .words import Frozen, Word
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -161,7 +161,7 @@ def hermite_canonical(vectors: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[i
     return tuple(tuple(row) for row in rows)
 
 
-class Sublattice:
+class Sublattice(Frozen):
     """A saturated sublattice of Z^n, stored by its canonical Hermite basis."""
 
     __slots__ = ("ambient_dim", "basis")
@@ -169,9 +169,6 @@ class Sublattice:
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence[int]]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", hermite_canonical(vectors, ambient_dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sublattice is immutable")
 
     @property
     def rank(self) -> int:

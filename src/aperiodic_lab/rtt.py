@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .homology import IntMatrix
 from .splittings import GraphMapRep
 from .subgroups import _find, _identify
+from .words import Frozen
 
 
-def tighten(graph, darts: Sequence[int]) -> Tuple[int, ...]:
+def tighten(darts: Sequence[int]) -> Tuple[int, ...]:
     """Remove backtracking (a dart followed by its reverse) until none is
     left; the unique reduced path homotopic rel endpoints."""
     out: List[int] = []
@@ -42,7 +43,7 @@ def map_path(f: GraphMapRep, darts: Sequence[int]) -> Tuple[int, ...]:
     image: List[int] = []
     for d in darts:
         image.extend(f.dart_image(d))
-    return tighten(f.domain.graph, image)
+    return tighten(image)
 
 
 def _check_tight_images(f: GraphMapRep) -> None:
@@ -66,7 +67,7 @@ def transition_matrix(f: GraphMapRep) -> IntMatrix:
     return tuple(tuple(row) for row in counts)
 
 
-class TransitionMatrix:
+class TransitionMatrix(Frozen):
     """Nonnegative integer matrix of a stratum: the principal submatrix of
     ``transition_matrix(f)`` on the stratum's edges, so entry (e', e)
     counts occurrences of e' in either orientation inside the tight image
@@ -81,9 +82,6 @@ class TransitionMatrix:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "pf_eigenvalue", lam)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransitionMatrix is immutable")
 
     def __repr__(self):
         return (
@@ -165,7 +163,7 @@ def _classify(matrix: IntMatrix) -> Tuple[str, float]:
     return "EG", _pf_eigenvalue(matrix)
 
 
-class Filtration:
+class Filtration(Frozen):
     """Strata (each irreducible or zero) in an order making every initial
     union invariant under the map."""
 
@@ -174,9 +172,6 @@ class Filtration:
     def __init__(self, graph_map: GraphMapRep, strata: Sequence[TransitionMatrix]):
         object.__setattr__(self, "graph_map", graph_map)
         object.__setattr__(self, "strata", tuple(strata))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
 
     def stratum_of_edge(self, e: int) -> int:
         for r, stratum in enumerate(self.strata):
@@ -251,11 +246,6 @@ def filtration_of(f: GraphMapRep) -> Filtration:
         block = tuple(tuple(counts[i][j] for j in edges) for i in edges)
         strata.append(TransitionMatrix(edges, block))
     return Filtration(f, strata)
-
-
-def classify_stratum(stratum: TransitionMatrix) -> Tuple[str, float]:
-    """(kind, lambda) with kind in {Zero, NEG, EG}."""
-    return stratum.kind, stratum.pf_eigenvalue
 
 
 class VerificationFailed(AssertionError):

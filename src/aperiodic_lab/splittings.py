@@ -30,13 +30,14 @@ from .homology import IntMatrix, word_exponent_vector
 from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
+    _find,
     cores_conjugate,
     fold_core,
 )
-from .words import Alphabet, Word, apply_endo, parse_word, word_str
+from .words import Alphabet, Frozen, Word, apply_endo, parse_word, reduce_letters, word_str
 
 
-class MarkedGraph:
+class MarkedGraph(Frozen):
     """A Grushko free splitting as marked-graph data.
 
     ``loop_words[e]`` marks non-tree edge e in its forward orientation;
@@ -109,9 +110,6 @@ class MarkedGraph:
         object.__setattr__(self, "vertex_groups", vertex_groups)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "basis_layout", tuple(layout))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkedGraph is immutable")
 
     def non_tree_edges(self) -> List[int]:
         return [e for e in range(self.graph.n_edges) if e not in self.tree_edges]
@@ -242,7 +240,9 @@ def _project_free_part(
         j = loop_index.get(abs(letter))
         if j is not None:
             letters.append(j if letter > 0 else -j)
-    return Word(free_alphabet, letters)
+    # loop_index maps onto 1..rank of free_alphabet, so every letter is in
+    # range and only the reduction is left to do
+    return Word._trusted(free_alphabet, reduce_letters(letters))
 
 
 def _coordinates(marked: MarkedGraph, phi: FreeAutomorphism) -> FreeAutomorphism:
@@ -343,7 +343,7 @@ def _realizing_symmetry(
     return None
 
 
-class GraphMapRep:
+class GraphMapRep(Frozen):
     """A self-map of a marked graph: vertex images plus one dart path per
     edge (the image of the reversed edge is the reversed path).
 
@@ -381,9 +381,6 @@ class GraphMapRep:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "vertex_images", vertex_images)
         object.__setattr__(self, "edge_images", edge_images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphMapRep is immutable")
 
     def dart_image(self, dart: int) -> Tuple[int, ...]:
         path = self.edge_images[dart >> 1]
@@ -492,22 +489,15 @@ def induced_ffs(
         raise ValueError(f"subforest misses vertices with nontrivial group: {missing}")
 
     parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in subforest_edges:
         u, v = marked.graph.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
 
     components: Dict[int, List[int]] = {}
     for v in vertices:
-        components.setdefault(find(v), []).append(v)
+        components.setdefault(_find(parent, v), []).append(v)
 
     letters = _vertex_letters(marked)
     subsets = []

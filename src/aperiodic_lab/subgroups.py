@@ -13,10 +13,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aut import FreeAutomorphism
 from .homology import Sublattice, word_exponent_vector
-from .words import Alphabet, CyclicWord, Word, _trusted, parse_word, word_str
+from .words import Alphabet, CyclicWord, Frozen, Word, parse_word, word_str
 
 
-class StallingsCore:
+class StallingsCore(Frozen):
     """Folded labeled based graph; transitions[(v, letter)] = target vertex.
 
     Transitions come in inverse pairs: (v, l) -> w iff (w, -l) -> v.
@@ -45,9 +45,6 @@ class StallingsCore:
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "transitions", dict(transitions))
         object.__setattr__(self, "base", base)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StallingsCore is immutable")
 
     def n_edges(self) -> int:
         return len(self.transitions) // 2
@@ -109,7 +106,7 @@ class StallingsCore:
             # (v, letter) nor (w, -letter) is the tree edge leading from its
             # start towards the base, so at each junction the non-tree letter
             # differs from the inverse of the tree letter
-            word = _trusted(
+            word = Word._trusted(
                 self.alphabet,
                 path_to(v) + (letter,) + tuple(-l for l in reversed(path_to(w))),
             )
@@ -153,7 +150,7 @@ def _letter_order(alphabet: Alphabet) -> List[int]:
     return sorted(alphabet.signed_letters(), key=lambda l: (abs(l), l < 0))
 
 
-def _find(parent: List[int], x: int) -> int:
+def _find(parent: Union[List[int], Dict[int, int]], x: int) -> int:
     """Root of ``x`` in a union-find forest, halving the path on the way."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -267,12 +264,7 @@ def fold_core(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsCore:
         i += 1
     # the transitions are paired, folded and on letters taken from reduced
     # words, so the constructor's checks would find nothing
-    core = object.__new__(StallingsCore)
-    object.__setattr__(core, "alphabet", alphabet)
-    object.__setattr__(core, "n_vertices", len(order))
-    object.__setattr__(core, "transitions", transitions)
-    object.__setattr__(core, "base", 0)
-    return core
+    return StallingsCore._trusted(alphabet, len(order), transitions, 0)
 
 
 def membership(word: Word, core: StallingsCore) -> bool:
@@ -280,7 +272,7 @@ def membership(word: Word, core: StallingsCore) -> bool:
     return core.trace(word) == core.base
 
 
-class SubgroupConjClass:
+class SubgroupConjClass(Frozen):
     """Conjugacy class of a finitely generated subgroup: a representative
     core and its basepoint-free trim, the cyclic core.
 
@@ -303,9 +295,6 @@ class SubgroupConjClass:
         object.__setattr__(
             self, "_hash", hash((representative.alphabet, n, len(transitions), signatures))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupConjClass is immutable")
 
     def __eq__(self, other):
         return (
@@ -432,7 +421,7 @@ def _abelian_support(alphabet: Alphabet, gens: Sequence[Word]) -> Sublattice:
     return saturation(lattice)
 
 
-class FreeFactorSystem:
+class FreeFactorSystem(Frozen):
     """A finite set of conjugacy classes of free factors, with a witness.
 
     The witness is a certified automorphism plus a partition of basis
@@ -468,9 +457,6 @@ class FreeFactorSystem:
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "subsets", subsets)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeFactorSystem is immutable")
 
     def __repr__(self):
         return f"FreeFactorSystem({list(self.classes)!r})"
@@ -555,7 +541,7 @@ def image_class(phi: FreeAutomorphism, cls: SubgroupConjClass) -> SubgroupConjCl
 # orbits under iteration
 
 
-class OrbitOutcome:
+class OrbitOutcome(Frozen):
     """Outcome of a periodicity probe: Period(p), NoPeriodWithin, or Blowup."""
 
     __slots__ = ("kind", "period", "iterations")
@@ -564,9 +550,6 @@ class OrbitOutcome:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "iterations", iterations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitOutcome is immutable")
 
     def __eq__(self, other):
         return (

@@ -11,7 +11,30 @@ from operator import neg
 from typing import Iterable, Sequence, Tuple
 
 
-class Alphabet:
+class Frozen:
+    """Base of every value type in the package: instances are immutable.
+
+    Public constructors validate their input and set each field once with
+    ``object.__setattr__``.  Code inside the package that already holds
+    valid field values builds an instance with ``_trusted``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance whose ``__slots__`` hold ``values``, in order; it
+        checks nothing, so every caller says why its values are valid."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+class Alphabet(Frozen):
     """Basis x_1..x_N of a free group of rank N."""
 
     __slots__ = ("rank",)
@@ -19,7 +42,7 @@ class Alphabet:
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        object.__setattr__(self, "rank", rank)
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.rank == other.rank
@@ -65,13 +88,14 @@ def reduce_letters(letters: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class Word:
+class Word(Frozen):
     """A freely reduced word.  Immutable.
 
     Invariant: ``letters`` is freely reduced and every letter is in range
     for ``alphabet``.  The constructor checks the range and reduces its
     input.  Code inside the package that already holds letters with this
-    invariant builds words with ``_trusted``, which checks nothing.
+    invariant builds words with ``Word._trusted(alphabet, letters)``, which
+    checks nothing.
     """
 
     __slots__ = ("alphabet", "letters")
@@ -82,9 +106,6 @@ class Word:
             alphabet.check_letter(letter)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", reduce_letters(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __len__(self):
         return len(self.letters)
@@ -105,14 +126,18 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
+        # both factors are reduced and in range, so cutting the junction
+        # leaves a valid word; re-checking products, inverses and slices of
+        # reduced words dominated the word layer
         left, right = self.letters, other.letters
         if left and right and left[-1] == -right[0]:
             k = _overlap(left, right)
-            return _trusted(self.alphabet, left[:-k] + right[k:])
-        return _trusted(self.alphabet, left + right)
+            return Word._trusted(self.alphabet, left[:-k] + right[k:])
+        return Word._trusted(self.alphabet, left + right)
 
     def inverse(self) -> "Word":
-        return _trusted(self.alphabet, tuple(map(neg, reversed(self.letters))))
+        # the inverse of a reduced word is reduced
+        return Word._trusted(self.alphabet, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -126,14 +151,15 @@ class Word:
         return not self.letters
 
 
-class CyclicWord:
+class CyclicWord(Frozen):
     """A conjugacy class representative: cyclically reduced, stored in the
     lexicographically least rotation (letter order x_1 < x_1^-1 < x_2 < ...).
 
     Invariant: ``letters`` is cyclically reduced, in range for ``alphabet``
     and the least rotation.  The constructor establishes it from any letter
-    sequence; ``_trusted`` is only for callers inside the package that
-    already hold such letters.
+    sequence; ``CyclicWord._trusted(alphabet, letters)``, as for
+    ``Word._trusted``, is only for callers inside the package that already
+    hold such letters.
     """
 
     __slots__ = ("alphabet", "letters")
@@ -143,9 +169,6 @@ class CyclicWord:
         i = _least_rotation(core)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", core[i:] + core[:i])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
 
     def __len__(self):
         return len(self.letters)
@@ -164,17 +187,8 @@ class CyclicWord:
         return f"CyclicWord({self.alphabet.rank}, {word_str(self.as_word())!r})"
 
     def as_word(self) -> Word:
-        return _trusted(self.alphabet, self.letters)
-
-
-def _trusted(alphabet: Alphabet, letters: Tuple[int, ...], cls=Word):
-    # for letters already known to be in range and freely reduced (cyclically
-    # reduced and least-rotated for CyclicWord): products, inverses and
-    # slices of reduced words; re-checking them dominated the word layer
-    word = object.__new__(cls)
-    object.__setattr__(word, "alphabet", alphabet)
-    object.__setattr__(word, "letters", letters)
-    return word
+        # a cyclically reduced word is reduced
+        return Word._trusted(self.alphabet, self.letters)
 
 
 def _overlap(left: Sequence[int], right: Sequence[int]) -> int:
@@ -219,13 +233,15 @@ def _least_rotation(letters: Tuple[int, ...]) -> int:
 
 
 def _strip_conjugation(word: Word) -> Tuple[Word, Word]:
-    # word = conj * core * conj^-1 with core cyclically reduced
+    # word = conj * core * conj^-1 with core cyclically reduced; slices of a
+    # reduced word are reduced
     letters = word.letters
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
         j -= 1
-    return _trusted(word.alphabet, letters[i:j]), _trusted(word.alphabet, letters[:i])
+    alphabet = word.alphabet
+    return Word._trusted(alphabet, letters[i:j]), Word._trusted(alphabet, letters[:i])
 
 
 def reduce(alphabet: Alphabet, raw: Sequence[int]) -> Word:
@@ -256,8 +272,10 @@ def cyclic_reduce(word: Word) -> Tuple[CyclicWord, Word]:
     i = _least_rotation(letters)
     if i:
         # the rotation by i moves letters[:i] into the conjugator
-        conj = conj * _trusted(word.alphabet, letters[:i])
-    return _trusted(word.alphabet, letters[i:] + letters[:i], CyclicWord), conj
+        conj = conj * Word._trusted(word.alphabet, letters[:i])
+    # a rotation of a cyclically reduced word is cyclically reduced, and
+    # this one is the least
+    return CyclicWord._trusted(word.alphabet, letters[i:] + letters[:i]), conj
 
 
 def apply_endo(images: Sequence[Word], word: Word) -> Word:
@@ -286,7 +304,7 @@ def apply_endo(images: Sequence[Word], word: Word) -> Word:
             out.extend(image[k:])
         else:
             out.extend(image)
-    return _trusted(alphabet, tuple(out))
+    return Word._trusted(alphabet, tuple(out))
 
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"

@@ -100,6 +100,15 @@ class TestCLI:
         assert code == 0
         assert json.loads(out.read_text())["experiment"] == "torsion"
 
+    @pytest.mark.parametrize("command", ["factors", "torsion", "splittings"])
+    def test_pool_flags_only_on_conjugacy(self, command, capsys):
+        # only the conjugacy experiment reads the word pool
+        for flag in ("--pool-size", "--pool-length"):
+            with pytest.raises(SystemExit) as err:
+                main([command, flag, "3"])
+            assert err.value.code == 2
+        assert "--pool-size" in capsys.readouterr().err
+
     def test_rtt_analyze_builtin(self, capsys):
         assert main(["rtt-analyze", "--map", "fibonacci", "--trials", "50"]) == 0
         report = json.loads(capsys.readouterr().out)

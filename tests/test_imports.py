@@ -1,8 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses, no module-level private function or class goes unreferenced in the
 package, no public function, class or method goes unmentioned in the
-repository, and the package imports nothing outside itself and the standard
-library.  There is no linter in the toolchain, so these stdlib ``ast``
+repository, no function has a parameter it never reads, only ``Frozen``
+overrides ``__setattr__`` or calls ``object.__new__``, and the package
+imports nothing outside itself and the standard library.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
 import ast
@@ -191,6 +192,128 @@ def test_every_public_name_is_mentioned():
     ]
     others.append((ROOT / "README.md").read_text())
     assert unmentioned_public_names(package, others) == []
+
+
+def _scopes(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every class and function, at any depth."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            yield name, node
+            yield from _scopes(node, name + ".")
+        else:
+            yield from _scopes(node, prefix)
+
+
+def setattr_overrides(source: str) -> list:
+    """Qualified names of the classes that define ``__setattr__``."""
+    return [
+        name
+        for name, node in _scopes(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and sub.name == "__setattr__"
+            for sub in node.body
+        )
+    ]
+
+
+def object_new_calls(source: str) -> list:
+    """Qualified name of the innermost function or class around each
+    reference to ``object.__new__`` ("" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) for every parameter that the function's body,
+    nested functions included, never loads.  Dunder methods implement a
+    protocol whose signature is fixed, so they are exempt."""
+    found = []
+    for name, node in _scopes(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        loaded = {
+            sub.id
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        found.extend((name, p.arg) for p in params if p.arg not in loaded)
+    return found
+
+
+def test_checkers_find_trust_boundary_breaches():
+    source = (
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, *values):\n"
+        "        return object.__new__(cls), values\n"
+        "class Loose:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        pass\n"
+        "    def copy(self, unused, *rest):\n"
+        "        return object.__new__(type(self))\n"
+        "def outer(graph, darts):\n"
+        "    def inner(d):\n"
+        "        return d ^ 1\n"
+        "    return [inner(d) for d in darts if graph]\n"
+        "def skip(graph, darts, **options):\n"
+        "    return tuple(darts)\n"
+    )
+    assert setattr_overrides(source) == ["Frozen", "Loose"]
+    assert object_new_calls(source) == ["Frozen._trusted", "Loose.copy"]
+    assert unread_parameters(source) == [
+        ("Loose.copy", "unused"), ("Loose.copy", "rest"),
+        ("skip", "graph"), ("skip", "options"),
+    ]
+
+
+def test_frozen_is_the_only_setattr_override():
+    found = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in setattr_overrides(path.read_text())
+    ]
+    assert found == [("words.py", "Frozen")]
+
+
+def test_frozen_trusted_is_the_only_object_new():
+    found = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in object_new_calls(path.read_text())
+    ]
+    assert found == [("words.py", "Frozen._trusted")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def third_party_imports(source: str) -> list:

@@ -16,7 +16,6 @@ from aperiodic_lab.rtt import (
     aperiodic_partition,
     bcc_bound,
     bcc_inequality_holds,
-    classify_stratum,
     direction_map,
     filtration_of,
     graph_map_str,
@@ -52,16 +51,13 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 class TestTighten:
     def test_cancel_reversal(self):
-        graph = FIB.domain.graph
-        assert tighten(graph, (0, 1)) == ()
+        assert tighten((0, 1)) == ()
 
     def test_already_tight(self):
-        graph = FIB.domain.graph
-        assert tighten(graph, (0, 2)) == (0, 2)
+        assert tighten((0, 2)) == (0, 2)
 
     def test_inner_cancellation(self):
-        graph = FIB.domain.graph
-        assert tighten(graph, (0, 2, 3, 0)) == (0, 0)
+        assert tighten((0, 2, 3, 0)) == (0, 0)
 
     def test_idempotent_on_random_paths(self):
         rng = random.Random(0)
@@ -73,8 +69,8 @@ class TestTighten:
             for d in raw:
                 if not path or graph.dart_head(path[-1]) == graph.dart_origin(d):
                     path.append(d)
-            once = tighten(graph, path)
-            assert tighten(graph, once) == once
+            once = tighten(path)
+            assert tighten(once) == once
             assert len(once) <= len(path)
 
 
@@ -165,17 +161,17 @@ def _recursive_stratum_order(graph_map, strata):
 
 class TestClassification:
     def test_golden_ratio(self):
-        kind, lam = classify_stratum(filtration_of(FIB).strata[0])
-        assert kind == "EG"
-        assert abs(lam - GOLDEN) < 1e-8
+        stratum = filtration_of(FIB).strata[0]
+        assert stratum.kind == "EG"
+        assert abs(stratum.pf_eigenvalue - GOLDEN) < 1e-8
 
     def test_permutation_is_neg(self):
-        kind, lam = classify_stratum(filtration_of(rose_map(["b", "a"])).strata[0])
-        assert kind == "NEG" and lam == 1.0
+        stratum = filtration_of(rose_map(["b", "a"])).strata[0]
+        assert stratum.kind == "NEG" and stratum.pf_eigenvalue == 1.0
 
     def test_doubling(self):
-        kind, lam = classify_stratum(filtration_of(PERIOD2).strata[0])
-        assert kind == "EG" and abs(lam - 2.0) < 1e-8
+        stratum = filtration_of(PERIOD2).strata[0]
+        assert stratum.kind == "EG" and abs(stratum.pf_eigenvalue - 2.0) < 1e-8
 
     def test_exact_lambdas(self):
         # correctly rounded: the golden ratio's nearest float, and exactly 2
