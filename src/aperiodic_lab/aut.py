@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .words import Alphabet, Frozen, Word, apply_endo, parse_word, word_str
+from .words import Alphabet, Frozen, Substitution, Word, apply_endo, parse_word, word_str
 
 
 class CompositeNotIdentity(ValueError):
@@ -26,10 +26,12 @@ class CompositeNotIdentity(ValueError):
 class FreeAutomorphism(Frozen):
     """An automorphism given by forward and backward basis images.
 
-    Construction checks that both composites fix every basis letter.
+    Construction checks that both composites fix every basis letter.  The
+    automorphism carries its two images as ``Substitution`` maps, so every
+    word it or its inverse is applied to feeds one pair of memos.
     """
 
-    __slots__ = ("alphabet", "forward", "backward")
+    __slots__ = ("forward_map", "backward_map")
 
     def __init__(self, alphabet: Alphabet, forward: Sequence[Word], backward: Sequence[Word]):
         forward = tuple(forward)
@@ -44,12 +46,24 @@ class FreeAutomorphism(Frozen):
             bwd_then_fwd = apply_endo(forward, backward[i])
             if bwd_then_fwd != basis:
                 raise CompositeNotIdentity(i + 1, bwd_then_fwd)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "backward", backward)
+        # the checks above leave every image a word over ``alphabet``
+        object.__setattr__(self, "forward_map", _map(alphabet, forward))
+        object.__setattr__(self, "backward_map", _map(alphabet, backward))
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.forward_map.alphabet
+
+    @property
+    def forward(self) -> Tuple[Word, ...]:
+        return self.forward_map.images
+
+    @property
+    def backward(self) -> Tuple[Word, ...]:
+        return self.backward_map.images
 
     def apply(self, word: Word) -> Word:
-        return apply_endo(self.forward, word)
+        return self.forward_map(word)
 
     def __eq__(self, other):
         return (
@@ -77,18 +91,29 @@ class FreeAutomorphism(Frozen):
         return max(len(w) for w in self.forward)
 
     def __pow__(self, n: int) -> "FreeAutomorphism":
-        result = identity_automorphism(self.alphabet)
         base = self if n >= 0 else inverse(self)
+        result = identity_automorphism(self.alphabet)
         for _ in range(abs(n)):
-            result = compose(base, result)
+            result = _next_power(base, result)
         return result
+
+
+def _map(alphabet: Alphabet, images: Tuple[Word, ...]) -> Substitution:
+    # for images the caller knows to be words over ``alphabet``
+    return Substitution._trusted(alphabet, images, {})
+
+
+def _certified(alphabet: Alphabet, forward: Tuple[Word, ...], backward: Tuple[Word, ...]) -> FreeAutomorphism:
+    # for images over ``alphabet`` that the caller knows to compose to the
+    # identity both ways
+    return FreeAutomorphism._trusted(_map(alphabet, forward), _map(alphabet, backward))
 
 
 def identity_automorphism(alphabet: Alphabet) -> FreeAutomorphism:
     # the basis composed with itself is the basis, so certifying it would
     # only cost 2N substitutions of 2N-entry tables
-    basis = tuple(Word(alphabet, (i,)) for i in alphabet.letters())
-    return FreeAutomorphism._trusted(alphabet, basis, basis)
+    basis = _map(alphabet, tuple(Word(alphabet, (i,)) for i in alphabet.letters()))
+    return FreeAutomorphism._trusted(basis, basis)
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
@@ -97,16 +122,29 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     inverses), so no re-verification happens here."""
     if phi.alphabet != psi.alphabet:
         raise ValueError("alphabet mismatch")
-    forward = tuple(apply_endo(phi.forward, w) for w in psi.forward)
-    backward = tuple(apply_endo(psi.backward, w) for w in phi.backward)
+    forward = tuple(map(phi.forward_map, psi.forward))
+    backward = tuple(map(psi.backward_map, phi.backward))
     # the composite identities hold by construction; re-verification is
     # quadratic in the image lengths and dominates long compositions
-    return FreeAutomorphism._trusted(phi.alphabet, forward, backward)
+    return _certified(phi.alphabet, forward, backward)
+
+
+def _next_power(phi: FreeAutomorphism, power: FreeAutomorphism) -> FreeAutomorphism:
+    """phi^p from ``power``, which must be phi^(p-1); nothing checks that.
+
+    The backward side uses phi^-p = phi^-1 . phi^-(p-1), which holds
+    because powers of phi commute.  So each step applies only phi's two
+    maps, and their memos serve every step of an orbit, where
+    ``compose(phi, power)`` would apply a fresh backward map each step.
+    """
+    forward = tuple(map(phi.forward_map, power.forward))
+    backward = tuple(map(phi.backward_map, power.backward))
+    return _certified(phi.alphabet, forward, backward)
 
 
 def inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
-    # a certified pair read backwards is certified
-    return FreeAutomorphism._trusted(phi.alphabet, phi.backward, phi.forward)
+    # a certified pair read backwards is certified, and shares its memos
+    return FreeAutomorphism._trusted(phi.backward_map, phi.forward_map)
 
 
 def ad(word: Word) -> FreeAutomorphism:

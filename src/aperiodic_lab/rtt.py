@@ -16,6 +16,7 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .graphs import FiniteGraph
 from .homology import IntMatrix
 from .splittings import GraphMapRep
 from .subgroups import _find, _identify
@@ -317,17 +318,23 @@ def illegal_turns(f: GraphMapRep) -> dict:
     """Classify every turn (unordered pair of darts at a common vertex).
 
     A turn is degenerate if its darts coincide, illegal if some DF-iterate
-    merges them, legal otherwise.  Two darts that ever merge do so within
-    n = |darts| steps.  At the step before their first merge the two walks
-    stand on distinct darts with one image, and DF is injective on the darts
-    of its cycles, so one walk is still off every cycle.  That walk has so
-    far visited pairwise distinct darts off the cycles, fewer than n of
-    them since a cycle exists.  Merged walks stay merged, so a turn is
-    illegal iff DF^n, taken by repeated squaring, sends both darts to one.
+    merges them, legal otherwise.
     """
-    graph = f.domain.graph
+    return _classify_turns(f.domain.graph, direction_map(f))
+
+
+def _classify_turns(graph: FiniteGraph, df: Dict[int, int]) -> dict:
+    """``illegal_turns`` from the direction map ``df``.
+
+    Two darts that ever merge do so within n = |darts| steps.  At the step
+    before their first merge the two walks stand on distinct darts with one
+    image, and DF is injective on the darts of its cycles, so one walk is
+    still off every cycle.  That walk has so far visited pairwise distinct
+    darts off the cycles, fewer than n of them since a cycle exists.  Merged
+    walks stay merged, so a turn is illegal iff DF^n, taken by repeated
+    squaring, sends both darts to one.
+    """
     n = graph.n_darts()
-    df = direction_map(f)
     power, step = list(range(n)), [df[d] for d in range(n)]
     k = n
     while k:
@@ -369,7 +376,7 @@ def verify_rtt(f: GraphMapRep, filtration: Optional[Filtration] = None) -> dict:
         filtration = filtration_of(f)
     graph = f.domain.graph
     df = direction_map(f)
-    illegal_set = set(illegal_turns(f)["illegal"])
+    illegal_set = set(_classify_turns(graph, df)["illegal"])
     report = {"strata": [], "all_pass": True}
     for r, stratum in enumerate(filtration.strata):
         if stratum.kind != "EG":

@@ -21,6 +21,7 @@ from .aut import (
     FreeAutomorphism,
     OuterClass,
     _inner_conjugator,
+    _next_power,
     compose,
     identity_automorphism,
     inverse,
@@ -34,7 +35,7 @@ from .subgroups import (
     cores_conjugate,
     fold_core,
 )
-from .words import Alphabet, Frozen, Word, apply_endo, parse_word, reduce_letters, word_str
+from .words import Alphabet, Frozen, Substitution, Word, parse_word, reduce_letters, word_str
 
 
 class MarkedGraph(Frozen):
@@ -326,17 +327,17 @@ def _realizing_symmetry(
     if loop_letters:
         free_alphabet = Alphabet(len(loop_letters))
         loop_index = {l: j for j, l in enumerate(loop_letters, 1)}
-        rho_inverse = [
-            _project_free_part(psi.backward[l - 1], loop_index, free_alphabet)
-            for l in loop_letters
-        ]
+        rho_inverse = Substitution(
+            free_alphabet,
+            [_project_free_part(psi.backward[l - 1], loop_index, free_alphabet) for l in loop_letters],
+        )
         loops = marked.fundamental_loops()
     for h in enumerate_automorphisms(marked.graph):
         if any(h.vertex_perm[v] not in matches[v] for v in matches):
             continue
         if loop_letters:
             h_star = _graph_free_part_images(loops, h, free_alphabet)
-            images = [apply_endo(rho_inverse, w) for w in h_star]
+            images = [rho_inverse(w) for w in h_star]
             if _inner_conjugator(free_alphabet, images) is None:
                 continue
         return h
@@ -450,14 +451,15 @@ def splitting_orbit_period(
     """Least p with the splitting phi^p-invariant, else NoPeriodWithin.
 
     The orbit runs in marking coordinates: psi = mu^-1 phi mu is built once
-    and psi^p = mu^-1 phi^p mu is one compose per step.  Blowup when the
+    and psi^p = mu^-1 phi^p mu is one ``_next_power`` per step, which
+    applies only psi's maps.  Blowup when the
     basis images of psi^p outgrow the length cap; for a marking whose
     witness is the identity, psi^p is phi^p.
     """
     psi = _coordinates(marked, phi)
     power = identity_automorphism(marked.alphabet)
     for p in range(1, max_iter + 1):
-        power = compose(psi, power)
+        power = _next_power(psi, power)
         if power.max_image_length() > length_cap:
             return OrbitOutcome("Blowup", None, p)
         if _realizing_symmetry(marked, power) is not None:

@@ -33,6 +33,12 @@ class Frozen:
             object.__setattr__(obj, name, value)
         return obj
 
+    def __reduce__(self):
+        # copy and pickle would restore the fields by assignment, which
+        # __setattr__ refuses; the fields of a valid instance are valid
+        cls = type(self)
+        return cls._trusted, tuple(getattr(self, name) for name in cls.__slots__)
+
 
 class Alphabet(Frozen):
     """Basis x_1..x_N of a free group of rank N."""
@@ -278,33 +284,103 @@ def cyclic_reduce(word: Word) -> Tuple[CyclicWord, Word]:
     return CyclicWord._trusted(word.alphabet, letters[i:] + letters[:i]), conj
 
 
+# letters per memoised block of ``Substitution``; 4 saved less, 16 no more
+_BLOCK = 8
+# memo entries past which a ``Substitution`` keeps no more blocks; the
+# orbits of the probes meet at most about 130 blocks per map, while a
+# generator map that lives through a whole run of ``aut.sample`` would
+# otherwise keep every block it meets
+_MEMO_BLOCKS = 1024
+# letters past which a block image is not kept: a hit saves a loop over 8
+# images, which costs little beside copying an image this long, and a map
+# used once, such as the right factor's backward map in ``aut.compose``,
+# would otherwise keep a second copy of its output
+_MEMO_IMAGE = 1024
+
+
+def _concatenate(images: Iterable[Tuple[int, ...]]) -> list:
+    # out and every image are reduced, so only the junction can cancel
+    out: list[int] = []
+    for image in images:
+        if out and image and out[-1] == -image[0]:
+            k = _overlap(out, image)
+            # cancel in place: slicing the image would copy it, and the
+            # transient copies of long images fragment the heap
+            n = len(out)
+            out.extend(image)
+            del out[n - k : n + k]
+        else:
+            out.extend(image)
+    return out
+
+
+class Substitution(Frozen):
+    """The endomorphism x_i -> ``images[i-1]`` of the free group, applied
+    to reduced words.
+
+    The memo maps each signed letter to its image, filled on first use, and
+    each block ``letters[i:i+8]`` of a longer word to the block's reduced
+    image.  A word of at most 8 letters is substituted letter by letter; a
+    longer one block by block, cancelling only at the junctions, so the
+    result is the reduced word either way.  The memo grows over the map's
+    lifetime, one entry per distinct block met, until it holds 1024
+    entries; later blocks, and blocks whose image is longer than 1024
+    letters, are substituted but not kept.  So besides the letter images
+    it never holds more than 1024 block images of at most 1024 letters,
+    however many words the map is applied to.
+    """
+
+    __slots__ = ("alphabet", "images", "_memo")
+
+    def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
+        images = tuple(images)
+        if len(images) != alphabet.rank:
+            raise ValueError(f"expected {alphabet.rank} images, got {len(images)}")
+        for image in images:
+            if image.alphabet != alphabet:
+                raise ValueError("image alphabet mismatch")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_memo", {})
+
+    def __repr__(self):
+        return f"Substitution({self.alphabet.rank}, {[word_str(w) for w in self.images]})"
+
+    def __call__(self, word: Word) -> Word:
+        if word.alphabet != self.alphabet:
+            raise ValueError("alphabet mismatch")
+        memo = self._memo
+        if not memo:
+            for i, image in enumerate(self.images, 1):
+                memo[i] = image.letters
+                memo[-i] = tuple(map(neg, reversed(image.letters)))
+        letters = word.letters
+        if len(letters) <= _BLOCK:
+            out = _concatenate(map(memo.__getitem__, letters))
+        else:
+            out = _concatenate(
+                _block_image(memo, letters[i : i + _BLOCK])
+                for i in range(0, len(letters), _BLOCK)
+            )
+        return Word._trusted(self.alphabet, tuple(out))
+
+
+def _block_image(memo: dict, block: Tuple[int, ...]) -> Tuple[int, ...]:
+    image = memo.get(block)
+    if image is None:
+        image = tuple(_concatenate(map(memo.__getitem__, block)))
+        if len(memo) < _MEMO_BLOCKS and len(image) <= _MEMO_IMAGE:
+            memo[block] = image
+    return image
+
+
 def apply_endo(images: Sequence[Word], word: Word) -> Word:
     """Substitute each basis letter of ``word`` by its image and reduce.
 
     ``images[i-1]`` is the image of x_i; inverse letters get inverted images.
+    Code that applies one map to many words keeps a ``Substitution``.
     """
-    alphabet = word.alphabet
-    if len(images) != alphabet.rank:
-        raise ValueError(f"expected {alphabet.rank} images, got {len(images)}")
-    # table[l] is the image of the letter l, inverse letters at negative
-    # indices; entry 0 is unused
-    table: list = [()] * (2 * alphabet.rank + 1)
-    for i, image in enumerate(images, 1):
-        if image.alphabet != alphabet:
-            raise ValueError("image alphabet mismatch")
-        table[i] = image.letters
-        table[-i] = tuple(map(neg, reversed(image.letters)))
-    # out and every image are reduced, so only the junction can cancel
-    out: list[int] = []
-    for letter in word.letters:
-        image = table[letter]
-        if out and image and out[-1] == -image[0]:
-            k = _overlap(out, image)
-            del out[-k:]
-            out.extend(image[k:])
-        else:
-            out.extend(image)
-    return Word._trusted(alphabet, tuple(out))
+    return Substitution(word.alphabet, images)(word)
 
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"

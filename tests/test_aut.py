@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aperiodic_lab.aut import (
     CompositeNotIdentity,
     FreeAutomorphism,
+    _next_power,
     ad,
     automorphism_str,
     basis_cycle,
@@ -23,7 +25,8 @@ from aperiodic_lab.aut import (
     swap,
     transvection,
 )
-from aperiodic_lab.words import Alphabet, Word, all_reduced_words, parse_word
+from aperiodic_lab import words
+from aperiodic_lab.words import Alphabet, Word, all_reduced_words, parse_word, reduce
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -225,6 +228,76 @@ class TestPowersAndClasses:
         phi = transvection(A2, 1, 2)
         assert OuterClass(phi) == OuterClass(compose(ad(w("b")), phi))
         assert OuterClass(phi) != OuterClass(identity_automorphism(A2))
+
+
+def _moderate_growth():
+    """Automorphisms whose twelfth powers stay a few hundred letters long."""
+    fib = compose(transvection(A2, 1, 2), swap(A2, 1, 2))  # a -> ab, b -> a
+    return [
+        transvection(A2, 1, 2),
+        partial_conjugation(A3, 1, 2),
+        cube_map(A2, 2, 1),
+        commutator_insertion(A3, 1, 2, 3),
+        fib,
+        inverse(fib),
+        ad(w("abA")),
+        compose(ad(w("aB")), transvection(A2, 2, 1)),
+    ]
+
+
+class TestBlockMemos:
+    @pytest.mark.parametrize("phi", _moderate_growth(), ids=repr)
+    def test_power_step_matches_compose_and_pow(self, phi):
+        by_compose = phi
+        power = phi
+        assert phi ** 1 == phi
+        for p in range(2, 13):
+            by_compose = compose(phi, by_compose)
+            power = _next_power(phi, power)
+            assert power.forward == by_compose.forward
+            assert power.backward == by_compose.backward
+            assert power == phi ** p
+            assert (phi ** p).backward == power.backward
+            assert (phi ** -p).forward == power.backward
+
+    def test_inverse_shares_the_maps(self):
+        phi = commutator_insertion(A3, 1, 2, 3)
+        phi_inv = inverse(phi)
+        assert phi_inv.forward_map is phi.backward_map
+        assert phi_inv.backward_map is phi.forward_map
+        assert inverse(phi_inv).forward_map is phi.forward_map
+        long_word = parse_word(A3, "abcabcabcABCbcaCCa")
+        assert phi_inv.apply(phi.apply(long_word)) == long_word
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6),
+        st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=9, max_size=60),
+    )
+    def test_whole_blocks_cancel_under_ad_and_phi_inverse(self, conj, letters):
+        word = reduce(A3, letters)
+        inner = ad(reduce(A3, conj))
+        # ad(u)(x) = u x u^-1: every block image is conjugated by u, and the
+        # u^-1 u between consecutive blocks cancels whole
+        expected = reduce(A3, conj) * word * reduce(A3, conj).inverse()
+        assert inner.apply(word) == expected
+        phi = compose(commutator_insertion(A3, 1, 2, 3), cube_map(A3, 2, 3))
+        # the backward map undoes the forward one block by block
+        assert inverse(phi).apply(phi.apply(word)) == word
+        assert compose(phi, inverse(phi)).apply(word) == word
+
+    def test_generator_memos_stay_bounded_over_a_long_sample_run(self, monkeypatch):
+        # sample applies each generator's backward map to the backward
+        # images of every product, so the generators' memos meet blocks
+        # from the whole run
+        monkeypatch.setattr(words, "_MEMO_BLOCKS", 64)
+        gens = standard_generators(3, "ia3")
+        samples = [sample(gens, 8, seed) for seed in range(100)]
+        memos = [m._memo for g in gens for m in (g.forward_map, g.backward_map)]
+        assert max(map(len, memos)) == 64
+        fresh = [sample(standard_generators(3, "ia3"), 8, seed) for seed in range(0, 100, 9)]
+        assert fresh == samples[::9]
+        assert [p.backward for p in fresh] == [p.backward for p in samples[::9]]
 
 
 class TestFileFormat:

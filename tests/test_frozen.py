@@ -1,5 +1,9 @@
 """Every value type derives from ``Frozen``: no field can be assigned after
-construction, and ``_trusted`` fills the fields in ``__slots__`` order."""
+construction, ``_trusted`` fills the fields in ``__slots__`` order, and
+``copy``, ``deepcopy`` and ``pickle`` rebuild an equal value."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -14,7 +18,7 @@ from aperiodic_lab.subgroups import (
     fold_core,
     subgroup_class,
 )
-from aperiodic_lab.words import Alphabet, CyclicWord, Frozen, Word, parse_word
+from aperiodic_lab.words import Alphabet, CyclicWord, Frozen, Substitution, Word, parse_word
 
 
 def examples():
@@ -27,6 +31,7 @@ def examples():
         alphabet,
         ab,
         CyclicWord(alphabet, (2, 1)),
+        Substitution(alphabet, [ab, parse_word(alphabet, "a")]),
         transvection(alphabet, 1, 2),
         OuterClass(transvection(alphabet, 1, 2)),
         fold_core(alphabet, [ab]),
@@ -71,6 +76,50 @@ def test_trusted_fills_slots_in_order(value):
     copy = cls._trusted(*fields)
     assert type(copy) is cls
     assert [getattr(copy, field) for field in cls.__slots__] == fields
+
+
+ROUND_TRIPS = pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+
+
+def same_value(a, b):
+    """``a == b``, except that value types which compare by identity are
+    compared field by field, and containers element by element."""
+    if isinstance(a, Frozen) and type(a).__eq__ is object.__eq__:
+        return type(a) is type(b) and all(
+            same_value(getattr(a, f), getattr(b, f)) for f in type(a).__slots__
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, dict):
+        return type(a) is type(b) and a.keys() == b.keys() and all(
+            same_value(a[k], b[k]) for k in a
+        )
+    return a == b
+
+
+@pytest.mark.parametrize("value", examples(), ids=lambda x: type(x).__name__)
+@ROUND_TRIPS
+def test_copy_and_pickle_round_trip(value, round_trip):
+    clone = round_trip(value)
+    assert type(clone) is type(value)
+    assert same_value(clone, value)
+
+
+@ROUND_TRIPS
+def test_round_tripped_automorphism_applies_equally(round_trip):
+    alphabet = Alphabet(2)
+    phi = transvection(alphabet, 1, 2)
+    long_word = parse_word(alphabet, "abaBBabbbAAbabAbaBab")
+    before = phi.apply(long_word)  # fills the memos that travel along
+    clone = round_trip(phi)
+    for word in (long_word, parse_word(alphabet, "bA"), parse_word(alphabet, "1")):
+        assert clone.apply(word) == phi.apply(word)
+        assert clone.backward_map(word) == phi.backward_map(word)
+    assert clone.apply(long_word) == before
 
 
 def test_alphabet_cannot_strand_a_hashed_word():

@@ -2,8 +2,9 @@
 uses, no module-level private function or class goes unreferenced in the
 package, no public function, class or method goes unmentioned in the
 repository, no function has a parameter it never reads, only ``Frozen``
-overrides ``__setattr__`` or calls ``object.__new__``, and the package
-imports nothing outside itself and the standard library.  There is no linter in the toolchain, so these stdlib ``ast``
+overrides ``__setattr__`` or calls ``object.__new__``, only the
+certification in ``FreeAutomorphism.__init__`` calls ``apply_endo``, and
+the package imports nothing outside itself and the standard library.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
 import ast
@@ -314,6 +315,53 @@ def test_frozen_trusted_is_the_only_object_new():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def apply_endo_calls(source: str) -> list:
+    """Qualified name of the innermost function or class around each call
+    of ``apply_endo`` ("" at module level), by name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "apply_endo":
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_apply_endo_calls():
+    source = (
+        "from .words import apply_endo\n"
+        "from . import words\n"
+        "class Auto:\n"
+        "    def __init__(self, images, word):\n"
+        "        apply_endo(images, word)\n"
+        "def hot(images, words_):\n"
+        "    return [words.apply_endo(images, w) for w in words_]\n"
+        "table = apply_endo\n"
+        "apply_endo([], None)\n"
+    )
+    assert apply_endo_calls(source) == ["Auto.__init__", "hot", ""]
+
+
+def test_apply_endo_only_certifies():
+    # applying one map to many words goes through a kept Substitution, whose
+    # memo a call of apply_endo would rebuild from nothing every time
+    found = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in apply_endo_calls(path.read_text())
+    ]
+    assert found == [("aut.py", "FreeAutomorphism.__init__")] * 2
 
 
 def third_party_imports(source: str) -> list:

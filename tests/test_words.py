@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aperiodic_lab import words
 from aperiodic_lab.words import (
     Alphabet,
     CyclicWord,
+    Substitution,
     Word,
     _least_rotation,
     _letter_key,
@@ -137,6 +141,15 @@ class TestConjugacyOracle:
             assert brute == cores, (word_str(u), word_str(v))
 
 
+def substitution_oracle(images, word):
+    """Letter at a time: concatenate the images, then reduce."""
+    naive = []
+    for letter in word.letters:
+        image = images[abs(letter) - 1].letters
+        naive.extend(image if letter > 0 else [-l for l in reversed(image)])
+    return reduce_letters(naive)
+
+
 class TestApplyEndo:
     def test_substitution_then_cancellation(self):
         images = [w("ab"), w("b")]
@@ -160,11 +173,7 @@ class TestApplyEndo:
 
     @given(st.lists(words_3, min_size=3, max_size=3), words_3)
     def test_matches_naive_substitution(self, images, word):
-        naive = []
-        for letter in word.letters:
-            image = images[abs(letter) - 1].letters
-            naive.extend(image if letter > 0 else [-l for l in reversed(image)])
-        assert apply_endo(images, word).letters == reduce_letters(naive)
+        assert apply_endo(images, word).letters == substitution_oracle(images, word)
 
     @given(letters_2, letters_2)
     def test_homomorphism(self, s, t):
@@ -173,6 +182,98 @@ class TestApplyEndo:
         assert apply_endo(images, u * v) == apply_endo(images, u) * apply_endo(
             images, v
         )
+
+
+def reduced_of_length(alphabet, length):
+    """Reduced words of exactly ``length`` letters: the first letter is free,
+    each later one avoids the inverse of the one before."""
+    signed = alphabet.signed_letters()
+
+    def build(choices):
+        letters = []
+        for c in choices:
+            options = [l for l in signed if not letters or l != -letters[-1]]
+            letters.append(options[c % len(options)])
+        return Word(alphabet, letters)
+
+    return st.lists(st.integers(0, 2 * alphabet.rank), min_size=length, max_size=length).map(build)
+
+
+# the block edges: empty, one letter, one short of a block, a block, one
+# past it, two blocks, and any number of blocks plus a remainder
+block_lengths = st.one_of(
+    st.sampled_from([0, 1, 7, 8, 9, 16]),
+    st.builds(lambda k, r: 8 * k + r, st.integers(0, 6), st.integers(0, 7)),
+)
+words_3_at_block_edges = block_lengths.flatmap(lambda n: reduced_of_length(A3, n))
+
+
+class TestSubstitution:
+    @given(st.lists(words_3, min_size=3, max_size=3), words_3_at_block_edges)
+    def test_matches_letter_at_a_time_oracle(self, images, word):
+        assert Substitution(A3, images)(word).letters == substitution_oracle(images, word)
+
+    @given(words_3_at_block_edges)
+    def test_images_that_cancel_whole_blocks(self, word):
+        # x_2 -> 1 kills every block of b's; x_1 -> x_3^-1 x_1 x_3 and
+        # x_3 -> x_3 cancel whole images against each other
+        images = [parse_word(A3, "Cac"), Word(A3), parse_word(A3, "c")]
+        assert Substitution(A3, images)(word).letters == substitution_oracle(images, word)
+
+    @given(
+        words_3_at_block_edges,
+        st.lists(st.tuples(st.integers(0, 63), st.sampled_from([1, -1, 2, -2, 3, -3])), max_size=8),
+    )
+    def test_one_map_over_many_words_agrees_with_fresh_maps(self, word, edits):
+        # variants of one word share most blocks and differ in single
+        # letters, so a memo that confused two blocks would show
+        variants = [word]
+        for pos, letter in edits:
+            letters = list(variants[-1].letters)
+            if letters:
+                letters[pos % len(letters)] = letter
+            variants.append(Word(A3, letters))
+        images = [parse_word(A3, "abC"), parse_word(A3, "bca"), parse_word(A3, "cA")]
+        shared = Substitution(A3, images)
+        for variant in variants + variants:
+            assert shared(variant) == Substitution(A3, images)(variant)
+            assert shared(variant).letters == substitution_oracle(images, variant)
+
+    def test_memo_keeps_blocks_of_long_words_only(self):
+        sub = Substitution(A2, [w("ab"), w("b")])
+        sub(w("abababab"))
+        assert all(isinstance(key, int) for key in sub._memo)
+        sub(w("ababababa"))
+        blocks = [key for key in sub._memo if not isinstance(key, int)]
+        assert blocks == [(1, 2, 1, 2, 1, 2, 1, 2), (1,)]
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(words, "_MEMO_BLOCKS", 16)
+        images = [parse_word(A3, "abC"), parse_word(A3, "bca"), parse_word(A3, "cA")]
+        sub = Substitution(A3, images)
+        rng = random.Random(5)
+        for _ in range(40):
+            word = reduce(A3, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(40)])
+            assert sub(word).letters == substitution_oracle(images, word)
+        assert len(sub._memo) == 16
+
+    def test_memo_keeps_short_block_images_only(self, monkeypatch):
+        monkeypatch.setattr(words, "_MEMO_IMAGE", 12)
+        images = [parse_word(A3, "abC"), parse_word(A3, "bcab"), parse_word(A3, "c")]
+        sub = Substitution(A3, images)
+        word = parse_word(A3, "aaaaaaaacccccccc")
+        assert sub(word).letters == substitution_oracle(images, word)
+        blocks = {key: image for key, image in sub._memo.items() if not isinstance(key, int)}
+        # a^8 has an image of 24 letters, c^8 one of 8
+        assert blocks == {(3,) * 8: (3,) * 8}
+
+    def test_checks_its_images_and_words(self):
+        with pytest.raises(ValueError):
+            Substitution(A2, [w("a")])
+        with pytest.raises(ValueError):
+            Substitution(A2, [parse_word(A3, "a"), parse_word(A3, "b")])
+        with pytest.raises(ValueError):
+            Substitution(A2, [w("a"), w("b")])(parse_word(A3, "c"))
 
 
 class TestTrustedConstruction:
