@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .words import Alphabet, Frozen, Substitution, Word, apply_endo, parse_word, word_str
+from .words import (
+    Alphabet, Frozen, Substitution, Word, _strip_conjugation, apply_endo, parse_word, word_str
+)
 
 
 class CompositeNotIdentity(ValueError):
@@ -174,8 +176,6 @@ def _inner_conjugator(alphabet: Alphabet, forward: Sequence[Word]) -> Optional[W
     if alphabet.rank == 1:
         # Aut(Z) = {+-1}; inner iff identity
         return Word(alphabet) if forward[0].letters == (1,) else None
-
-    from .words import _strip_conjugation
 
     cosets = []
     for i in alphabet.letters():

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from .aut import (
+    FreeAutomorphism,
     ad,
     basis_cycle,
     compose,
@@ -44,8 +45,10 @@ from .splittings import (
     theta_marked,
 )
 from .subgroups import (
+    BLOWUP,
     FreeFactorSystem,
     OrbitOutcome,
+    _first_return,
     exact_word_orbit,
     orbit_period,
     subgroup_class,
@@ -267,6 +270,20 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     return _finish(report, start, cfg.out)
 
 
+def _first_inner_power(phi: FreeAutomorphism, cfg: ExperimentConfig) -> OrbitOutcome:
+    """Least k <= max_iter with phi^k inner, as Period(k); Blowup once the
+    images of a power outgrow the length cap.  Each power is one
+    ``compose`` with phi, from the identity."""
+    return _first_return(
+        lambda power: compose(phi, power),
+        identity_automorphism(phi.alphabet),
+        FreeAutomorphism.max_image_length,
+        lambda power: is_inner(power) is not None,
+        cfg.max_iter,
+        cfg.length_cap,
+    )[0]
+
+
 def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     """Sampled non-inner congruence-kernel automorphisms have no inner power
     up to the iteration bound.
@@ -302,31 +319,16 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
             certified_by_homology += 1
             clean += 1
             continue
-        power = phi
-        capped = False
-        inner_power = None
-        for k in range(2, cfg.max_iter + 1):
-            power = compose(phi, power)
-            if power.max_image_length() > cfg.length_cap:
-                capped = True
-                break
-            if is_inner(power) is not None:
-                inner_power = k
-                break
-        if capped:
+        outcome = _first_inner_power(phi, cfg)
+        if outcome.kind == BLOWUP:
             blowups += 1
             continue
         checked_by_iteration += 1
         clean += 1
-        if inner_power is not None:
-            violations.append({"attempt": attempts, "order": inner_power})
+        if outcome.kind == "Period":
+            violations.append({"attempt": attempts, "order": outcome.period})
 
-    control_order = None
-    sw = swap(alphabet, 1, 2)
-    for k in range(1, cfg.max_iter + 1):
-        if is_inner(sw**k) is not None:
-            control_order = k
-            break
+    control = _first_inner_power(swap(alphabet, 1, 2), cfg)
 
     report = {
         "experiment": "torsion",
@@ -337,7 +339,7 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
         "blowups": blowups,
         "certified_by_homology": certified_by_homology,
         "checked_by_iteration": checked_by_iteration,
-        "control": {"automorphism": "swap x1<->x2", "order": control_order},
+        "control": {"automorphism": "swap x1<->x2", "order": control.period},
         "violations": violations,
     }
     return _finish(report, start, cfg.out)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import FiniteGraph
 from .homology import IntMatrix
-from .splittings import GraphMapRep
+from .splittings import GraphMapRep, marked_graph_str, parse_marked_graph
 from .subgroups import _find, _identify
 from .words import Frozen
 
@@ -545,8 +545,6 @@ def random_tight_path(graph, length: int, rng) -> Tuple[int, ...]:
 
 
 def graph_map_str(f: GraphMapRep) -> str:
-    from .splittings import marked_graph_str
-
     lines = [marked_graph_str(f.domain).rstrip("\n")]
     lines.append("vertices " + " ".join(str(v) for v in f.vertex_images))
     for e, path in enumerate(f.edge_images):
@@ -558,8 +556,6 @@ def graph_map_str(f: GraphMapRep) -> str:
 
 
 def parse_graph_map(alphabet, text: str) -> GraphMapRep:
-    from .splittings import parse_marked_graph
-
     lines = text.strip().splitlines()
     marked_lines, map_lines, vertex_line = [], [], None
     for line in lines:

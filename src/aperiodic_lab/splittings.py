@@ -26,12 +26,15 @@ from .aut import (
     identity_automorphism,
     inverse,
 )
-from .graphs import FiniteGraph, GraphAutomorphism, enumerate_automorphisms
+from .graphs import (
+    FiniteGraph, GraphAutomorphism, enumerate_automorphisms, graph_str, parse_graph
+)
 from .homology import IntMatrix, word_exponent_vector
 from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
     _find,
+    _first_return,
     cores_conjugate,
     fold_core,
 )
@@ -457,14 +460,14 @@ def splitting_orbit_period(
     witness is the identity, psi^p is phi^p.
     """
     psi = _coordinates(marked, phi)
-    power = identity_automorphism(marked.alphabet)
-    for p in range(1, max_iter + 1):
-        power = _next_power(psi, power)
-        if power.max_image_length() > length_cap:
-            return OrbitOutcome("Blowup", None, p)
-        if _realizing_symmetry(marked, power) is not None:
-            return OrbitOutcome("Period", p, p)
-    return OrbitOutcome("NoPeriodWithin", None, max_iter)
+    return _first_return(
+        lambda power: _next_power(psi, power),
+        identity_automorphism(marked.alphabet),
+        FreeAutomorphism.max_image_length,
+        lambda power: _realizing_symmetry(marked, power) is not None,
+        max_iter,
+        length_cap,
+    )[0]
 
 
 def induced_ffs(
@@ -596,8 +599,6 @@ def suspension_presentation(phi: FreeAutomorphism) -> str:
 
 
 def marked_graph_str(marked: MarkedGraph) -> str:
-    from .graphs import graph_str
-
     lines = [graph_str(marked.graph).rstrip("\n")]
     lines.append("tree " + " ".join(str(e) for e in sorted(marked.tree_edges)))
     for e in marked.non_tree_edges():
@@ -614,8 +615,6 @@ def parse_marked_graph(
     """Parse the marked-graph format.  The witness inverse defaults to the
     identity (valid when the marking is the standard basis in layout order);
     otherwise the caller supplies backward images."""
-    from .graphs import parse_graph
-
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     graph_lines = []
     tree: List[int] = []

@@ -9,11 +9,14 @@ under certified automorphisms) and carry their witness.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .aut import FreeAutomorphism
-from .homology import Sublattice, word_exponent_vector
-from .words import Alphabet, CyclicWord, Frozen, Word, parse_word, word_str
+from .aut import FreeAutomorphism, identity_automorphism
+from .homology import Sublattice, saturation, word_exponent_vector
+from .words import (
+    Alphabet, CyclicWord, Frozen, Word, _strip_conjugation, all_reduced_words, cyclic_reduce,
+    parse_word, word_str,
+)
 
 
 class StallingsCore(Frozen):
@@ -403,9 +406,6 @@ def conjugate_into(
     gens = a.generators()
     if not gens:
         return Word(alphabet)
-
-    from .words import all_reduced_words
-
     for w in all_reduced_words(alphabet, conj_bound):
         w_inv = w.inverse()
         if all(membership(w * g * w_inv, b) for g in gens):
@@ -415,10 +415,7 @@ def conjugate_into(
 
 def _abelian_support(alphabet: Alphabet, gens: Sequence[Word]) -> Sublattice:
     vectors = [word_exponent_vector(g) for g in gens]
-    lattice = Sublattice(alphabet.rank, vectors)
-    from .homology import saturation
-
-    return saturation(lattice)
+    return saturation(Sublattice(alphabet.rank, vectors))
 
 
 class FreeFactorSystem(Frozen):
@@ -483,8 +480,6 @@ class FreeFactorSystem(Frozen):
 
 def basis_ffs(alphabet: Alphabet, subsets: Sequence[Sequence[int]]) -> FreeFactorSystem:
     """The free factor system of plain basis subsets (identity witness)."""
-    from .aut import identity_automorphism
-
     return FreeFactorSystem(
         identity_automorphism(alphabet), [frozenset(s) for s in subsets]
     )
@@ -566,12 +561,41 @@ class OrbitOutcome(Frozen):
         return self.kind
 
 
-def _period(p: int, iterations: int) -> OrbitOutcome:
-    return OrbitOutcome("Period", p, iterations)
-
-
 NO_PERIOD = "NoPeriodWithin"
 BLOWUP = "Blowup"
+
+_State = TypeVar("_State")
+
+
+def _first_return(
+    step: Callable[[_State], _State],
+    state: _State,
+    size: Callable[[_State], int],
+    returned: Callable[[_State], bool],
+    max_iter: int,
+    length_cap: int,
+) -> Tuple[OrbitOutcome, List[int]]:
+    """The one first-return loop behind every orbit probe and torsion power
+    loop, with the size of every iterate it computed.
+
+    Iterate k is ``step`` applied k times to ``state``.  Each iterate is
+    measured and checked against ``length_cap`` before ``returned`` tests
+    it, so an iterate over the cap reports Blowup at its step even if it
+    has returned.  The outcome is Period(k) at the first k <= ``max_iter``
+    whose iterate has returned, else NoPeriodWithin; ``iterations`` counts
+    the steps taken.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    sizes: List[int] = []
+    for k in range(1, max_iter + 1):
+        state = step(state)
+        sizes.append(size(state))
+        if sizes[-1] > length_cap:
+            return OrbitOutcome(BLOWUP, None, k), sizes
+        if returned(state):
+            return OrbitOutcome("Period", k, k), sizes
+    return OrbitOutcome(NO_PERIOD, None, max_iter), sizes
 
 
 def orbit_period(
@@ -596,44 +620,27 @@ def _orbit(
 ) -> Tuple[OrbitOutcome, List[int]]:
     """``orbit_period`` with the size of every iterate it computed: the
     cyclic word length or the core's edge count."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    sizes: List[int] = []
     if isinstance(start, CyclicWord):
-        # iterate on cyclically reduced cores; rotation equality via string
-        # doubling keeps each step linear in the word length
-        from .words import _strip_conjugation
-
-        def encode(letters):
-            return "".join(chr(l + 32768) for l in letters)
-
-        start_encoded = encode(start.letters)
-        current = start.as_word()
-        for k in range(1, max_iter + 1):
-            image = phi.apply(current)
-            core, _ = _strip_conjugation(image)
-            sizes.append(len(core))
-            if len(core) > length_cap:
-                return OrbitOutcome(BLOWUP, None, k), sizes
-            if len(core) == len(start.letters):
-                doubled = encode(core.letters + core.letters)
-                if (not start.letters) or start_encoded in doubled:
-                    return _period(k, k), sizes
-            current = core
-        return OrbitOutcome(NO_PERIOD, None, max_iter), sizes
+        # iterate on cyclically reduced words; the least rotation is taken
+        # only for an iterate as long as the start
+        return _first_return(
+            lambda word: _strip_conjugation(phi.apply(word))[0],
+            start.as_word(),
+            len,
+            lambda word: len(word) == len(start) and cyclic_reduce(word)[0] == start,
+            max_iter,
+            length_cap,
+        )
     # iterate on raw folded cores, each compared with the start's cyclic
     # core by the size-guarded isomorphism test
-    current_core = start.representative
-    n_start, t_start = start._cyclic_core
-    for k in range(1, max_iter + 1):
-        gens = [phi.apply(g) for g in current_core.generators()]
-        current_core = fold_core(start.alphabet, gens)
-        sizes.append(current_core.n_edges())
-        if current_core.n_edges() > length_cap:
-            return OrbitOutcome(BLOWUP, None, k), sizes
-        if _conjugate_to_trimmed(current_core, n_start, t_start):
-            return _period(k, k), sizes
-    return OrbitOutcome(NO_PERIOD, None, max_iter), sizes
+    return _first_return(
+        lambda core: fold_core(start.alphabet, [phi.apply(g) for g in core.generators()]),
+        start.representative,
+        StallingsCore.n_edges,
+        lambda core: _conjugate_to_trimmed(core, *start._cyclic_core),
+        max_iter,
+        length_cap,
+    )
 
 
 def orbit_report(
@@ -663,14 +670,7 @@ def exact_word_orbit(
 ) -> OrbitOutcome:
     """First return of the exact word (not its class) under a fixed
     automorphism representative."""
-    current = start
-    for k in range(1, max_iter + 1):
-        current = phi.apply(current)
-        if len(current) > length_cap:
-            return OrbitOutcome(BLOWUP, None, k)
-        if current == start:
-            return _period(k, k)
-    return OrbitOutcome(NO_PERIOD, None, max_iter)
+    return _first_return(phi.apply, start, len, start.__eq__, max_iter, length_cap)[0]
 
 
 # ---------------------------------------------------------------------------

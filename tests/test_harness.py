@@ -1,9 +1,11 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from aperiodic_lab.aut import is_inner, sample, standard_generators, swap
 from aperiodic_lab.cli import main
 from aperiodic_lab.harness import (
     ExperimentConfig,
@@ -12,6 +14,8 @@ from aperiodic_lab.harness import (
     run_splitting_experiment,
     run_torsion_experiment,
 )
+from aperiodic_lab.homology import abelianization, identity_matrix
+from aperiodic_lab.words import Alphabet
 
 FAST = dict(samples=8, budget=3, pool_size=2, seed=1, max_iter=6, length_cap=1500)
 
@@ -57,6 +61,53 @@ class TestRunners:
         assert report["violations"] == []
         assert report["control"]["order"] == 2
         assert report["trials"] == FAST["samples"]
+
+    @pytest.mark.parametrize(
+        "rank, budget, length_cap, seed",
+        [(2, 3, 1500, 1), (3, 3, 40, 1), (3, 3, 40, 6), (3, 4, 1500, 2)],
+    )
+    def test_torsion_report_matches_power_oracle(self, rank, budget, length_cap, seed):
+        # oracle: redraw the samples and test each phi^k, built from nothing,
+        # for being inner, with the cap on every power from phi itself
+        def first_inner_power(phi):
+            for k in range(1, cfg.max_iter + 1):
+                power = phi**k
+                if power.max_image_length() > length_cap:
+                    return "Blowup"
+                if is_inner(power) is not None:
+                    return k
+            return None
+
+        cfg = ExperimentConfig(
+            rank=rank, samples=12, budget=budget, max_iter=6, length_cap=length_cap, seed=seed
+        )
+        gens = standard_generators(rank, cfg.family)
+        rng = random.Random(seed)
+        clean = blowups = checked = attempts = 0
+        violations = []
+        while clean < cfg.samples and attempts < cfg.samples * 20:
+            attempts += 1
+            phi = sample(gens, budget, rng.randrange(2**32))
+            if is_inner(phi) is not None:
+                continue
+            if abelianization(phi) != identity_matrix(rank):
+                clean += 1
+                continue
+            order = first_inner_power(phi)
+            if order == "Blowup":
+                blowups += 1
+                continue
+            checked += 1
+            clean += 1
+            if order is not None:
+                violations.append({"attempt": attempts, "order": order})
+        report = run_torsion_experiment(cfg)
+        assert (report["attempts"], report["blowups"]) == (attempts, blowups)
+        assert (report["checked_by_iteration"], report["violations"]) == (checked, violations)
+        assert report["control"]["order"] == first_inner_power(swap(Alphabet(rank), 1, 2)) == 2
+        if length_cap < 100:
+            # small enough a cap to stop some samples, not all
+            assert blowups > 0 and checked > 0
 
     def test_splitting_small(self):
         report = run_splitting_experiment(ExperimentConfig(rank=2, **FAST))

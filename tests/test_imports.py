@@ -1,11 +1,13 @@
 """No module of the package imports a name at module level that it never
-uses, no module-level private function or class goes unreferenced in the
-package, no public function, class or method goes unmentioned in the
-repository, no function has a parameter it never reads, only ``Frozen``
-overrides ``__setattr__`` or calls ``object.__new__``, only the
-certification in ``FreeAutomorphism.__init__`` calls ``apply_endo``, and
-the package imports nothing outside itself and the standard library.  There is no linter in the toolchain, so these stdlib ``ast``
-checks stand in for one."""
+uses, or inside a function from a sibling module that it already imports
+at module level; no module-level private function or class goes
+unreferenced in the package, no public function, class or method goes
+unmentioned in the repository, no function has a parameter it never
+reads, only ``Frozen`` overrides ``__setattr__`` or calls
+``object.__new__``, only the certification in ``FreeAutomorphism.__init__``
+calls ``apply_endo``, and the package imports nothing outside itself and
+the standard library.  There is no linter in the toolchain, so these
+stdlib ``ast`` checks stand in for one."""
 
 import ast
 import os
@@ -78,6 +80,46 @@ def test_checker_finds_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def repeated_sibling_imports(source: str) -> list:
+    """(line, module) of every import inside a function or class from a
+    sibling module that the file already imports at module level; only an
+    import that would close a cycle at load time belongs in a function."""
+    tree = ast.parse(source)
+    top = {
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    return sorted(
+        (node.lineno, node.module)
+        for scope in tree.body
+        if not isinstance(scope, (ast.Import, ast.ImportFrom))
+        for node in ast.walk(scope)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in top
+    )
+
+
+def test_checker_finds_repeated_sibling_import():
+    source = (
+        "from .words import Word\n"
+        "from . import graphs\n"
+        "def f():\n"
+        "    from .words import word_str\n"
+        "    from .homology import det\n"
+        "    return word_str, det\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from .words import Word as W\n"
+        "        return W\n"
+    )
+    assert repeated_sibling_imports(source) == [(4, "words"), (9, "words")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_import_of_a_module_imported_at_top(path):
+    assert repeated_sibling_imports(path.read_text()) == []
 
 
 def unreferenced_private_definitions(sources: dict) -> list:

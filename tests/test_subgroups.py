@@ -15,6 +15,7 @@ from aperiodic_lab.aut import (
     swap,
     transvection,
 )
+from aperiodic_lab.splittings import rose_marked, splitting_orbit_period
 from aperiodic_lab.subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
@@ -28,10 +29,12 @@ from aperiodic_lab.subgroups import (
     image_class,
     membership,
     orbit_period,
+    orbit_report,
     parse_subgroup,
     subgroup_class,
     subgroup_str,
     SubgroupConjClass,
+    _first_return,
     _letter_order,
     _pointed_iso,
     _trim,
@@ -555,6 +558,72 @@ class TestOrbits:
                 assert report["core_sizes"] == rerun(phi, start, out.iterations)
                 kinds.add(out.kind)
         assert kinds == {"Period", "NoPeriodWithin", "Blowup"}
+
+    def test_word_orbits_match_plain_loops(self):
+        # oracles: iterate the raw word phi^k(w) by plain substitution and
+        # compare its canonical cyclic word, or the word itself, with the start
+        def oracle(phi, start, max_iter, length_cap, canonical):
+            current = start.as_word() if isinstance(start, CyclicWord) else start
+            for k in range(1, max_iter + 1):
+                current = phi.apply(current)
+                image = canonical(current)
+                if len(image) > length_cap:
+                    return ("Blowup", None, k)
+                if image == start:
+                    return ("Period", k, k)
+            return ("NoPeriodWithin", None, max_iter)
+
+        rng = random.Random(33)
+        cyclic_kinds, exact_kinds = set(), set()
+        for alphabet in (A2, A3):
+            gens = standard_generators(alphabet.rank, "nielsen")
+            words = [word for word in all_reduced_words(alphabet, 3) if len(word)]
+            for _ in range(60):
+                phi = sample(gens, rng.randrange(1, 4), rng.randrange(2**32))
+                word = rng.choice(words)
+                start = CyclicWord(alphabet, word.letters)
+                out = orbit_period(phi, start, max_iter=6, length_cap=40)
+                expected = oracle(
+                    phi, start, 6, 40, lambda u: CyclicWord(alphabet, u.letters)
+                )
+                assert (out.kind, out.period, out.iterations) == expected
+                cyclic_kinds.add(out.kind)
+                out = exact_word_orbit(phi, word, max_iter=6, length_cap=40)
+                assert (out.kind, out.period, out.iterations) == oracle(
+                    phi, word, 6, 40, lambda u: u
+                )
+                exact_kinds.add(out.kind)
+        assert cyclic_kinds == exact_kinds == {"Period", "NoPeriodWithin", "Blowup"}
+
+    def test_first_return_engine(self):
+        # counting mod 3 from 0: the iterates are 1, 2, 0, each its own size
+        def run(max_iter, length_cap, returned=lambda n: n == 0):
+            out, sizes = _first_return(
+                lambda n: (n + 1) % 3, 0, lambda n: n, returned, max_iter, length_cap
+            )
+            return (out.kind, out.period, out.iterations), sizes
+
+        assert run(5, 2) == (("Period", 3, 3), [1, 2, 0])
+        assert run(2, 2) == (("NoPeriodWithin", None, 2), [1, 2])
+        assert run(5, 1) == (("Blowup", None, 2), [1, 2])
+        # the cap is checked before the return test
+        assert run(5, 1, returned=lambda n: True) == (("Period", 1, 1), [1])
+        assert run(5, 0, returned=lambda n: True) == (("Blowup", None, 1), [1])
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda n: orbit_period(swap(A2, 1, 2), CyclicWord(A2, (1,)), max_iter=n),
+            lambda n: orbit_report(swap(A2, 1, 2), CyclicWord(A2, (1,)), max_iter=n),
+            lambda n: exact_word_orbit(swap(A2, 1, 2), w("a"), max_iter=n),
+            lambda n: splitting_orbit_period(rose_marked(A2), swap(A2, 1, 2), max_iter=n),
+        ],
+        ids=["orbit_period", "orbit_report", "exact_word_orbit", "splitting_orbit_period"],
+    )
+    def test_max_iter_below_one_raises(self, probe, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            probe(max_iter)
 
 
 class TestTheoremInvariantSampled:
