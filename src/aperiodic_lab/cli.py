@@ -178,7 +178,7 @@ def analyze_graph_map(args) -> dict:
     for trial in range(args.trials):
         path = rtt.random_tight_path(graph, rng.randrange(2, 50), rng)
         split = rng.randrange(0, len(path) + 1)
-        if not rtt.bcc_inequality_holds(graph_map, path[:split], path[split:]):
+        if not rtt._bcc_holds(graph_map, c, path[:split], path[split:]):
             bcc_violations.append({"trial": trial, "path": list(path), "split": split})
 
     return {

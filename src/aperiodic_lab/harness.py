@@ -2,9 +2,11 @@
 
 Each runner samples outer automorphisms from the homologically trivial
 (mod 3) generator family, probes orbits of conjugacy classes, free factor
-classes, or splittings, and records a histogram of outcomes.  A violation
-is a Period(p > 1) outcome under the congruence hypothesis; the shipped
-configurations expect zero.  Control sections rerun the probe with
+classes, or splittings, and records a histogram of outcomes.  Before a
+probe iterates, a certificate from the action on H_1 (see the certificates
+in ``homology``) may prove that it has no period at all; such a probe is
+counted as CertifiedByHomology.  A violation is a Period(p > 1) outcome
+under the congruence hypothesis; the shipped configurations expect zero.  Control sections rerun the probe with
 automorphisms outside the congruence kernel, where genuine periods exist,
 so the hypotheses are shown necessary.
 
@@ -33,9 +35,12 @@ from .aut import (
 )
 from .homology import (
     abelianization,
+    certify_infinite_order,
+    certify_lattice,
+    certify_vector,
+    congruent_to_identity,
     finite_order,
-    identity_matrix,
-    in_ia3,
+    word_exponent_vector,
 )
 from .splittings import (
     MarkedGraph,
@@ -77,8 +82,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+# probes that a homology certificate proves to have no period at all; they
+# are never iterated
+CERTIFIED = "CertifiedByHomology"
+
+
 def _histogram() -> Dict[str, int]:
-    return {"Period(1)": 0, "Period(>1)": 0, "NoPeriodWithin": 0, "Blowup": 0}
+    return {"Period(1)": 0, "Period(>1)": 0, "NoPeriodWithin": 0, "Blowup": 0, CERTIFIED: 0}
 
 
 def _record(hist: Dict[str, int], outcome: OrbitOutcome) -> bool:
@@ -125,7 +135,11 @@ def _random_cyclic_word(alphabet: Alphabet, max_len: int, rng: random.Random) ->
 def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of conjugacy classes (outer version) and of exact words under
     a fixed representative (Aut version), for sampled congruence-kernel
-    automorphisms.  Expected: no Period(p > 1) in either mode."""
+    automorphisms.  Expected: no Period(p > 1) in either mode.
+
+    A word whose exponent vector the abelianization moves has no period in
+    either mode (``certify_vector``), so it counts as CertifiedByHomology in
+    both histograms and is not iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -135,31 +149,35 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     violations = []
     for trial in range(cfg.samples):
         phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        assert in_ia3(phi), "sampled automorphism left the congruence kernel"
+        action = abelianization(phi)
+        assert congruent_to_identity(action), "sampled automorphism left the congruence kernel"
         pool = [
             _random_cyclic_word(alphabet, cfg.pool_length, rng)
             for _ in range(cfg.pool_size)
         ]
         for cyclic in pool:
+            word = cyclic.as_word()
+            if certify_vector(action, word_exponent_vector(word)):
+                hist_outer[CERTIFIED] += 1
+                hist_aut[CERTIFIED] += 1
+                continue
             outcome = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
             if _record(hist_outer, outcome):
                 violations.append(
                     {
                         "trial": trial,
                         "mode": "outer",
-                        "word": word_str(cyclic.as_word()),
+                        "word": word_str(word),
                         **_outcome_json(outcome),
                     }
                 )
-            exact = exact_word_orbit(
-                phi, cyclic.as_word(), cfg.max_iter, cfg.length_cap
-            )
+            exact = exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
             if _record(hist_aut, exact):
                 violations.append(
                     {
                         "trial": trial,
                         "mode": "aut",
-                        "word": word_str(cyclic.as_word()),
+                        "word": word_str(word),
                         **_outcome_json(exact),
                     }
                 )
@@ -212,7 +230,11 @@ def _random_proper_subsets(rank: int, rng: random.Random) -> List[frozenset]:
 def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of witness free factor classes under sampled congruence-kernel
     automorphisms.  Factors are built by construction: images of basis
-    subsets under random certified automorphisms."""
+    subsets under random certified automorphisms.
+
+    A class whose abelian support the abelianization moves has no period
+    (``certify_lattice``), so it counts as CertifiedByHomology and is not
+    iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -225,7 +247,12 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
         witness = sample(nielsen, min(cfg.budget, 4), rng.randrange(2**32))
         subsets = _random_proper_subsets(cfg.rank, rng)
         system = FreeFactorSystem(witness, subsets)
+        action = abelianization(phi)
         for cls in system.classes:
+            vectors = [word_exponent_vector(g) for g in cls.representative.generators()]
+            if certify_lattice(action, vectors):
+                hist[CERTIFIED] += 1
+                continue
             outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
             if _record(hist, outcome):
                 violations.append(
@@ -291,8 +318,10 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     A shortcut disposes of most samples exactly: an inner power forces the
     abelianized action to have finite order, and a finite-order integer
     matrix congruent to I mod 3 is I.  Samples whose abelianization is not I
-    therefore certify themselves; the rest iterate powers with an honest
-    length cap (capped samples count as Blowup, not as clean trials).
+    therefore certify themselves (``certify_infinite_order``); the rest,
+    and every sample outside the congruence kernel, iterate powers with an
+    honest length cap (capped samples count as Blowup, not as clean
+    trials).
     """
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
@@ -313,8 +342,8 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
             skipped_inner += 1
             continue
         ab = abelianization(phi)
-        if ab != identity_matrix(cfg.rank):
-            # infinite-order abelianization: no power can be inner
+        if certify_infinite_order(ab):
+            # no power of ab is I, so no power of phi is inner
             assert finite_order(ab) is None
             certified_by_homology += 1
             clean += 1
@@ -359,7 +388,12 @@ def default_splitting_pool(alphabet: Alphabet) -> List[MarkedGraph]:
 
 def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of marked-graph splittings under sampled congruence-kernel
-    automorphisms: never a Period(p > 1)."""
+    automorphisms: never a Period(p > 1).
+
+    A marking with trivial vertex groups has no period under a sample whose
+    abelianization is not I (``certify_infinite_order``), so it counts as
+    CertifiedByHomology and is not iterated.  Markings with vertex groups
+    always iterate."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -369,7 +403,11 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
     violations = []
     for trial in range(cfg.samples):
         phi = sample(gens, cfg.budget, rng.randrange(2**32))
+        certified = certify_infinite_order(abelianization(phi))
         for idx, marked in enumerate(pool):
+            if certified and not marked.vertex_groups:
+                hist[CERTIFIED] += 1
+                continue
             outcome = splitting_orbit_period(
                 marked, phi, cfg.max_iter, cfg.length_cap
             )

@@ -243,10 +243,14 @@ def word_exponent_vector(word: Word) -> Tuple[int, ...]:
     return tuple(col)
 
 
+def congruent_to_identity(m: IntMatrix) -> bool:
+    """True iff m = I mod 3."""
+    return mat_mod(m, 3) == identity_matrix(len(m))
+
+
 def in_ia3(phi: FreeAutomorphism) -> bool:
     """True iff the homology action mod 3 is the identity."""
-    n = phi.alphabet.rank
-    return mat_mod(abelianization(phi), 3) == identity_matrix(n)
+    return congruent_to_identity(abelianization(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +333,84 @@ def finite_order(m: IntMatrix) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
+# certificates of non-periodicity
+#
+# Each certificate is True only for M = I mod 3, and then it proves that no
+# power M^p with p >= 1 fixes the object it was given.  All three rest on
+# Per(A) = Fix(A) for every A in GL_m(Z) with A = I mod 3.  Per(A) is a
+# saturated A-invariant sublattice, so in a basis of Z^m extending one of
+# Per(A) the matrix A is block triangular, and its block on Per(A) is = I
+# mod 3 and has finite order.  A finite-order integer matrix = I mod 3 is I
+# (Minkowski), so A fixes Per(A).  Criteria 1 and 2 check both facts on
+# boxes of matrices.
+
+
+def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def certify_vector(m: IntMatrix, v: Sequence[int]) -> bool:
+    """True proves M^p v != v for every p >= 1: M = I mod 3 and Mv != v.
+
+    If M^p v = v, then v lies in Per(M) = Fix(M), so Mv = v.
+
+    For M the abelianization of phi and v the exponent vector of a word w,
+    phi^p(w) = g w g^-1 abelianizes to M^p v = v.  So True proves that
+    neither the conjugacy class of w nor the word w itself has a period
+    under phi.
+    """
+    return congruent_to_identity(m) and _mat_vec(m, v) != tuple(v)
+
+
+def certify_lattice(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> bool:
+    """True proves M^p L != L for every p >= 1, where L is the saturation of
+    the span of ``vectors``: M = I mod 3 and ML != L.
+
+    Let k be the rank of L and P = b_1 ^ ... ^ b_k, in the k-th exterior
+    power of Z^n, the Pluecker vector of a basis b of L.  A saturated
+    lattice is its rational span cut with Z^n, and two rank-k subspaces
+    are equal iff their Pluecker vectors are proportional.  ML is saturated,
+    since M is unimodular, and has Pluecker vector (^k M) P.  Suppose
+    M^p L = L.  The bases M^p b and b of L differ by a matrix of
+    determinant +-1, so (^k M)^p P = +-P, and (^k M)^(2p) P = P: squaring
+    absorbs the sign.  The entries of ^k M are the k x k minors of M, so
+    ^k M = I mod 3, and Per = Fix for ^k M gives (^k M) P = P.  Hence ML
+    and L span the same subspace, and ML = L.
+
+    Saturating is what makes this sound.  M = ((1, 3), (0, 1)) moves the
+    span of (2, 0) and (0, 1), and M^2 fixes it.
+
+    For a subgroup H of F_N whose exponent vectors span A, phi^p[H] = [H]
+    gives M^p A = A.  So M^p fixes the rational span of A, and with it the
+    saturation of A, the abelian support of H.  True therefore proves that
+    the conjugacy class of H has no period under phi.
+    """
+    if not congruent_to_identity(m):
+        return False
+    n = len(m)
+    lattice = saturation(Sublattice(n, vectors))
+    return Sublattice(n, [_mat_vec(m, b) for b in lattice.basis]) != lattice
+
+
+def certify_infinite_order(m: IntMatrix) -> bool:
+    """True proves that no power M^p with p >= 1 has finite order: M = I
+    mod 3 and M != I.
+
+    If M^p had finite order, so would M, and then Per(M) would be all of
+    Z^n.  Per = Fix would give M = I.
+
+    Let phi^p fix a marked graph with trivial vertex groups.  Then some
+    automorphism h of the graph realizes phi^p in Out(F_N), read through
+    the marking.  So M^p is conjugate in GL_N(Z) to the action of h on
+    H_1 of the graph.  The graph has finitely many automorphisms, so that
+    action has finite order.  True therefore proves that the splitting has
+    no period under phi.  The torsion experiment's shortcut is the same
+    fact: an inner power phi^k abelianizes to M^k = I.
+    """
+    return congruent_to_identity(m) and m != identity_matrix(len(m))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive desk-scale scans
 
 
@@ -391,13 +473,39 @@ def _congruence_matrices(n: int, bound: int, level: int):
                     yield head + (tail + (last,),)
 
 
-def _check_scan_args(n: int, bound: int, level: int) -> None:
+# the most enumeration steps a scan may take; n = 3 at level 3 and bound 8
+# takes 562 500, n = 3 at level 1 and bound 8 would take 17^8 (7e9)
+_SCAN_STEP_LIMIT = 1_000_000
+
+
+def _scan_steps(n: int, bound: int, level: int) -> int:
+    """|D|^(n-1) |O|^(n^2-n), the steps ``_congruence_matrices`` takes,
+    counted without enumerating: D and O hold the x in [-bound, bound] with
+    x = 1 and x = 0 mod level."""
+
+    def count(residue: int) -> int:
+        return (bound - residue) // level - (-bound - 1 - residue) // level
+
+    return count(1) ** (n - 1) * count(0) ** (n * n - n)
+
+
+def _check_scan_args(n: int, bound: int, level: int, max_bound: int) -> None:
+    """Refuse a box that is malformed, beyond n <= 3 and ``max_bound``, or
+    that takes more than ``_SCAN_STEP_LIMIT`` enumeration steps."""
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
+    if n > 3 or bound > max_bound:
+        raise ValueError(f"scan limited to n <= 3, bound <= {max_bound}")
+    steps = _scan_steps(n, bound, level)
+    if steps > _SCAN_STEP_LIMIT:
+        raise ValueError(
+            f"n = {n}, bound {bound}, level {level} takes {steps} enumeration "
+            f"steps, more than the limit of {_SCAN_STEP_LIMIT}"
+        )
 
 
 def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
@@ -411,9 +519,7 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     level 3 the box of bound 5 holds 973 matrices and that of bound 8
     holds 13 609.
     """
-    _check_scan_args(n, bound, level)
-    if n > 3 or bound > 8:
-        raise ValueError("scan limited to n <= 3, bound <= 8")
+    _check_scan_args(n, bound, level, 8)
     start = time.perf_counter()
     ident = identity_matrix(n)
     enumerated = 0
@@ -441,9 +547,7 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     Enumerated as in ``minkowski_scan``; each matrix then costs a power
     M^L and two integer kernels.
     """
-    _check_scan_args(n, bound, 3)
-    if n > 3 or bound > 6:
-        raise ValueError("check limited to n <= 3, bound <= 6")
+    _check_scan_args(n, bound, 3, 6)
     start = time.perf_counter()
     enumerated = 0
     violations = []

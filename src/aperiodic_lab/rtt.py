@@ -512,7 +512,12 @@ def bcc_bound(f: GraphMapRep) -> int:
 def bcc_inequality_holds(f: GraphMapRep, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
     """The bounded cancellation inequality for a tight splitting
     rho = rho1 rho2."""
-    c = bcc_bound(f)
+    return _bcc_holds(f, bcc_bound(f), rho1, rho2)
+
+
+def _bcc_holds(f: GraphMapRep, c: int, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
+    """``bcc_inequality_holds`` with the constant c = ``bcc_bound(f)``
+    already computed, for callers that test many splittings of one map."""
     left = len(map_path(f, tuple(rho1) + tuple(rho2)))
     right = len(map_path(f, rho1)) + len(map_path(f, rho2)) - 2 * c
     return left >= right

@@ -1,20 +1,36 @@
+import csv
 import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from aperiodic_lab.aut import is_inner, sample, standard_generators, swap
+from aperiodic_lab.aut import basis_cycle, is_inner, sample, standard_generators, swap
 from aperiodic_lab.cli import main
 from aperiodic_lab.harness import (
+    CERTIFIED,
     ExperimentConfig,
+    _random_cyclic_word,
+    _random_proper_subsets,
+    default_splitting_pool,
     run_conjugacy_experiment,
     run_factor_experiment,
     run_splitting_experiment,
     run_torsion_experiment,
 )
-from aperiodic_lab.homology import abelianization, identity_matrix
+from aperiodic_lab.homology import (
+    abelianization,
+    certify_infinite_order,
+    certify_lattice,
+    certify_vector,
+    congruent_to_identity,
+    identity_matrix,
+    word_exponent_vector,
+)
+from aperiodic_lab.splittings import splitting_orbit_period
+from aperiodic_lab.subgroups import FreeFactorSystem, exact_word_orbit, orbit_period
 from aperiodic_lab.words import Alphabet
 
 FAST = dict(samples=8, budget=3, pool_size=2, seed=1, max_iter=6, length_cap=1500)
@@ -109,6 +125,14 @@ class TestRunners:
             # small enough a cap to stop some samples, not all
             assert blowups > 0 and checked > 0
 
+    def test_torsion_outside_the_kernel_iterates(self):
+        # Nielsen samples have finite-order abelianizations; none certifies,
+        # and their genuine inner powers are reported, not an assertion
+        cfg = ExperimentConfig(rank=2, family="nielsen", samples=30, budget=3, seed=1)
+        report = run_torsion_experiment(cfg)
+        assert report["certified_by_homology"] == 0
+        assert {v["order"] for v in report["violations"]} >= {2}
+
     def test_splitting_small(self):
         report = run_splitting_experiment(ExperimentConfig(rank=2, **FAST))
         assert report["violations"] == []
@@ -127,6 +151,163 @@ class TestRunners:
         run_torsion_experiment(cfg)
         data = json.loads(out.read_text())
         assert data["experiment"] == "torsion"
+
+
+def bucket(outcome):
+    if outcome.kind == "Period":
+        return "Period(1)" if outcome.period == 1 else "Period(>1)"
+    return outcome.kind
+
+
+def conjugacy_probes(cfg):
+    """The conjugacy runner's draws, redrawn: (phi, cyclic word) per probe."""
+    alphabet = Alphabet(cfg.rank)
+    gens = standard_generators(cfg.rank, cfg.family)
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.samples):
+        phi = sample(gens, cfg.budget, rng.randrange(2**32))
+        pool = [_random_cyclic_word(alphabet, cfg.pool_length, rng) for _ in range(cfg.pool_size)]
+        for cyclic in pool:
+            yield phi, cyclic
+
+
+def factor_probes(cfg):
+    """The factor runner's draws, redrawn: (phi, factor class) per probe."""
+    gens = standard_generators(cfg.rank, cfg.family)
+    nielsen = standard_generators(cfg.rank, "nielsen")
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.samples):
+        phi = sample(gens, cfg.budget, rng.randrange(2**32))
+        witness = sample(nielsen, min(cfg.budget, 4), rng.randrange(2**32))
+        subsets = _random_proper_subsets(cfg.rank, rng)
+        for cls in FreeFactorSystem(witness, subsets).classes:
+            yield phi, cls
+
+
+def splitting_probes(cfg):
+    """The splitting runner's draws, redrawn: (phi, marked graph) per probe."""
+    gens = standard_generators(cfg.rank, cfg.family)
+    pool = default_splitting_pool(Alphabet(cfg.rank))
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.samples):
+        phi = sample(gens, cfg.budget, rng.randrange(2**32))
+        for marked in pool:
+            yield phi, marked
+
+
+def assert_runner_matches_iteration(hist, iterated, uncertified, certified):
+    """``hist`` from a runner; ``iterated`` buckets every probe by its
+    iterated outcome, ``uncertified`` only the probes no certificate took,
+    and ``certified`` counts those it took."""
+    assert hist[CERTIFIED] == certified
+    for key in ("Period(1)", "Period(>1)"):
+        assert hist[key] == iterated[key]
+    assert (
+        hist[CERTIFIED] + hist["NoPeriodWithin"] + hist["Blowup"]
+        == iterated["NoPeriodWithin"] + iterated["Blowup"]
+    )
+    assert {k: v for k, v in hist.items() if k != CERTIFIED} == {
+        k: uncertified[k] for k in ("Period(1)", "Period(>1)", "NoPeriodWithin", "Blowup")
+    }
+
+
+# max_iter 12 for the soundness of the certified probes, a low cap to keep
+# their iteration short
+ORACLE = dict(budget=3, max_iter=12, length_cap=1500)
+
+
+class TestHomologyCertificates:
+    """Each runner against iteration of every one of its probes through the
+    public probe, certified or not: no certified probe returns, and the
+    certified probes are exactly the runner's CertifiedByHomology, taken
+    out of NoPeriodWithin and Blowup."""
+
+    @pytest.mark.parametrize("rank, seed", [(2, 3), (3, 4)])
+    def test_conjugacy_runner(self, rank, seed):
+        cfg = ExperimentConfig(rank=rank, samples=16, pool_size=4, seed=seed, **ORACLE)
+        outer, aut, outer_left, aut_left = Counter(), Counter(), Counter(), Counter()
+        certified = 0
+        for phi, cyclic in conjugacy_probes(cfg):
+            word = cyclic.as_word()
+            one = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
+            exact = exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
+            outer[bucket(one)] += 1
+            aut[bucket(exact)] += 1
+            if certify_vector(abelianization(phi), word_exponent_vector(word)):
+                certified += 1
+                assert one.kind != "Period" and exact.kind != "Period", (phi, word)
+            else:
+                outer_left[bucket(one)] += 1
+                aut_left[bucket(exact)] += 1
+        assert 0 < certified < sum(outer.values())
+        report = run_conjugacy_experiment(cfg)
+        assert_runner_matches_iteration(report["outcomes_outer"], outer, outer_left, certified)
+        assert_runner_matches_iteration(report["outcomes_aut"], aut, aut_left, certified)
+
+    @pytest.mark.parametrize("family, seed", [("ia3", 5), ("nielsen", 6)])
+    def test_factor_runner(self, family, seed):
+        cfg = ExperimentConfig(rank=3, family=family, samples=10, seed=seed, **ORACLE)
+        iterated, left = Counter(), Counter()
+        certified = outside = 0
+        for phi, cls in factor_probes(cfg):
+            outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
+            iterated[bucket(outcome)] += 1
+            action = abelianization(phi)
+            outside += not congruent_to_identity(action)
+            vectors = [word_exponent_vector(g) for g in cls.representative.generators()]
+            if certify_lattice(action, vectors):
+                certified += 1
+                assert congruent_to_identity(action)
+                assert outcome.kind != "Period", (phi, cls)
+            else:
+                left[bucket(outcome)] += 1
+        if family == "ia3":
+            assert 0 < certified < sum(iterated.values())
+        else:
+            assert outside > 0 and certified == 0
+        report = run_factor_experiment(cfg)
+        assert_runner_matches_iteration(report["outcomes"], iterated, left, certified)
+
+    @pytest.mark.parametrize("rank, family, seed", [(2, "ia3", 7), (3, "ia3", 8), (2, "nielsen", 9)])
+    def test_splitting_runner(self, rank, family, seed):
+        cfg = ExperimentConfig(rank=rank, family=family, samples=10, seed=seed, **ORACLE)
+        iterated, left = Counter(), Counter()
+        certified = outside = 0
+        for phi, marked in splitting_probes(cfg):
+            outcome = splitting_orbit_period(marked, phi, cfg.max_iter, cfg.length_cap)
+            iterated[bucket(outcome)] += 1
+            action = abelianization(phi)
+            outside += not congruent_to_identity(action)
+            if not marked.vertex_groups and certify_infinite_order(action):
+                certified += 1
+                assert congruent_to_identity(action)
+                assert outcome.kind != "Period", (phi, marked)
+            else:
+                left[bucket(outcome)] += 1
+        if family == "ia3":
+            assert 0 < certified < sum(iterated.values())
+        else:
+            assert outside > 0 and certified == 0
+        report = run_splitting_experiment(cfg)
+        assert_runner_matches_iteration(report["outcomes"], iterated, left, certified)
+
+    def test_controls_are_never_certified(self):
+        a2, a3 = Alphabet(2), Alphabet(3)
+        sw, cycle = abelianization(swap(a2, 1, 2)), abelianization(basis_cycle(a3, [1, 2, 3]))
+        for v in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            assert not certify_vector(sw, v)
+            assert not certify_lattice(sw, [v])
+        for v in identity_matrix(3):
+            assert not certify_vector(cycle, v)
+            assert not certify_lattice(cycle, [v])
+        assert not certify_infinite_order(sw) and not certify_infinite_order(cycle)
+        cfg = ExperimentConfig(rank=3, samples=2, **ORACLE)
+        for report in (
+            run_conjugacy_experiment(ExperimentConfig(rank=2, samples=2, **ORACLE)),
+            run_factor_experiment(cfg),
+            run_splitting_experiment(cfg),
+        ):
+            assert report["control"]["outcomes"][CERTIFIED] == 0
 
 
 class TestCLI:
@@ -166,6 +347,17 @@ class TestCLI:
         assert report["bcc"] == 3
         assert report["strata"][0]["class"] == "EG"
 
+    def test_rtt_analyze_computes_the_constant_once(self, monkeypatch, capsys):
+        # one bcc_bound per report, not one per cancellation trial
+        from aperiodic_lab import rtt
+
+        calls = []
+        bound = rtt.bcc_bound
+        monkeypatch.setattr(rtt, "bcc_bound", lambda f: calls.append(f) or bound(f))
+        assert main(["rtt-analyze", "--map", "period2", "--trials", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["bcc"] == 4
+        assert len(calls) == 1
+
     def test_rtt_analyze_file(self, tmp_path, capsys):
         from aperiodic_lab.rtt import graph_map_str
         from aperiodic_lab.splittings import graph_map_from_words, rose_marked
@@ -195,6 +387,17 @@ class TestCLI:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "histogram,outcome,count"
         assert len(lines) > 1
+
+    def test_factors_csv_has_certified_row(self, tmp_path):
+        out, csv_path = tmp_path / "f.json", tmp_path / "f.csv"
+        argv = ["factors", "--samples", "4", "--max-iter", "6", "--seed", "2"]
+        assert main(argv + ["--out", str(out), "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["histogram", "outcome", "count"]
+        counts = {outcome: int(count) for key, outcome, count in rows[1:] if key == "outcomes"}
+        assert counts == json.loads(out.read_text())["outcomes"]
+        assert counts[CERTIFIED] > 0
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

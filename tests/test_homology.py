@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,12 +14,19 @@ from aperiodic_lab.aut import (
     standard_generators,
     transvection,
 )
+from aperiodic_lab import homology
 from aperiodic_lab.cli import main
 from aperiodic_lab.homology import (
     Sublattice,
+    _check_scan_args,
     _congruence_matrices,
+    _scan_steps,
     abelian_standing_assumptions_check,
     abelianization,
+    certify_infinite_order,
+    certify_lattice,
+    certify_vector,
+    congruent_to_identity,
     det,
     finite_order,
     fix_subgroup,
@@ -450,3 +459,121 @@ class TestMatrixIO:
         assert det(ROTATION) == 1
         assert det(((2, 0), (0, 2))) == 4
         assert det(((1, 2), (2, 4))) == 0
+
+
+class TestScanLimit:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_count_is_box_over_diagonal(self, n):
+        for level in (1, 2, 3, 4):
+            for bound in range(9):
+                diagonal = sum(1 for x in range(-bound, bound + 1) if (x - 1) % level == 0)
+                if diagonal:
+                    assert _scan_steps(n, bound, level) * diagonal == box_size(n, bound, level)
+                else:
+                    assert _scan_steps(n, bound, level) == (n == 1)
+
+    def test_largest_admitted_boxes(self):
+        assert _scan_steps(3, 8, 3) == 562_500
+        _check_scan_args(3, 8, 3, 8)
+        _check_scan_args(3, 2, 1, 8)
+        _check_scan_args(3, 6, 3, 6)
+
+    def test_refused_before_enumerating(self, monkeypatch):
+        # 17^8 steps: refused from the arithmetic alone
+        def enumerate_nothing(*args):
+            raise AssertionError("the refused scan enumerated")
+
+        monkeypatch.setattr(homology, "_congruence_matrices", enumerate_nothing)
+        assert _scan_steps(3, 8, 1) == 17**8
+        with pytest.raises(ValueError, match="enumeration steps"):
+            minkowski_scan(3, 8, level=1)
+        with pytest.raises(ValueError, match="enumeration steps"):
+            main(["minkowski", "--rank", "3", "--level", "1", "--bound", "8"])
+
+    def test_cli_exit_is_nonzero(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aperiodic_lab.cli", "minkowski", "--rank", "3", "--level", "1", "--bound", "8"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "enumeration steps" in proc.stderr
+        assert proc.stdout == ""
+
+
+def apply(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+SWAP = ((0, 1), (1, 0))
+THREE_CYCLE = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+class TestCertificates:
+    """Each certificate against iteration of M up to the 12th power: it is
+    True exactly when no power moves the object back (Per = Fix makes the
+    first power decide), and never outside the congruence kernel."""
+
+    @pytest.mark.parametrize("n, bound", [(2, 6), (3, 3)])
+    def test_vector_certificate_against_powers(self, n, bound):
+        vectors = list(itertools.product(range(-2, 3), repeat=n))
+        certified = 0
+        for m in _congruence_matrices(n, bound, 3):
+            powers = [mat_pow(m, k) for k in range(1, 13)]
+            for v in vectors:
+                returns = any(apply(p, v) == v for p in powers)
+                assert certify_vector(m, v) == (not returns), (m, v)
+                certified += not returns
+        assert certified > 0
+
+    def test_lattice_certificate_against_powers(self):
+        rng = random.Random(31)
+        box = list(itertools.product(range(-3, 4), repeat=3))
+        certified = 0
+        for m in _congruence_matrices(3, 3, 3):
+            powers = [mat_pow(m, k) for k in range(1, 13)]
+            for _ in range(4):
+                vectors = rng.sample(box, rng.randrange(1, 3))
+                lattice = saturation(Sublattice(3, vectors))
+                returns = any(
+                    Sublattice(3, [apply(p, b) for b in lattice.basis]) == lattice for p in powers
+                )
+                assert certify_lattice(m, vectors) == (not returns), (m, vectors)
+                certified += not returns
+        assert certified > 0
+
+    def test_lattice_certificate_saturates(self):
+        # SHEAR3 moves the span of (2, 0) and (0, 1) and its square fixes
+        # it; the saturation Z^2 is fixed, so nothing is certified
+        span = [(2, 0), (0, 1)]
+        assert Sublattice(2, [apply(SHEAR3, b) for b in span]) != Sublattice(2, span)
+        square = mat_pow(SHEAR3, 2)
+        assert Sublattice(2, [apply(square, b) for b in span]) == Sublattice(2, span)
+        assert not certify_lattice(SHEAR3, span)
+        assert certify_lattice(SHEAR3, [(0, 1)])
+
+    @pytest.mark.parametrize("n, bound", [(2, 6), (3, 3)])
+    def test_infinite_order_certificate_against_finite_order(self, n, bound):
+        for m in _congruence_matrices(n, bound, 3):
+            assert certify_infinite_order(m) == (finite_order(m) is None)
+            assert certify_infinite_order(m) == (m != identity_matrix(n))
+
+    @pytest.mark.parametrize("n, bound", [(2, 2), (3, 1)])
+    def test_nothing_outside_the_kernel(self, n, bound):
+        outside = [m for m in _congruence_matrices(n, bound, 1) if not congruent_to_identity(m)]
+        assert len(outside) > 10
+        for m in outside + [ROTATION, SWAP, THREE_CYCLE]:
+            vectors = [v for v in itertools.product(range(-1, 2), repeat=len(m)) if any(v)]
+            assert not certify_infinite_order(m)
+            assert not any(certify_vector(m, v) for v in vectors)
+            assert not any(certify_lattice(m, [e]) for e in identity_matrix(len(m)))
+
+    def test_controls_move_what_they_do_not_certify(self):
+        # without the congruence check the first power would certify the
+        # genuine 2- and 3-orbits of the controls
+        assert apply(SWAP, (1, 0)) != (1, 0) and mat_pow(SWAP, 2) == identity_matrix(2)
+        assert apply(THREE_CYCLE, (1, 0, 0)) != (1, 0, 0)
+        assert mat_pow(THREE_CYCLE, 3) == identity_matrix(3)
+        assert not certify_vector(SWAP, (1, 0))
+        assert not certify_lattice(THREE_CYCLE, [(1, 0, 0)])
