@@ -3,12 +3,13 @@
 Each runner samples outer automorphisms from the homologically trivial
 (mod 3) generator family, probes orbits of conjugacy classes, free factor
 classes, or splittings, and records a histogram of outcomes.  Before a
-probe iterates, a certificate from the action on H_1 (see the certificates
-in ``homology``) may prove that it has no period at all; such a probe is
-counted as CertifiedByHomology.  A violation is a Period(p > 1) outcome
-under the congruence hypothesis; the shipped configurations expect zero.  Control sections rerun the probe with
-automorphisms outside the congruence kernel, where genuine periods exist,
-so the hypotheses are shown necessary.
+probe iterates, a certificate may prove that it has no period at all: one
+from the action on H_1(F_N) counts it as CertifiedByHomology, one from the
+action on H_1 of the mod-2 cover as CertifiedByCover (see the certificates
+in ``homology``).  A violation is a Period(p > 1) outcome under the
+congruence hypothesis; the shipped configurations expect zero.  Control
+sections rerun the probe with automorphisms outside the congruence kernel,
+where genuine periods exist, so the hypotheses are shown necessary.
 
 Reports are deterministic functions of (config, seed) apart from the
 elapsed field.
@@ -34,16 +35,21 @@ from .aut import (
     swap,
 )
 from .homology import (
+    COVER_MAX_RANK,
+    IntMatrix,
     abelianization,
+    certify_cover,
     certify_infinite_order,
     certify_lattice,
     certify_vector,
-    congruent_to_identity,
+    cover_action,
+    cover_class,
     finite_order,
     word_exponent_vector,
 )
 from .splittings import (
     MarkedGraph,
+    certify_splitting,
     edge_of_groups,
     rose_marked,
     splitting_orbit_period,
@@ -82,13 +88,27 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-# probes that a homology certificate proves to have no period at all; they
-# are never iterated
+# probes that a certificate proves to have no period at all, from the action
+# on H_1(F_N) or on H_1 of the mod-2 cover; they are never iterated
 CERTIFIED = "CertifiedByHomology"
+CERTIFIED_BY_COVER = "CertifiedByCover"
 
 
 def _histogram() -> Dict[str, int]:
-    return {"Period(1)": 0, "Period(>1)": 0, "NoPeriodWithin": 0, "Blowup": 0, CERTIFIED: 0}
+    return {
+        "Period(1)": 0,
+        "Period(>1)": 0,
+        "NoPeriodWithin": 0,
+        "Blowup": 0,
+        CERTIFIED: 0,
+        CERTIFIED_BY_COVER: 0,
+    }
+
+
+def _cover_action(phi: FreeAutomorphism) -> Optional[IntMatrix]:
+    """phi's action on H_1 of the mod-2 cover, or None above
+    ``COVER_MAX_RANK``, where its size grows as 2^N."""
+    return cover_action(phi) if phi.alphabet.rank <= COVER_MAX_RANK else None
 
 
 def _record(hist: Dict[str, int], outcome: OrbitOutcome) -> bool:
@@ -139,7 +159,11 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
 
     A word whose exponent vector the abelianization moves has no period in
     either mode (``certify_vector``), so it counts as CertifiedByHomology in
-    both histograms and is not iterated."""
+    both histograms and is not iterated.  Otherwise a word w whose square
+    has no period in the cover's homology (``certify_cover``) has none
+    either, and counts as CertifiedByCover in both.  Samples outside the
+    congruence kernel iterate like any other; their periods are genuine,
+    and the mod-3 certificate declines them."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -150,7 +174,7 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     for trial in range(cfg.samples):
         phi = sample(gens, cfg.budget, rng.randrange(2**32))
         action = abelianization(phi)
-        assert congruent_to_identity(action), "sampled automorphism left the congruence kernel"
+        cover = _cover_action(phi)
         pool = [
             _random_cyclic_word(alphabet, cfg.pool_length, rng)
             for _ in range(cfg.pool_size)
@@ -160,6 +184,10 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
             if certify_vector(action, word_exponent_vector(word)):
                 hist_outer[CERTIFIED] += 1
                 hist_aut[CERTIFIED] += 1
+                continue
+            if cover is not None and certify_cover(cover, cover_class(word**2)):
+                hist_outer[CERTIFIED_BY_COVER] += 1
+                hist_aut[CERTIFIED_BY_COVER] += 1
                 continue
             outcome = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
             if _record(hist_outer, outcome):
@@ -227,6 +255,16 @@ def _random_proper_subsets(rank: int, rng: random.Random) -> List[frozenset]:
     return [first]
 
 
+def _cover_word(basis: List[Word]) -> Word:
+    """The word of K whose cover class ``certify_cover`` tests for a factor
+    with this basis, of rank 1 or 2 as every proper factor is up to
+    ``COVER_MAX_RANK``: w^2 or [a, b]."""
+    if len(basis) == 1:
+        return basis[0] ** 2
+    a, b = basis
+    return a * b * a.inverse() * b.inverse()
+
+
 def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of witness free factor classes under sampled congruence-kernel
     automorphisms.  Factors are built by construction: images of basis
@@ -234,7 +272,9 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
 
     A class whose abelian support the abelianization moves has no period
     (``certify_lattice``), so it counts as CertifiedByHomology and is not
-    iterated."""
+    iterated.  Otherwise a factor whose class in the cover's homology has
+    no period (``certify_cover``: w^2 for a rank-1 factor <w>, [a, b] for
+    one with basis a, b) has none either, and counts as CertifiedByCover."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -248,10 +288,14 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
         subsets = _random_proper_subsets(cfg.rank, rng)
         system = FreeFactorSystem(witness, subsets)
         action = abelianization(phi)
+        cover = _cover_action(phi)
         for cls in system.classes:
-            vectors = [word_exponent_vector(g) for g in cls.representative.generators()]
-            if certify_lattice(action, vectors):
+            basis = cls.representative.generators()
+            if certify_lattice(action, [word_exponent_vector(g) for g in basis]):
                 hist[CERTIFIED] += 1
+                continue
+            if cover is not None and certify_cover(cover, cover_class(_cover_word(basis))):
+                hist[CERTIFIED_BY_COVER] += 1
                 continue
             outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
             if _record(hist, outcome):
@@ -390,10 +434,9 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of marked-graph splittings under sampled congruence-kernel
     automorphisms: never a Period(p > 1).
 
-    A marking with trivial vertex groups has no period under a sample whose
-    abelianization is not I (``certify_infinite_order``), so it counts as
-    CertifiedByHomology and is not iterated.  Markings with vertex groups
-    always iterate."""
+    A marking that ``splittings.certify_splitting`` proves to have no period
+    under the sample's abelianization counts as CertifiedByHomology and is
+    not iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -403,9 +446,9 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
     violations = []
     for trial in range(cfg.samples):
         phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        certified = certify_infinite_order(abelianization(phi))
+        action = abelianization(phi)
         for idx, marked in enumerate(pool):
-            if certified and not marked.vertex_groups:
+            if certify_splitting(action, marked):
                 hist[CERTIFIED] += 1
                 continue
             outcome = splitting_orbit_period(

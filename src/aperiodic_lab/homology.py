@@ -1,8 +1,9 @@
-"""Abelianized actions over Z and Z/3Z.
+"""Abelianized actions over Z and Z/3Z, and on the homology of the mod-2
+cover.
 
 Membership in the level-3 congruence kernel, Per/Fix sublattices of integer
-matrices, finite-order detection, and the exhaustive desk-scale scans for
-torsion-freeness and Per = Fix.
+matrices, finite-order detection, certificates of non-periodicity, and the
+exhaustive desk-scale scans for torsion-freeness and Per = Fix.
 
 Matrices are tuples of tuples of Python ints (exact arithmetic; powers of
 small matrices overflow fixed-width types quickly).  Kernels are computed by
@@ -16,7 +17,7 @@ import functools
 import itertools
 import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .aut import FreeAutomorphism
 from .words import Frozen, Word
@@ -162,7 +163,13 @@ def hermite_canonical(vectors: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[i
 
 
 class Sublattice(Frozen):
-    """A saturated sublattice of Z^n, stored by its canonical Hermite basis."""
+    """The sublattice of Z^n spanned by the given vectors, stored by its
+    canonical Hermite basis.
+
+    The span need not be saturated: ``Sublattice(2, [(2, 0), (0, 1)])`` has
+    index 2 in Z^2.  ``saturation`` gives the saturated lattice with the
+    same rational span, and ``is_saturated`` tells the two apart.
+    """
 
     __slots__ = ("ambient_dim", "basis")
 
@@ -408,6 +415,228 @@ def certify_infinite_order(m: IntMatrix) -> bool:
     fact: an inner power phi^k abelianizes to M^k = I.
     """
     return congruent_to_identity(m) and m != identity_matrix(len(m))
+
+
+# ---------------------------------------------------------------------------
+# the homology of the mod-2 cover
+#
+# K = ker(F_N -> H_1(F_N; Z/2)) is characteristic, so every automorphism
+# restricts to K and acts on H_1(K; Z).  K is the fundamental group of the
+# cover of the rose whose vertices are the bitmasks g of (Z/2)^N, bit k for
+# x_(k+1), with one edge (g, k) from g to g + e_k for each vertex and
+# letter, numbered g N + k.  The tree edges run into each vertex g != 0
+# from g minus its lowest bit.  A cycle's class is its vector of signed
+# counts on the other (N - 1) 2^N + 1 edges, in edge order.
+
+# the largest rank whose cover the runners consult: H_1(K) has rank 5 at
+# N = 2, 17 at N = 3 and 49 at N = 4, and the cover functions refuse more
+COVER_MAX_RANK = 3
+# the prime of the Krylov test in ``certify_cover``
+_KRYLOV_PRIME = 2**61 - 1
+
+
+def _check_cover_rank(n: int) -> None:
+    if n > COVER_MAX_RANK:
+        raise ValueError(f"the mod-2 cover is built for ranks <= {COVER_MAX_RANK}, got {n}")
+
+
+def _tree_path(h: int, n: int) -> List[int]:
+    """The tree edges from vertex 0 to vertex h, each crossed forward."""
+    edges = []
+    while h:
+        low = h & -h
+        h ^= low
+        edges.append(h * n + low.bit_length() - 1)
+    return edges
+
+
+@functools.cache
+def _cover_cycles(n: int) -> Tuple[Tuple[Optional[int], ...], Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The coordinate of each edge of the rank-n cover, None for a tree
+    edge, and for each coordinate the fundamental cycle of its edge as
+    (edge, coefficient) pairs: along the tree to the edge's origin, across
+    the edge, and back along the tree from its head."""
+    coordinate: List[Optional[int]] = []
+    cycles = []
+    for edge in range(n << n):
+        g, k = divmod(edge, n)
+        # (g, k) is the tree edge into g + e_k iff no bit of g is <= k
+        if g & ((2 << k) - 1) == 0:
+            coordinate.append(None)
+            continue
+        coordinate.append(len(cycles))
+        chain = dict.fromkeys(range(n << n), 0)
+        chain[edge] += 1
+        for e in _tree_path(g, n):
+            chain[e] += 1
+        for e in _tree_path(g ^ (1 << k), n):
+            chain[e] -= 1
+        cycles.append(tuple((e, c) for e, c in chain.items() if c))
+    return tuple(coordinate), tuple(cycles)
+
+
+def _lift(word: Word) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """The lift of ``word`` from vertex 0: the signed count of each edge
+    (q, k) it crosses, and its end vertex.  The deck group acts by
+    translation, so the lift from vertex g crosses (g + q, k) instead."""
+    counts: Dict[Tuple[int, int], int] = {}
+    q = 0
+    for letter in word.letters:
+        k = abs(letter) - 1
+        if letter > 0:
+            counts[q, k] = counts.get((q, k), 0) + 1
+            q ^= 1 << k
+        else:
+            q ^= 1 << k
+            counts[q, k] = counts.get((q, k), 0) - 1
+    return counts, q
+
+
+def cover_class(word: Word) -> Tuple[int, ...]:
+    """The class in H_1(K) of a word of K: its lift from vertex 0 is a
+    closed path, read on the non-tree edges.  Raises ``ValueError`` for a
+    word outside K (some exponent sum odd) and above ``COVER_MAX_RANK``."""
+    n = word.alphabet.rank
+    _check_cover_rank(n)
+    counts, end = _lift(word)
+    if end:
+        raise ValueError("the word is not in K: an exponent sum is odd")
+    coordinate, cycles = _cover_cycles(n)
+    u = [0] * len(cycles)
+    for (q, k), c in counts.items():
+        i = coordinate[q * n + k]
+        if i is not None:
+            u[i] += c
+    return tuple(u)
+
+
+def cover_action(phi: FreeAutomorphism) -> IntMatrix:
+    """Integer matrix A of phi on H_1(K), of rank (N - 1) 2^N + 1: A [w] =
+    [phi(w)] for every w in K.  Raises ``ValueError`` above
+    ``COVER_MAX_RANK``.
+
+    phi is realized on the rose by running petal x_k along phi(x_k).  That
+    map lifts to the cover fixing vertex 0.  The lift sends vertex g, the
+    end of the lift of any word whose exponent vector is g mod 2, to M g,
+    for M the abelianization mod 2.  It sends edge (g, k) along the lift
+    of phi(x_k) from M g.  Column j of A sums those lifts over the j-th
+    fundamental cycle, read on the non-tree edges.
+    """
+    n = phi.alphabet.rank
+    _check_cover_rank(n)
+    coordinate, cycles = _cover_cycles(n)
+    lifts = [_lift(image) for image in phi.forward]
+    # g -> M g, one XOR per vertex: the lift of phi(x_k) ends at M e_k
+    vertex_image = [0] * (1 << n)
+    for g in range(1, 1 << n):
+        low = g & -g
+        vertex_image[g] = vertex_image[g ^ low] ^ lifts[low.bit_length() - 1][1]
+    columns = []
+    for cycle in cycles:
+        column = [0] * len(cycles)
+        for edge, coefficient in cycle:
+            g, k = divmod(edge, n)
+            start = vertex_image[g]
+            for (q, j), c in lifts[k][0].items():
+                i = coordinate[(start ^ q) * n + j]
+                if i is not None:
+                    column[i] += coefficient * c
+        columns.append(column)
+    return tuple(zip(*columns))
+
+
+def _krylov_polynomial(m: IntMatrix, u: Sequence[int], prime: int) -> List[int]:
+    """Coefficients, constant first, of the monic minimal polynomial of u
+    under m over Z/prime: u, Au, A^2 u, ... are reduced against the earlier
+    ones, each kept with the polynomial in A that it is of u, until one
+    reduces to 0, at the latest A^d u for d = len(u)."""
+    rows = [[x % prime for x in row] for row in m]
+    echelon: List[Tuple[int, List[int], List[int]]] = []
+    v = [x % prime for x in u]
+    for degree in itertools.count():
+        r = list(v)
+        poly = [0] * degree + [1]
+        for pivot, vector, vector_poly in echelon:
+            c = r[pivot]
+            if c:
+                r = [(x - c * y) % prime for x, y in zip(r, vector)]
+                for i, y in enumerate(vector_poly):
+                    poly[i] = (poly[i] - c * y) % prime
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return poly
+        scale = pow(r[pivot], -1, prime)
+        echelon.append((pivot, [x * scale % prime for x in r], [x * scale % prime for x in poly]))
+        v = [sum(x * y for x, y in zip(row, v)) % prime for row in rows]
+
+
+def _poly_mod(poly: List[int], f: List[int], prime: int) -> List[int]:
+    """poly mod the monic f, over Z/prime, as len(f) - 1 coefficients."""
+    k = len(f) - 1
+    poly = poly + [0] * max(0, k - len(poly))
+    for top in range(len(poly) - 1, k - 1, -1):
+        c = poly[top] % prime
+        if c:
+            for i in range(k):
+                poly[top - k + i] -= c * f[i]
+    return [x % prime for x in poly[:k]]
+
+
+def _poly_mul_mod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return _poly_mod(product, f, prime)
+
+
+def certify_cover(a: IntMatrix, u: Sequence[int]) -> bool:
+    """True proves A^p u != u for every p >= 1: the minimal polynomial f of
+    u under A over Z/P, for the prime P = 2^61 - 1, does not divide
+    x^L - 1, for L = order_bound(d) and d the size of A.
+
+    Suppose A^p u = u.  A^p fixes the rational span W of u, Au, A^2 u, ...,
+    so A has finite order on W.  Its minimal polynomial there is a product
+    of distinct cyclotomic polynomials Phi_m with totient(m) <= dim W <= d,
+    so each m divides L, and A^L u = u.  This holds over Z, so it holds mod
+    P, and f divides x^L - 1 mod P.  The test is sound in this direction
+    only: a u that it declines may still have no period.
+
+    For A = ``cover_action(phi)`` and any phi:
+
+    - Conjugacy: let u be the class of w^2, which lies in K.  Suppose
+      phi^p(w) = g w g^-1.  Then phi^p(w^2) = g w^2 g^-1, whose lift from
+      vertex 0 runs along g to vertex g mod 2, around the lift of w^2 from
+      there, and back.  So A^p u = D(g) u, for D the action of the deck
+      group (Z/2)^N on H_1(K).  A normalises D: the lift of phi sends the
+      deck translation by h to the one by M h.  So A^p permutes the finite
+      set D u, and u has a period under A.  True therefore proves that
+      neither the conjugacy class of w nor the word w has a period under
+      phi.
+    - A rank-1 factor <w>: phi^p<w> conjugate to <w> gives phi^p(w) =
+      g w^(+-1) g^-1, and the same argument with u the class of w^2 and
+      the finite set +-D u applies.
+    - A rank-2 factor H with basis a, b: let u be the class of [a, b],
+      which lies in K.  If phi^p(H) = g H g^-1, then conjugating by g^-1
+      after phi^p is an automorphism of H, and by Nielsen every
+      automorphism of F_2 sends [a, b] to a conjugate of [a, b]^(+-1).  So
+      phi^p([a, b]) is a conjugate of [a, b]^(+-1), and u is periodic as
+      before.
+    """
+    f = _krylov_polynomial(a, u, _KRYLOV_PRIME)
+    if len(f) == 1:
+        # u = 0 is fixed
+        return False
+    one = _poly_mod([1], f, _KRYLOV_PRIME)
+    power, base, exponent = one, _poly_mod([0, 1], f, _KRYLOV_PRIME), order_bound(len(a))
+    while exponent:
+        if exponent & 1:
+            power = _poly_mul_mod(power, base, f, _KRYLOV_PRIME)
+        exponent >>= 1
+        if exponent:
+            base = _poly_mul_mod(base, base, f, _KRYLOV_PRIME)
+    return power != one
 
 
 # ---------------------------------------------------------------------------

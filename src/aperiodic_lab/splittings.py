@@ -29,7 +29,7 @@ from .aut import (
 from .graphs import (
     FiniteGraph, GraphAutomorphism, enumerate_automorphisms, graph_str, parse_graph
 )
-from .homology import IntMatrix, word_exponent_vector
+from .homology import IntMatrix, certify_infinite_order, certify_lattice, word_exponent_vector
 from .subgroups import (
     FreeFactorSystem,
     OrbitOutcome,
@@ -468,6 +468,30 @@ def splitting_orbit_period(
         max_iter,
         length_cap,
     )[0]
+
+
+def certify_splitting(m: IntMatrix, marked: MarkedGraph) -> bool:
+    """True proves that the splitting has no period under any phi whose
+    abelianization is m.
+
+    - Trivial vertex groups: ``certify_infinite_order(m)``, whose docstring
+      has the proof.
+    - Vertex groups: ``certify_lattice(m, L_v)`` for some group vertex v,
+      where L_v is the span of the exponent vectors of G_v.  Suppose
+      phi^p fixes the splitting.  The realizing graph automorphism sends
+      v to a group vertex w with phi^p(G_v) conjugate to G_w, so
+      M^p L_v = L_w.  The vertex generators are disjoint parts of a basis
+      of F_N, so the L_v are spans of disjoint parts of a basis of Z^N:
+      saturated, and with distinct images in (Z/3)^N.  ``certify_lattice``
+      is True only for M = I mod 3, and then M^p L_v has the image of L_v,
+      so w = v.  So M^p fixes L_v, which ``certify_lattice`` rules out.
+    """
+    if not marked.vertex_groups:
+        return certify_infinite_order(m)
+    return any(
+        certify_lattice(m, [word_exponent_vector(g) for g in gens])
+        for gens in marked.vertex_groups.values()
+    )
 
 
 def induced_ffs(

@@ -11,6 +11,7 @@ from aperiodic_lab.aut import basis_cycle, is_inner, sample, standard_generators
 from aperiodic_lab.cli import main
 from aperiodic_lab.harness import (
     CERTIFIED,
+    CERTIFIED_BY_COVER,
     ExperimentConfig,
     _random_cyclic_word,
     _random_proper_subsets,
@@ -21,17 +22,21 @@ from aperiodic_lab.harness import (
     run_torsion_experiment,
 )
 from aperiodic_lab.homology import (
+    COVER_MAX_RANK,
     abelianization,
+    certify_cover,
     certify_infinite_order,
     certify_lattice,
     certify_vector,
     congruent_to_identity,
+    cover_action,
+    cover_class,
     identity_matrix,
     word_exponent_vector,
 )
 from aperiodic_lab.splittings import splitting_orbit_period
 from aperiodic_lab.subgroups import FreeFactorSystem, exact_word_orbit, orbit_period
-from aperiodic_lab.words import Alphabet
+from aperiodic_lab.words import Alphabet, CyclicWord
 
 FAST = dict(samples=8, budget=3, pool_size=2, seed=1, max_iter=6, length_cap=1500)
 
@@ -133,6 +138,16 @@ class TestRunners:
         assert report["certified_by_homology"] == 0
         assert {v["order"] for v in report["violations"]} >= {2}
 
+    def test_conjugacy_outside_the_kernel_iterates(self):
+        # Nielsen samples are not congruence-kernel samples: no assertion
+        # stops the run, the mod-3 certificate takes nothing, and the
+        # genuine periods are reported
+        cfg = ExperimentConfig(rank=2, family="nielsen", samples=3, budget=3, seed=1)
+        report = run_conjugacy_experiment(cfg)
+        assert report["outcomes_outer"][CERTIFIED] == report["outcomes_aut"][CERTIFIED] == 0
+        assert report["outcomes_outer"]["Period(>1)"] > 0
+        assert report["violations"]
+
     def test_splitting_small(self):
         report = run_splitting_experiment(ExperimentConfig(rank=2, **FAST))
         assert report["violations"] == []
@@ -195,20 +210,66 @@ def splitting_probes(cfg):
             yield phi, marked
 
 
+CERTIFICATES = (CERTIFIED, CERTIFIED_BY_COVER)
+
+
 def assert_runner_matches_iteration(hist, iterated, uncertified, certified):
     """``hist`` from a runner; ``iterated`` buckets every probe by its
     iterated outcome, ``uncertified`` only the probes no certificate took,
-    and ``certified`` counts those it took."""
-    assert hist[CERTIFIED] == certified
+    and ``certified`` counts those each certificate took."""
+    for key in CERTIFICATES:
+        assert hist[key] == certified[key], key
     for key in ("Period(1)", "Period(>1)"):
         assert hist[key] == iterated[key]
     assert (
-        hist[CERTIFIED] + hist["NoPeriodWithin"] + hist["Blowup"]
+        sum(hist[key] for key in CERTIFICATES) + hist["NoPeriodWithin"] + hist["Blowup"]
         == iterated["NoPeriodWithin"] + iterated["Blowup"]
     )
-    assert {k: v for k, v in hist.items() if k != CERTIFIED} == {
+    assert {k: v for k, v in hist.items() if k not in CERTIFICATES} == {
         k: uncertified[k] for k in ("Period(1)", "Period(>1)", "NoPeriodWithin", "Blowup")
     }
+
+
+def cover_certifies(phi, word):
+    """The cover rule, read from scratch: ``word`` lies in K, and its class
+    has no period under phi's action on H_1 of the mod-2 cover."""
+    return phi.alphabet.rank <= COVER_MAX_RANK and certify_cover(cover_action(phi), cover_class(word))
+
+
+def conjugacy_certificate(phi, word):
+    """The certificate that takes a conjugacy probe, or None."""
+    if certify_vector(abelianization(phi), word_exponent_vector(word)):
+        return CERTIFIED
+    if cover_certifies(phi, word**2):
+        return CERTIFIED_BY_COVER
+    return None
+
+
+def factor_certificate(phi, cls):
+    """The certificate that takes a factor probe, or None: the cover tests
+    w^2 for a rank-1 factor <w> and [a, b] for a rank-2 factor <a, b>."""
+    basis = cls.representative.generators()
+    if certify_lattice(abelianization(phi), [word_exponent_vector(g) for g in basis]):
+        return CERTIFIED
+    if len(basis) == 1:
+        word = basis[0] ** 2
+    else:
+        a, b = basis
+        word = a * b * a.inverse() * b.inverse()
+    return CERTIFIED_BY_COVER if cover_certifies(phi, word) else None
+
+
+def splitting_certificate(phi, marked):
+    """The certificate that takes a splitting probe, or None: M != I for
+    trivial vertex groups, M moving some vertex group's lattice otherwise,
+    both only for M = I mod 3."""
+    action = abelianization(phi)
+    if not marked.vertex_groups:
+        return CERTIFIED if certify_infinite_order(action) else None
+    for gens in marked.vertex_groups.values():
+        if certify_lattice(action, [word_exponent_vector(g) for g in gens]):
+            return CERTIFIED
+    return None
 
 
 # max_iter 12 for the soundness of the certified probes, a low cap to keep
@@ -216,80 +277,104 @@ def assert_runner_matches_iteration(hist, iterated, uncertified, certified):
 ORACLE = dict(budget=3, max_iter=12, length_cap=1500)
 
 
+def check_against_oracle(probes, iterate, certificate, hist):
+    """Iterate every probe, certified or not: no certified probe returns.
+    The runner's histogram ``hist`` must take out of NoPeriodWithin and
+    Blowup exactly the probes each certificate takes.  Returns the counts
+    by certificate and the number of samples outside the kernel."""
+    iterated, left, certified = Counter(), Counter(), Counter()
+    outside = 0
+    for phi, probe in probes:
+        outcome = iterate(phi, probe)
+        iterated[bucket(outcome)] += 1
+        outside += not congruent_to_identity(abelianization(phi))
+        kind = certificate(phi, probe)
+        if kind is None:
+            left[bucket(outcome)] += 1
+            continue
+        certified[kind] += 1
+        assert outcome.kind != "Period", (kind, phi, probe)
+        if kind == CERTIFIED:
+            assert congruent_to_identity(abelianization(phi))
+    assert sum(certified.values()) < sum(iterated.values())
+    assert_runner_matches_iteration(hist, iterated, left, certified)
+    return certified, outside
+
+
 class TestHomologyCertificates:
     """Each runner against iteration of every one of its probes through the
     public probe, certified or not: no certified probe returns, and the
-    certified probes are exactly the runner's CertifiedByHomology, taken
-    out of NoPeriodWithin and Blowup."""
+    certified probes are exactly the runner's CertifiedByHomology and
+    CertifiedByCover, taken out of NoPeriodWithin and Blowup."""
 
-    @pytest.mark.parametrize("rank, seed", [(2, 3), (3, 4)])
-    def test_conjugacy_runner(self, rank, seed):
-        cfg = ExperimentConfig(rank=rank, samples=16, pool_size=4, seed=seed, **ORACLE)
-        outer, aut, outer_left, aut_left = Counter(), Counter(), Counter(), Counter()
-        certified = 0
-        for phi, cyclic in conjugacy_probes(cfg):
-            word = cyclic.as_word()
-            one = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
-            exact = exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
-            outer[bucket(one)] += 1
-            aut[bucket(exact)] += 1
-            if certify_vector(abelianization(phi), word_exponent_vector(word)):
-                certified += 1
-                assert one.kind != "Period" and exact.kind != "Period", (phi, word)
-            else:
-                outer_left[bucket(one)] += 1
-                aut_left[bucket(exact)] += 1
-        assert 0 < certified < sum(outer.values())
+    @pytest.mark.parametrize(
+        "rank, family, seed",
+        [
+            pytest.param(2, "ia3", 3, id="2-3"),
+            pytest.param(3, "ia3", 4, id="3-4"),
+            pytest.param(3, "ia3", 202, id="3-202"),
+            pytest.param(2, "nielsen", 10, id="nielsen-2-10"),
+        ],
+    )
+    def test_conjugacy_runner(self, rank, family, seed):
+        cfg = ExperimentConfig(rank=rank, family=family, samples=16, pool_size=4, seed=seed, **ORACLE)
         report = run_conjugacy_experiment(cfg)
-        assert_runner_matches_iteration(report["outcomes_outer"], outer, outer_left, certified)
-        assert_runner_matches_iteration(report["outcomes_aut"], aut, aut_left, certified)
+        word_probes = [(phi, cyclic.as_word()) for phi, cyclic in conjugacy_probes(cfg)]
+
+        def outer(phi, word):
+            return orbit_period(phi, CyclicWord(word.alphabet, word.letters), cfg.max_iter, cfg.length_cap)
+
+        def exact(phi, word):
+            return exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
+
+        certified, outside = check_against_oracle(
+            word_probes, outer, conjugacy_certificate, report["outcomes_outer"]
+        )
+        assert check_against_oracle(
+            word_probes, exact, conjugacy_certificate, report["outcomes_aut"]
+        ) == (certified, outside)
+        if family == "ia3":
+            assert certified[CERTIFIED] > 0 and outside == 0
+        else:
+            assert outside > 0 and certified[CERTIFIED] == 0
+        if seed == 202:
+            # rank 3 words whose exponent vectors M fixes
+            assert certified[CERTIFIED_BY_COVER] > 0
 
     @pytest.mark.parametrize("family, seed", [("ia3", 5), ("nielsen", 6)])
     def test_factor_runner(self, family, seed):
         cfg = ExperimentConfig(rank=3, family=family, samples=10, seed=seed, **ORACLE)
-        iterated, left = Counter(), Counter()
-        certified = outside = 0
-        for phi, cls in factor_probes(cfg):
-            outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
-            iterated[bucket(outcome)] += 1
-            action = abelianization(phi)
-            outside += not congruent_to_identity(action)
-            vectors = [word_exponent_vector(g) for g in cls.representative.generators()]
-            if certify_lattice(action, vectors):
-                certified += 1
-                assert congruent_to_identity(action)
-                assert outcome.kind != "Period", (phi, cls)
-            else:
-                left[bucket(outcome)] += 1
+
+        def iterate(phi, cls):
+            return orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
+
+        certified, outside = check_against_oracle(
+            factor_probes(cfg), iterate, factor_certificate, run_factor_experiment(cfg)["outcomes"]
+        )
+        assert certified[CERTIFIED_BY_COVER] > 0
         if family == "ia3":
-            assert 0 < certified < sum(iterated.values())
+            assert certified[CERTIFIED] > 0 and outside == 0
         else:
-            assert outside > 0 and certified == 0
-        report = run_factor_experiment(cfg)
-        assert_runner_matches_iteration(report["outcomes"], iterated, left, certified)
+            assert outside > 0 and certified[CERTIFIED] == 0
 
     @pytest.mark.parametrize("rank, family, seed", [(2, "ia3", 7), (3, "ia3", 8), (2, "nielsen", 9)])
     def test_splitting_runner(self, rank, family, seed):
         cfg = ExperimentConfig(rank=rank, family=family, samples=10, seed=seed, **ORACLE)
-        iterated, left = Counter(), Counter()
-        certified = outside = 0
-        for phi, marked in splitting_probes(cfg):
-            outcome = splitting_orbit_period(marked, phi, cfg.max_iter, cfg.length_cap)
-            iterated[bucket(outcome)] += 1
-            action = abelianization(phi)
-            outside += not congruent_to_identity(action)
-            if not marked.vertex_groups and certify_infinite_order(action):
-                certified += 1
-                assert congruent_to_identity(action)
-                assert outcome.kind != "Period", (phi, marked)
-            else:
-                left[bucket(outcome)] += 1
+
+        def iterate(phi, marked):
+            return splitting_orbit_period(marked, phi, cfg.max_iter, cfg.length_cap)
+
+        probes = list(splitting_probes(cfg))
+        certified, outside = check_against_oracle(
+            probes, iterate, splitting_certificate, run_splitting_experiment(cfg)["outcomes"]
+        )
+        assert certified[CERTIFIED_BY_COVER] == 0
         if family == "ia3":
-            assert 0 < certified < sum(iterated.values())
+            assert outside == 0
+            with_groups = [(phi, m) for phi, m in probes if m.vertex_groups]
+            assert 0 < sum(splitting_certificate(phi, m) is not None for phi, m in with_groups)
         else:
-            assert outside > 0 and certified == 0
-        report = run_splitting_experiment(cfg)
-        assert_runner_matches_iteration(report["outcomes"], iterated, left, certified)
+            assert outside > 0 and certified[CERTIFIED] == 0
 
     def test_controls_are_never_certified(self):
         a2, a3 = Alphabet(2), Alphabet(3)
@@ -307,7 +392,8 @@ class TestHomologyCertificates:
             run_factor_experiment(cfg),
             run_splitting_experiment(cfg),
         ):
-            assert report["control"]["outcomes"][CERTIFIED] == 0
+            for key in CERTIFICATES:
+                assert report["control"]["outcomes"][key] == 0
 
 
 class TestCLI:
@@ -398,6 +484,7 @@ class TestCLI:
         counts = {outcome: int(count) for key, outcome, count in rows[1:] if key == "outcomes"}
         assert counts == json.loads(out.read_text())["outcomes"]
         assert counts[CERTIFIED] > 0
+        assert counts[CERTIFIED_BY_COVER] > 0
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -7,11 +7,15 @@ import pytest
 
 from aperiodic_lab.aut import (
     ad,
+    basis_cycle,
+    commutator_insertion,
     compose,
     identity_automorphism,
     inverse,
+    partial_conjugation,
     sample,
     standard_generators,
+    swap,
     transvection,
 )
 from aperiodic_lab import homology
@@ -23,10 +27,13 @@ from aperiodic_lab.homology import (
     _scan_steps,
     abelian_standing_assumptions_check,
     abelianization,
+    certify_cover,
     certify_infinite_order,
     certify_lattice,
     certify_vector,
     congruent_to_identity,
+    cover_action,
+    cover_class,
     det,
     finite_order,
     fix_subgroup,
@@ -42,8 +49,10 @@ from aperiodic_lab.homology import (
     parse_matrix,
     per_subgroup,
     saturation,
+    word_exponent_vector,
 )
-from aperiodic_lab.words import Alphabet, parse_word
+from aperiodic_lab.subgroups import orbit_period
+from aperiodic_lab.words import Alphabet, CyclicWord, Word, all_reduced_words, parse_word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -236,6 +245,12 @@ class TestLattices:
     def test_saturation_grows_index_one(self):
         skew = Sublattice(2, ((1, 1), (1, -1)))
         assert saturation(skew) == Sublattice(2, ((1, 0), (0, 1)))
+
+    def test_span_need_not_be_saturated(self):
+        lattice = Sublattice(2, [(2, 0), (0, 1)])
+        assert not lattice.is_saturated()
+        assert not lattice.contains((1, 0))
+        assert saturation(lattice) == Sublattice(2, identity_matrix(2))
 
     def test_kernel_is_saturated(self):
         basis = kernel_basis(((2, -2), (-2, 2)))
@@ -577,3 +592,101 @@ class TestCertificates:
         assert mat_pow(THREE_CYCLE, 3) == identity_matrix(3)
         assert not certify_vector(SWAP, (1, 0))
         assert not certify_lattice(THREE_CYCLE, [(1, 0, 0)])
+
+
+def random_word_in_k(alphabet, rng, max_len=10):
+    """A random word with every exponent sum even: random letters, then one
+    more x_i for each odd exponent sum."""
+    letters = [rng.choice(alphabet.signed_letters()) for _ in range(rng.randrange(max_len))]
+    parity = [0] * alphabet.rank
+    for letter in letters:
+        parity[abs(letter) - 1] ^= 1
+    return Word(alphabet, letters + [i + 1 for i, odd in enumerate(parity) if odd])
+
+
+def commutator(a, b):
+    return a * b * a.inverse() * b.inverse()
+
+
+class TestCover:
+    """The action on H_1 of the mod-2 cover against its definition, and the
+    Krylov test against exact powers and the finite-order controls."""
+
+    def test_rank_of_the_cover_homology(self):
+        for alphabet, d in ((A2, 5), (A3, 17)):
+            assert cover_action(identity_automorphism(alphabet)) == identity_matrix(d)
+            assert len(cover_class(w("aa", alphabet))) == d
+
+    @pytest.mark.parametrize("rank, family", [(2, "ia3"), (2, "nielsen"), (3, "ia3"), (3, "nielsen")])
+    def test_lift_identity(self, rank, family):
+        # A [w] = [phi(w)] for w in K
+        alphabet = Alphabet(rank)
+        gens = standard_generators(rank, family)
+        rng = random.Random(rank * 10 + len(family))
+        for _ in range(12):
+            phi = sample(gens, rng.randrange(1, 5), rng.randrange(2**32))
+            action = cover_action(phi)
+            assert abs(det(action)) == 1
+            for _ in range(8):
+                word = random_word_in_k(alphabet, rng)
+                assert apply(action, cover_class(word)) == cover_class(phi.apply(word)), (phi, word)
+
+    def test_mod_p_test_agrees_with_exact_power_at_rank_two(self):
+        # order_bound(5) = 120, so over Z u is periodic iff A^120 u = u
+        assert order_bound(5) == 120
+        rng = random.Random(41)
+        seen = set()
+        for family in ("ia3", "nielsen"):
+            gens = standard_generators(2, family)
+            for _ in range(15):
+                phi = sample(gens, rng.randrange(1, 5), rng.randrange(2**32))
+                action = cover_action(phi)
+                power = mat_pow(action, 120)
+                for _ in range(6):
+                    u = cover_class(random_word_in_k(A2, rng))
+                    periodic = apply(power, u) == u
+                    assert certify_cover(action, u) == (not periodic), (phi, u)
+                    seen.add((family, periodic))
+        assert seen == {(f, p) for f in ("ia3", "nielsen") for p in (False, True)}
+
+    @pytest.mark.parametrize(
+        "phi",
+        [identity_automorphism(A2), swap(A2, 1, 2), swap(A3, 1, 2), basis_cycle(A3, [1, 2, 3])],
+        ids=["identity", "swap2", "swap3", "cycle3"],
+    )
+    def test_finite_order_controls_are_never_certified(self, phi):
+        # every class has a period under a finite-order automorphism
+        alphabet = phi.alphabet
+        action = cover_action(phi)
+        words = [x for x in all_reduced_words(alphabet, 4 if alphabet.rank == 2 else 3) if len(x)]
+        for word in words:
+            assert not certify_cover(action, cover_class(word**2)), word
+        for a, b in itertools.combinations(words[: 4 * alphabet.rank], 2):
+            assert not certify_cover(action, cover_class(commutator(a, b))), (a, b)
+
+    def test_certifies_beyond_the_abelianization(self):
+        # both automorphisms act as I on H_1(F_3), so certify_vector takes
+        # nothing; the cover certifies exactly the words that iteration
+        # never brings back
+        expected = {
+            commutator_insertion(A3, 1, 2, 3): {"a", "ab", "ac", "abc", "aB"},
+            partial_conjugation(A3, 1, 2): {"ac", "abc"},
+        }
+        for phi, certified in expected.items():
+            action = cover_action(phi)
+            assert abelianization(phi) == identity_matrix(3)
+            for text in ("a", "b", "c", "ab", "ac", "bc", "abc", "aB"):
+                word = w(text, A3)
+                assert not certify_vector(identity_matrix(3), word_exponent_vector(word))
+                assert certify_cover(action, cover_class(word**2)) == (text in certified)
+                returns = orbit_period(phi, CyclicWord(A3, word.letters), 12).kind == "Period"
+                assert returns == (text not in certified), (phi, text)
+
+    def test_refuses_large_ranks_and_words_outside_k(self):
+        a4 = Alphabet(4)
+        with pytest.raises(ValueError):
+            cover_action(identity_automorphism(a4))
+        with pytest.raises(ValueError):
+            cover_class(w("aa", a4))
+        with pytest.raises(ValueError):
+            cover_class(w("ab"))
