@@ -62,7 +62,6 @@ def _experiment_config(args) -> harness.ExperimentConfig:
         max_iter=args.max_iter,
         length_cap=args.length_cap,
         seed=args.seed,
-        out=None,
     )
 
 

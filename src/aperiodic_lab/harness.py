@@ -12,16 +12,15 @@ sections rerun the probe with automorphisms outside the congruence kernel,
 where genuine periods exist, so the hypotheses are shown necessary.
 
 Reports are deterministic functions of (config, seed) apart from the
-elapsed field.
+elapsed field.  The runners return them, and the CLI writes them.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .aut import (
     FreeAutomorphism,
@@ -41,7 +40,6 @@ from .homology import (
     certify_cover,
     certify_infinite_order,
     certify_lattice,
-    certify_vector,
     cover_action,
     cover_class,
     finite_order,
@@ -78,7 +76,6 @@ class ExperimentConfig:
     max_iter: int = 12
     length_cap: int = 10_000
     seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.rank < 2:
@@ -111,16 +108,43 @@ def _cover_action(phi: FreeAutomorphism) -> Optional[IntMatrix]:
     return cover_action(phi) if phi.alphabet.rank <= COVER_MAX_RANK else None
 
 
-def _record(hist: Dict[str, int], outcome: OrbitOutcome) -> bool:
-    """Update the histogram; returns True when the outcome is a violation."""
-    if outcome.kind == "Period":
-        if outcome.period == 1:
-            hist["Period(1)"] += 1
-            return False
+def _certificate(
+    action: IntMatrix, cover: Optional[IntMatrix], basis: Sequence[Word]
+) -> Optional[str]:
+    """The certificate that proves the class of the subgroup with this basis
+    to have no period under phi, or None; a word w is probed as the basis
+    (w).  ``certify_lattice`` tests the abelian support under phi's
+    abelianization ``action``, then ``certify_cover`` the class of w^2 or
+    [a, b] under ``cover``, which is None above ``COVER_MAX_RANK``; below
+    it every proper factor has rank 1 or 2."""
+    if certify_lattice(action, [word_exponent_vector(g) for g in basis]):
+        return CERTIFIED
+    if cover is None:
+        return None
+    if len(basis) == 1:
+        word = basis[0] ** 2
+    else:
+        a, b = basis
+        word = a * b * a.inverse() * b.inverse()
+    return CERTIFIED_BY_COVER if certify_cover(cover, cover_class(word)) else None
+
+
+def _record(
+    hist: Dict[str, int],
+    outcome: OrbitOutcome,
+    violations: Optional[List[dict]] = None,
+    where: Optional[dict] = None,
+) -> None:
+    """Count the outcome; a Period(p > 1) also appends its record, ``where``
+    with the outcome, to ``violations`` (the controls give none)."""
+    if outcome.kind != "Period":
+        hist[outcome.kind] += 1
+    elif outcome.period == 1:
+        hist["Period(1)"] += 1
+    else:
         hist["Period(>1)"] += 1
-        return True
-    hist[outcome.kind] += 1
-    return False
+        if violations is not None:
+            violations.append({**where, **_outcome_json(outcome)})
 
 
 def _outcome_json(outcome: OrbitOutcome) -> dict:
@@ -131,13 +155,9 @@ def _outcome_json(outcome: OrbitOutcome) -> dict:
     }
 
 
-def _finish(report: dict, start: float, path: Optional[str]) -> dict:
+def _finish(report: dict, start: float) -> dict:
     report["violations_count"] = len(report["violations"])
     report["elapsed"] = time.perf_counter() - start
-    if path:
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return report
 
 
@@ -157,13 +177,11 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     a fixed representative (Aut version), for sampled congruence-kernel
     automorphisms.  Expected: no Period(p > 1) in either mode.
 
-    A word whose exponent vector the abelianization moves has no period in
-    either mode (``certify_vector``), so it counts as CertifiedByHomology in
-    both histograms and is not iterated.  Otherwise a word w whose square
-    has no period in the cover's homology (``certify_cover``) has none
-    either, and counts as CertifiedByCover in both.  Samples outside the
-    congruence kernel iterate like any other; their periods are genuine,
-    and the mod-3 certificate declines them."""
+    A word w that ``_certificate`` takes as the basis (w) has no period in
+    either mode, so it counts under its certificate in both histograms and
+    is not iterated.  Samples outside the congruence kernel iterate like
+    any other; their periods are genuine, and the mod-3 certificate
+    declines them."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -181,34 +199,16 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
         ]
         for cyclic in pool:
             word = cyclic.as_word()
-            if certify_vector(action, word_exponent_vector(word)):
-                hist_outer[CERTIFIED] += 1
-                hist_aut[CERTIFIED] += 1
+            kind = _certificate(action, cover, (word,))
+            if kind is not None:
+                hist_outer[kind] += 1
+                hist_aut[kind] += 1
                 continue
-            if cover is not None and certify_cover(cover, cover_class(word**2)):
-                hist_outer[CERTIFIED_BY_COVER] += 1
-                hist_aut[CERTIFIED_BY_COVER] += 1
-                continue
+            where = {"trial": trial, "word": word_str(word)}
             outcome = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
-            if _record(hist_outer, outcome):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "mode": "outer",
-                        "word": word_str(word),
-                        **_outcome_json(outcome),
-                    }
-                )
+            _record(hist_outer, outcome, violations, {**where, "mode": "outer"})
             exact = exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
-            if _record(hist_aut, exact):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "mode": "aut",
-                        "word": word_str(word),
-                        **_outcome_json(exact),
-                    }
-                )
+            _record(hist_aut, exact, violations, {**where, "mode": "aut"})
 
     # inner sanity: conjugation fixes every class
     inner_ok = True
@@ -240,7 +240,7 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
         },
         "violations": violations,
     }
-    return _finish(report, start, cfg.out)
+    return _finish(report, start)
 
 
 def _random_proper_subsets(rank: int, rng: random.Random) -> List[frozenset]:
@@ -255,26 +255,13 @@ def _random_proper_subsets(rank: int, rng: random.Random) -> List[frozenset]:
     return [first]
 
 
-def _cover_word(basis: List[Word]) -> Word:
-    """The word of K whose cover class ``certify_cover`` tests for a factor
-    with this basis, of rank 1 or 2 as every proper factor is up to
-    ``COVER_MAX_RANK``: w^2 or [a, b]."""
-    if len(basis) == 1:
-        return basis[0] ** 2
-    a, b = basis
-    return a * b * a.inverse() * b.inverse()
-
-
 def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of witness free factor classes under sampled congruence-kernel
     automorphisms.  Factors are built by construction: images of basis
     subsets under random certified automorphisms.
 
-    A class whose abelian support the abelianization moves has no period
-    (``certify_lattice``), so it counts as CertifiedByHomology and is not
-    iterated.  Otherwise a factor whose class in the cover's homology has
-    no period (``certify_cover``: w^2 for a rank-1 factor <w>, [a, b] for
-    one with basis a, b) has none either, and counts as CertifiedByCover."""
+    A class that ``_certificate`` takes has no period, so it counts under
+    its certificate and is not iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)
@@ -290,22 +277,12 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
         action = abelianization(phi)
         cover = _cover_action(phi)
         for cls in system.classes:
-            basis = cls.representative.generators()
-            if certify_lattice(action, [word_exponent_vector(g) for g in basis]):
-                hist[CERTIFIED] += 1
-                continue
-            if cover is not None and certify_cover(cover, cover_class(_cover_word(basis))):
-                hist[CERTIFIED_BY_COVER] += 1
+            kind = _certificate(action, cover, cls.representative.generators())
+            if kind is not None:
+                hist[kind] += 1
                 continue
             outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
-            if _record(hist, outcome):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "class": repr(cls),
-                        **_outcome_json(outcome),
-                    }
-                )
+            _record(hist, outcome, violations, {"trial": trial, "class": repr(cls)})
 
     control_hist = _histogram()
     control_period = None
@@ -338,7 +315,7 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
         },
         "violations": violations,
     }
-    return _finish(report, start, cfg.out)
+    return _finish(report, start)
 
 
 def _first_inner_power(phi: FreeAutomorphism, cfg: ExperimentConfig) -> OrbitOutcome:
@@ -362,10 +339,10 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     A shortcut disposes of most samples exactly: an inner power forces the
     abelianized action to have finite order, and a finite-order integer
     matrix congruent to I mod 3 is I.  Samples whose abelianization is not I
-    therefore certify themselves (``certify_infinite_order``); the rest,
+    therefore certify themselves (``certify_infinite_order``).  The rest,
     and every sample outside the congruence kernel, iterate powers with an
-    honest length cap (capped samples count as Blowup, not as clean
-    trials).
+    honest length cap, the one inner test: Period(1) means phi is inner and
+    skipped, and a capped sample counts as Blowup, not as a clean trial.
     """
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
@@ -382,9 +359,6 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     while clean < cfg.samples and attempts < max_attempts:
         attempts += 1
         phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        if is_inner(phi) is not None:
-            skipped_inner += 1
-            continue
         ab = abelianization(phi)
         if certify_infinite_order(ab):
             # no power of ab is I, so no power of phi is inner
@@ -395,11 +369,13 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
         outcome = _first_inner_power(phi, cfg)
         if outcome.kind == BLOWUP:
             blowups += 1
-            continue
-        checked_by_iteration += 1
-        clean += 1
-        if outcome.kind == "Period":
-            violations.append({"attempt": attempts, "order": outcome.period})
+        elif outcome.period == 1:
+            skipped_inner += 1
+        else:
+            checked_by_iteration += 1
+            clean += 1
+            if outcome.kind == "Period":
+                violations.append({"attempt": attempts, "order": outcome.period})
 
     control = _first_inner_power(swap(alphabet, 1, 2), cfg)
 
@@ -415,7 +391,7 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
         "control": {"automorphism": "swap x1<->x2", "order": control.period},
         "violations": violations,
     }
-    return _finish(report, start, cfg.out)
+    return _finish(report, start)
 
 
 def default_splitting_pool(alphabet: Alphabet) -> List[MarkedGraph]:
@@ -454,10 +430,7 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
             outcome = splitting_orbit_period(
                 marked, phi, cfg.max_iter, cfg.length_cap
             )
-            if _record(hist, outcome):
-                violations.append(
-                    {"trial": trial, "splitting": idx, **_outcome_json(outcome)}
-                )
+            _record(hist, outcome, violations, {"trial": trial, "splitting": idx})
     identity_ok = all(
         splitting_orbit_period(m, identity_automorphism(alphabet), cfg.max_iter)
         == OrbitOutcome("Period", 1)
@@ -492,4 +465,4 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
         },
         "violations": violations,
     }
-    return _finish(report, start, cfg.out)
+    return _finish(report, start)

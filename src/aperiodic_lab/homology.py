@@ -264,30 +264,24 @@ def in_ia3(phi: FreeAutomorphism) -> bool:
 # Per and Fix sublattices
 
 
-def euler_totient(k: int) -> int:
-    count = 0
-    for i in range(1, k + 1):
-        if math.gcd(i, k) == 1:
-            count += 1
-    return count
-
-
 @functools.cache
 def order_bound(n: int) -> int:
-    """lcm of all k with totient(k) <= n, computed once per n.
+    """lcm of all k with totient(k) <= n: the product of p^e over the primes
+    p <= n + 1, with e the largest exponent such that totient(p^e) =
+    p^(e-1) (p - 1) <= n.  Each prime power in a k has totient at most
+    totient(k), and each such p^e is itself a k, so the two agree.
 
     Any finite-order element of GL_n(Z) has order dividing this bound: its
     minimal polynomial is a product of cyclotomic polynomials of degree <= n.
     """
     bound = 1
-    k = 1
-    while True:
-        if euler_totient(k) <= n:
-            bound = math.lcm(bound, k)
-        # totient(k) >= sqrt(k/2), so beyond 2 n^2 + 1 no k qualifies
-        if k > 2 * n * n + 1:
-            return bound
-        k += 1
+    for p in range(2, n + 2):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):  # p is prime
+            power = p
+            while power * (p - 1) <= n:  # the totient of p * power
+                power *= p
+            bound *= power
+    return bound
 
 
 def _check_gl(m: IntMatrix) -> None:
@@ -343,7 +337,7 @@ def finite_order(m: IntMatrix) -> Optional[int]:
 # certificates of non-periodicity
 #
 # Each certificate is True only for M = I mod 3, and then it proves that no
-# power M^p with p >= 1 fixes the object it was given.  All three rest on
+# power M^p with p >= 1 fixes the object it was given.  Both rest on
 # Per(A) = Fix(A) for every A in GL_m(Z) with A = I mod 3.  Per(A) is a
 # saturated A-invariant sublattice, so in a basis of Z^m extending one of
 # Per(A) the matrix A is block triangular, and its block on Per(A) is = I
@@ -354,19 +348,6 @@ def finite_order(m: IntMatrix) -> Optional[int]:
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def certify_vector(m: IntMatrix, v: Sequence[int]) -> bool:
-    """True proves M^p v != v for every p >= 1: M = I mod 3 and Mv != v.
-
-    If M^p v = v, then v lies in Per(M) = Fix(M), so Mv = v.
-
-    For M the abelianization of phi and v the exponent vector of a word w,
-    phi^p(w) = g w g^-1 abelianizes to M^p v = v.  So True proves that
-    neither the conjugacy class of w nor the word w itself has a period
-    under phi.
-    """
-    return congruent_to_identity(m) and _mat_vec(m, v) != tuple(v)
 
 
 def certify_lattice(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> bool:
@@ -387,10 +368,16 @@ def certify_lattice(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> bool:
     Saturating is what makes this sound.  M = ((1, 3), (0, 1)) moves the
     span of (2, 0) and (0, 1), and M^2 fixes it.
 
+    On one vector v this is M = I mod 3 and Mv != v.  For v = 0 both
+    fail.  Otherwise L = Z v' with v' primitive, and ML = L iff Mv' = +-v'.
+    Mv' = -v' with M = I mod 3 would give 2v' = 0 mod 3, so v' = 0 mod 3,
+    and v' would not be primitive; so ML = L iff Mv' = v' iff Mv = v.
+
     For a subgroup H of F_N whose exponent vectors span A, phi^p[H] = [H]
     gives M^p A = A.  So M^p fixes the rational span of A, and with it the
     saturation of A, the abelian support of H.  True therefore proves that
-    the conjugacy class of H has no period under phi.
+    the conjugacy class of H has no period under phi.  For H = <w>, a
+    period of w, as a word or as a conjugacy class, is one of [H].
     """
     if not congruent_to_identity(m):
         return False

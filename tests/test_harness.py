@@ -27,7 +27,6 @@ from aperiodic_lab.homology import (
     certify_cover,
     certify_infinite_order,
     certify_lattice,
-    certify_vector,
     congruent_to_identity,
     cover_action,
     cover_class,
@@ -160,13 +159,6 @@ class TestRunners:
         with pytest.raises(ValueError):
             ExperimentConfig(samples=0)
 
-    def test_report_written(self, tmp_path):
-        out = tmp_path / "report.json"
-        cfg = ExperimentConfig(rank=2, out=str(out), **FAST)
-        run_torsion_experiment(cfg)
-        data = json.loads(out.read_text())
-        assert data["experiment"] == "torsion"
-
 
 def bucket(outcome):
     if outcome.kind == "Period":
@@ -237,8 +229,12 @@ def cover_certifies(phi, word):
 
 
 def conjugacy_certificate(phi, word):
-    """The certificate that takes a conjugacy probe, or None."""
-    if certify_vector(abelianization(phi), word_exponent_vector(word)):
+    """The certificate that takes a conjugacy probe, or None: the mod-3 rule
+    on the exponent vector v written out, M = I mod 3 and Mv != v, then the
+    cover on w^2."""
+    action, v = abelianization(phi), word_exponent_vector(word)
+    moved = tuple(sum(x * y for x, y in zip(row, v)) for row in action) != v
+    if congruent_to_identity(action) and moved:
         return CERTIFIED
     if cover_certifies(phi, word**2):
         return CERTIFIED_BY_COVER
@@ -380,10 +376,8 @@ class TestHomologyCertificates:
         a2, a3 = Alphabet(2), Alphabet(3)
         sw, cycle = abelianization(swap(a2, 1, 2)), abelianization(basis_cycle(a3, [1, 2, 3]))
         for v in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            assert not certify_vector(sw, v)
             assert not certify_lattice(sw, [v])
         for v in identity_matrix(3):
-            assert not certify_vector(cycle, v)
             assert not certify_lattice(cycle, [v])
         assert not certify_infinite_order(sw) and not certify_infinite_order(cycle)
         cfg = ExperimentConfig(rank=3, samples=2, **ORACLE)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -30,7 +31,6 @@ from aperiodic_lab.homology import (
     certify_cover,
     certify_infinite_order,
     certify_lattice,
-    certify_vector,
     congruent_to_identity,
     cover_action,
     cover_class,
@@ -229,6 +229,13 @@ class TestOrderBound:
         assert finite_order(companion) == 8
         assert order_bound(4) % 8 == 0
         assert order_bound(4) == 120
+
+    def test_prime_powers_against_the_lcm_of_all_orders(self):
+        # totient(k) >= sqrt(k / 2), so no k beyond 2 n^2 + 1 qualifies
+        totient = [sum(math.gcd(i, k) == 1 for i in range(1, k + 1)) for k in range(2 * 20**2 + 2)]
+        for n in range(1, 21):
+            orders = [k for k in range(1, 2 * n * n + 2) if totient[k] <= n]
+            assert order_bound(n) == math.lcm(*orders), n
 
 
 class TestLattices:
@@ -532,13 +539,17 @@ class TestCertificates:
 
     @pytest.mark.parametrize("n, bound", [(2, 6), (3, 3)])
     def test_vector_certificate_against_powers(self, n, bound):
+        # the lattice certificate on one vector: no power returns v, and it
+        # is the plain rule M = I mod 3 and Mv != v (no Mv' = -v')
         vectors = list(itertools.product(range(-2, 3), repeat=n))
         certified = 0
         for m in _congruence_matrices(n, bound, 3):
             powers = [mat_pow(m, k) for k in range(1, 13)]
             for v in vectors:
                 returns = any(apply(p, v) == v for p in powers)
-                assert certify_vector(m, v) == (not returns), (m, v)
+                certified_v = certify_lattice(m, [v])
+                assert certified_v == (not returns), (m, v)
+                assert certified_v == (congruent_to_identity(m) and apply(m, v) != v), (m, v)
                 certified += not returns
         assert certified > 0
 
@@ -581,8 +592,7 @@ class TestCertificates:
         for m in outside + [ROTATION, SWAP, THREE_CYCLE]:
             vectors = [v for v in itertools.product(range(-1, 2), repeat=len(m)) if any(v)]
             assert not certify_infinite_order(m)
-            assert not any(certify_vector(m, v) for v in vectors)
-            assert not any(certify_lattice(m, [e]) for e in identity_matrix(len(m)))
+            assert not any(certify_lattice(m, [v]) for v in vectors)
 
     def test_controls_move_what_they_do_not_certify(self):
         # without the congruence check the first power would certify the
@@ -590,7 +600,7 @@ class TestCertificates:
         assert apply(SWAP, (1, 0)) != (1, 0) and mat_pow(SWAP, 2) == identity_matrix(2)
         assert apply(THREE_CYCLE, (1, 0, 0)) != (1, 0, 0)
         assert mat_pow(THREE_CYCLE, 3) == identity_matrix(3)
-        assert not certify_vector(SWAP, (1, 0))
+        assert not certify_lattice(SWAP, [(1, 0)])
         assert not certify_lattice(THREE_CYCLE, [(1, 0, 0)])
 
 
@@ -665,7 +675,7 @@ class TestCover:
             assert not certify_cover(action, cover_class(commutator(a, b))), (a, b)
 
     def test_certifies_beyond_the_abelianization(self):
-        # both automorphisms act as I on H_1(F_3), so certify_vector takes
+        # both automorphisms act as I on H_1(F_3), so certify_lattice takes
         # nothing; the cover certifies exactly the words that iteration
         # never brings back
         expected = {
@@ -677,7 +687,7 @@ class TestCover:
             assert abelianization(phi) == identity_matrix(3)
             for text in ("a", "b", "c", "ab", "ac", "bc", "abc", "aB"):
                 word = w(text, A3)
-                assert not certify_vector(identity_matrix(3), word_exponent_vector(word))
+                assert not certify_lattice(identity_matrix(3), [word_exponent_vector(word)])
                 assert certify_cover(action, cover_class(word**2)) == (text in certified)
                 returns = orbit_period(phi, CyclicWord(A3, word.letters), 12).kind == "Period"
                 assert returns == (text not in certified), (phi, text)

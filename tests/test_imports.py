@@ -5,15 +5,18 @@ unreferenced in the package, no public function, class or method goes
 unmentioned in the repository, no function has a parameter it never
 reads, only ``Frozen`` overrides ``__setattr__`` or calls
 ``object.__new__``, only the certification in ``FreeAutomorphism.__init__``
-calls ``apply_endo``, and the package imports nothing outside itself and
-the standard library.  There is no linter in the toolchain, so these
-stdlib ``ast`` checks stand in for one."""
+calls ``apply_endo``, the package imports nothing outside itself and
+the standard library, and every ``module.name`` that the README names
+exists.  There is no linter in the toolchain, so these stdlib ``ast``
+checks stand in for one."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -455,3 +458,47 @@ def test_every_module_imports_without_numpy_or_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
+
+
+# a code span of dotted names, optionally under the package name
+README_NAME = re.compile(r"`((?:aperiodic_lab\.)?\w+(?:\.\w+)+)`")
+
+
+def unresolved_readme_names(text: str, modules: dict) -> list:
+    """Every dotted code span of ``text`` whose first name is one of
+    ``modules`` (name -> module) and whose other names are not a chain of
+    attributes from it, in order of appearance."""
+    found = []
+    for match in README_NAME.finditer(text):
+        first, *rest = match.group(1).split(".")
+        if first not in modules:
+            continue
+        value = modules[first]
+        for name in rest:
+            if not hasattr(value, name):
+                found.append(match.group(1))
+                break
+            value = getattr(value, name)
+    return found
+
+
+def test_checker_finds_unresolved_readme_name():
+    words = types.SimpleNamespace(Word=types.SimpleNamespace(inverse=None), reduce=None)
+    package = types.SimpleNamespace(words=words)
+    text = (
+        "`words.Word.inverse` and `words.gone` (`words.Word.gone`),\n"
+        "`Word.inverse`, `other.thing`, `aperiodic_lab.words.reduce`,\n"
+        "`aperiodic_lab.gone`, `a..z`, `words . reduce` and words.gone\n"
+    )
+    modules = {"words": words, "aperiodic_lab": package}
+    assert unresolved_readme_names(text, modules) == [
+        "words.gone", "words.Word.gone", "aperiodic_lab.gone"
+    ]
+
+
+def test_readme_names_resolve():
+    names = ["aperiodic_lab"] + [
+        "aperiodic_lab." + p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"
+    ]
+    modules = {name.split(".")[-1]: importlib.import_module(name) for name in names}
+    assert unresolved_readme_names((ROOT / "README.md").read_text(), modules) == []
