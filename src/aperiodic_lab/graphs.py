@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .homology import IntMatrix, identity_matrix
 from .words import Frozen
@@ -76,46 +76,59 @@ class FiniteGraph(Frozen):
         return len(self._incidence[vertex])
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for d in self._incidence[v]:
-                w = self.dart_head(d)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return len(self.spanning_tree()) == max(self.n_vertices - 1, 0)
 
-    def spanning_tree(self, root: int = 0) -> Tuple[Dict[int, int], List[int]]:
-        """BFS tree: (parent dart per non-root vertex, tree edge ids)."""
-        if not self.is_connected():
-            raise ValueError("graph is not connected")
-        parent_dart: Dict[int, int] = {}
+    def spanning_tree(self) -> List[int]:
+        """Edge ids of the BFS tree from vertex 0, in the order it adds them;
+        the tree spans the graph iff the graph is connected."""
         tree_edges: List[int] = []
-        seen = {root}
-        queue = [root] if self.n_vertices else []
+        seen = {0}
+        queue = [0] if self.n_vertices else []
         # the loop also visits the vertices appended while it runs
         for v in queue:
             for d in self._incidence[v]:
                 w = self.dart_head(d)
                 if w not in seen:
                     seen.add(w)
-                    parent_dart[w] = d
                     tree_edges.append(d >> 1)
                     queue.append(w)
-        return parent_dart, tree_edges
+        return tree_edges
 
-    def tree_path_darts(self, parent_dart: Dict[int, int], v: int, root: int = 0) -> List[int]:
-        """Darts along the tree path root -> v."""
-        path = []
-        while v != root:
-            d = parent_dart[v]
-            path.append(d)
-            v = self.dart_origin(d)
-        return list(reversed(path))
+    def fundamental_loops(self, tree_edges: Iterable[int]) -> Dict[int, List[int]]:
+        """For each non-tree edge e, in increasing order, the closed dart path
+        at vertex 0 that runs along the tree to the origin of e, crosses e
+        forward and returns along the tree.
+
+        Raises ``ValueError`` unless ``tree_edges`` is a spanning tree: the
+        walk from vertex 0 along them must reach every vertex, and use every
+        one of them, exactly once.
+        """
+        tree = frozenset(tree_edges)
+        parent_dart: Dict[int, int] = {}
+        stack = [0] if self.n_vertices else []
+        while stack:
+            for d in self._incidence[stack.pop()]:
+                w = self.dart_head(d)
+                if (d >> 1) in tree and w != 0 and w not in parent_dart:
+                    parent_dart[w] = d
+                    stack.append(w)
+        # n - 1 edges that reach every vertex form a spanning tree
+        if not len(tree) == len(parent_dart) == max(self.n_vertices - 1, 0):
+            raise ValueError(f"edges {sorted(tree)} do not span the graph as a tree")
+
+        def up(v: int) -> List[int]:
+            """The tree darts into v, into its parent, ..., out of vertex 0."""
+            darts = []
+            while v:
+                darts.append(parent_dart[v])
+                v = self.dart_origin(darts[-1])
+            return darts
+
+        return {
+            e: up(u)[::-1] + [2 * e] + [d ^ 1 for d in up(v)]
+            for e, (u, v) in enumerate(self.edges)
+            if e not in tree
+        }
 
 
 class GraphAutomorphism(Frozen):
@@ -185,11 +198,16 @@ def _adjacency_counts(graph: FiniteGraph) -> Dict[Tuple[int, int], int]:
     return counts
 
 
-def enumerate_automorphisms(graph: FiniteGraph, max_edges: int = 10) -> List[GraphAutomorphism]:
+# the enumeration lists every automorphism, and k parallel edges or k loops
+# at one vertex alone give k! or 2^k k! of them, so larger graphs are refused
+MAX_AUTOMORPHISM_EDGES = 10
+
+
+def enumerate_automorphisms(graph: FiniteGraph) -> List[GraphAutomorphism]:
     """All automorphisms, by backtracking on vertex images with incidence
     pruning, then assigning parallel-edge bijections and loop orientations."""
-    if graph.n_edges > max_edges:
-        raise ValueError(f"graph has {graph.n_edges} edges, cap is {max_edges}")
+    if graph.n_edges > MAX_AUTOMORPHISM_EDGES:
+        raise ValueError(f"graph has {graph.n_edges} edges, cap is {MAX_AUTOMORPHISM_EDGES}")
     counts = _adjacency_counts(graph)
     n = graph.n_vertices
 
@@ -286,29 +304,18 @@ def _cycle_coordinates(darts: Sequence[int], non_tree: Dict[int, int]) -> List[i
     return coords
 
 
-def h1_basis(graph: FiniteGraph) -> Tuple[Dict[int, int], Dict[int, int], List[List[int]]]:
-    """Spanning-tree data for H_1: (parent darts, non-tree edge index map,
-    fundamental cycles as dart paths)."""
-    parent_dart, tree_edges = graph.spanning_tree()
-    tree_set = set(tree_edges)
-    non_tree = {}
-    for e in range(graph.n_edges):
-        if e not in tree_set:
-            non_tree[e] = len(non_tree)
-    cycles = []
-    for e in non_tree:
-        u, v = graph.edges[e]
-        to_u = graph.tree_path_darts(parent_dart, u)
-        from_v = [d ^ 1 for d in reversed(graph.tree_path_darts(parent_dart, v))]
-        cycles.append(to_u + [2 * e] + from_v)
-    return parent_dart, non_tree, cycles
+def h1_basis(graph: FiniteGraph) -> Tuple[Dict[int, int], List[List[int]]]:
+    """The H_1 basis of the BFS tree: (non-tree edge index map, fundamental
+    cycles as dart paths), both in increasing edge order."""
+    loops = graph.fundamental_loops(graph.spanning_tree())
+    return {e: i for i, e in enumerate(loops)}, list(loops.values())
 
 
 def _lemma_data(graph: FiniteGraph) -> Tuple[Tuple[int, ...], Dict[int, int], List[List[int]]]:
     """(leaves, non-tree edge index map, fundamental cycles) of a connected
     graph, computed on the first call and kept on the graph."""
     if graph._lemma is None:
-        _, non_tree, cycles = h1_basis(graph)
+        non_tree, cycles = h1_basis(graph)
         leaves = tuple(v for v in range(graph.n_vertices) if graph.valence(v) == 1)
         object.__setattr__(graph, "_lemma", (leaves, non_tree, cycles))
     return graph._lemma

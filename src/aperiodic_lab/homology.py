@@ -231,14 +231,7 @@ def saturation(lattice: Sublattice) -> Sublattice:
 def abelianization(phi: FreeAutomorphism) -> IntMatrix:
     """Integer matrix of the induced map on H_1(F_N, Z); column i is the
     exponent vector of the image of x_i."""
-    n = phi.alphabet.rank
-    cols = []
-    for image in phi.forward:
-        col = [0] * n
-        for letter in image.letters:
-            col[abs(letter) - 1] += 1 if letter > 0 else -1
-        cols.append(col)
-    mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    mat = tuple(zip(*(word_exponent_vector(image) for image in phi.forward)))
     assert abs(det(mat)) == 1, "automorphism must abelianize to GL_n(Z)"
     return mat
 

@@ -526,18 +526,12 @@ def _bcc_holds(f: GraphMapRep, c: int, rho1: Sequence[int], rho2: Sequence[int])
 def random_tight_path(graph, length: int, rng) -> Tuple[int, ...]:
     """A uniformly grown backtracking-free dart path (may be shorter when a
     dead end is hit)."""
-    start_darts = list(range(graph.n_darts()))
-    if not start_darts:
+    if not graph.n_darts():
         return ()
-    # outgoing darts of each vertex in ascending order, the order a scan over
-    # all darts finds them in, so a seeded rng draws the same paths
-    outgoing: Dict[int, List[int]] = {}
-    for d in start_darts:
-        outgoing.setdefault(graph.dart_origin(d), []).append(d)
-    path = [rng.choice(start_darts)]
+    path = [rng.choice(range(graph.n_darts()))]
     while len(path) < length:
         back = path[-1] ^ 1
-        options = [d for d in outgoing[graph.dart_head(path[-1])] if d != back]
+        options = [d for d in graph.darts_at(graph.dart_head(path[-1])) if d != back]
         if not options:
             break
         path.append(rng.choice(options))

@@ -71,15 +71,8 @@ class MarkedGraph(Frozen):
         vertex_groups: Dict[int, Sequence[Word]],
         witness: FreeAutomorphism,
     ):
-        if not graph.is_connected():
-            raise ValueError("graph must be connected")
         tree_set = frozenset(tree_edges)
-        if len(tree_set) != graph.n_vertices - 1:
-            raise ValueError("spanning tree must have n_vertices - 1 edges")
-        # n - 1 edges that reach every vertex form a spanning tree
-        if len(_tree_parent_darts(graph, tree_set)) != graph.n_vertices - 1:
-            raise ValueError("tree edges must span the graph without a cycle")
-        non_tree = [e for e in range(graph.n_edges) if e not in tree_set]
+        non_tree = list(graph.fundamental_loops(tree_set))  # raises unless a spanning tree
         if sorted(loop_words) != non_tree:
             raise ValueError("need exactly one marking word per non-tree edge")
         vertex_groups = {
@@ -119,18 +112,8 @@ class MarkedGraph(Frozen):
         return [e for e in range(self.graph.n_edges) if e not in self.tree_edges]
 
     def fundamental_loops(self) -> Dict[int, List[int]]:
-        """For each non-tree edge e, in increasing order, the closed dart path
-        at vertex 0 that runs along this marking's tree to the origin of e,
-        crosses e forward and returns along the tree."""
-        graph = self.graph
-        parent_dart = _tree_parent_darts(graph, self.tree_edges)
-        loops = {}
-        for e in self.non_tree_edges():
-            u, v = graph.edges[e]
-            to_u = graph.tree_path_darts(parent_dart, u)
-            from_v = [d ^ 1 for d in reversed(graph.tree_path_darts(parent_dart, v))]
-            loops[e] = to_u + [2 * e] + from_v
-        return loops
+        """``FiniteGraph.fundamental_loops`` of this marking's tree."""
+        return self.graph.fundamental_loops(self.tree_edges)
 
     def vertex_rank(self, v: int) -> int:
         return len(self.vertex_groups.get(v, ()))
@@ -150,20 +133,6 @@ class MarkedGraph(Frozen):
             f"MarkedGraph(N={self.alphabet.rank}, {self.graph!r}, "
             f"loops={{{loops}}}, groups={{{groups}}})"
         )
-
-
-def _tree_parent_darts(graph: FiniteGraph, tree_edges: frozenset) -> Dict[int, int]:
-    """Parent dart of every vertex other than 0 that a walk from vertex 0
-    along ``tree_edges`` reaches."""
-    parent_dart: Dict[int, int] = {}
-    stack = [0]
-    while stack:
-        for d in graph.darts_at(stack.pop()):
-            w = graph.dart_head(d)
-            if (d >> 1) in tree_edges and w != 0 and w not in parent_dart:
-                parent_dart[w] = d
-                stack.append(w)
-    return parent_dart
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ class StallingsCore(Frozen):
     def rank(self) -> int:
         return self.n_edges() - self.n_vertices + 1
 
-    def trace(self, word: Word, start: Optional[int] = None) -> Optional[int]:
-        v = self.base if start is None else start
+    def trace(self, word: Word) -> Optional[int]:
+        v = self.base
         for letter in word.letters:
             nxt = self.transitions.get((v, letter))
             if nxt is None:

@@ -18,13 +18,17 @@ from aperiodic_lab.graphs import (
     parse_automorphism,
     parse_graph,
 )
+from aperiodic_lab.aut import identity_automorphism
 from aperiodic_lab.homology import identity_matrix, mat_mod, mat_mul
+from aperiodic_lab.splittings import MarkedGraph
+from aperiodic_lab.words import Alphabet
 
 ROSE2 = FiniteGraph(1, [(0, 0), (0, 0)])
 SEGMENT = FiniteGraph(2, [(0, 1)])
 TRIANGLE = FiniteGraph(3, [(0, 1), (1, 2), (0, 2)])
 THETA = FiniteGraph(2, [(0, 1), (0, 1), (0, 1)])
 LOOP = FiniteGraph(1, [(0, 0)])
+A2 = Alphabet(2)
 
 
 def petal_swap():
@@ -206,7 +210,120 @@ class TestIncidence:
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
             rng.shuffle(edges)
             for g in (graph, FiniteGraph(graph.n_vertices, edges)):
-                assert g.spanning_tree() == _bfs_tree_oracle(g)
+                assert g.spanning_tree() == _bfs_tree_oracle(g)[1]
+
+    def test_is_connected_matches_dfs(self):
+        rng = random.Random(7)
+        for graph in connected_multigraphs(4):
+            n, edges = graph.n_vertices, list(graph.edges)
+            # a second component, or an isolated vertex, disconnects it
+            plus_loop = FiniteGraph(n + 1, edges + [(n, n)])
+            plus_vertex = FiniteGraph(n + 1, edges)
+            rng.shuffle(edges)
+            for g in (graph, FiniteGraph(n, edges), plus_loop, plus_vertex):
+                assert g.is_connected() == _dfs_connected_oracle(g)
+        for g in (FiniteGraph(0, ()), FiniteGraph(1, ()), FiniteGraph(2, ())):
+            assert g.is_connected() == _dfs_connected_oracle(g)
+
+
+def _dfs_connected_oracle(graph):
+    """Connectivity by a depth-first search from vertex 0."""
+    if graph.n_vertices == 0:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for d in graph.darts_at(stack.pop()):
+            w = graph.dart_head(d)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n_vertices
+
+
+def _random_spanning_tree(graph, rng):
+    """Edge ids of a spanning tree of a connected graph: the edges, in a
+    shuffled order, that join two components so far."""
+    component = list(range(graph.n_vertices))
+
+    def find(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    order = list(range(graph.n_edges))
+    rng.shuffle(order)
+    tree = []
+    for e in order:
+        u, v = (find(x) for x in graph.edges[e])
+        if u != v:
+            component[u] = v
+            tree.append(e)
+    return tree
+
+
+def _loops_from_parent_darts(graph, parent_dart, tree_edges):
+    """Fundamental loops read from parent darts, walking each tree path up
+    to vertex 0 and reversing it."""
+
+    def path_to(v):
+        path = []
+        while v != 0:
+            path.append(parent_dart[v])
+            v = graph.dart_origin(parent_dart[v])
+        return path[::-1]
+
+    tree = set(tree_edges)
+    return {
+        e: path_to(u) + [2 * e] + [d ^ 1 for d in reversed(path_to(v))]
+        for e, (u, v) in enumerate(graph.edges)
+        if e not in tree
+    }
+
+
+class TestFundamentalLoops:
+    def test_loops_of_every_small_graph(self):
+        rng = random.Random(8)
+        for graph in connected_multigraphs(4):
+            bfs = graph.spanning_tree()
+            for tree in (bfs, _random_spanning_tree(graph, rng)):
+                loops = graph.fundamental_loops(tree)
+                assert list(loops) == [e for e in range(graph.n_edges) if e not in tree]
+                for e, loop in loops.items():
+                    # a closed dart path at vertex 0
+                    assert graph.dart_origin(loop[0]) == 0 == graph.dart_head(loop[-1])
+                    for d1, d2 in zip(loop, loop[1:]):
+                        assert graph.dart_head(d1) == graph.dart_origin(d2)
+                    # its own edge once, forward; tree darts otherwise
+                    assert loop.count(2 * e) == 1 and 2 * e + 1 not in loop
+                    assert all(d >> 1 in tree for d in loop if d >> 1 != e)
+            parent_dart, oracle_tree = _bfs_tree_oracle(graph)
+            assert graph.fundamental_loops(bfs) == _loops_from_parent_darts(
+                graph, parent_dart, oracle_tree
+            )
+
+    @pytest.mark.parametrize(
+        "graph, tree",
+        [
+            (FiniteGraph(2, [(0, 0), (1, 1)]), []),  # disconnected graph
+            (FiniteGraph(2, [(0, 1), (0, 1), (0, 0)]), [0, 1]),  # spans, with a cycle
+            (FiniteGraph(3, [(0, 1), (1, 0), (1, 2), (2, 2)]), [0, 1]),  # n - 1 edges, a cycle
+            (FiniteGraph(2, [(0, 0), (0, 1), (0, 1)]), [0]),  # a loop reaches nothing
+            (FiniteGraph(3, [(0, 1), (1, 2), (2, 2)]), [0]),  # too few edges
+            (FiniteGraph(2, [(0, 1), (1, 1)]), [5]),  # no such edge
+        ],
+        ids=["disconnected", "spanning-cycle", "cycle", "loop", "short", "no-edge"],
+    )
+    def test_non_trees_rejected(self, graph, tree, monkeypatch):
+        with pytest.raises(ValueError, match="span"):
+            graph.fundamental_loops(tree)
+        with pytest.raises(ValueError, match="span"):
+            MarkedGraph(A2, graph, tree, {}, {}, identity_automorphism(A2))
+        # ivanov_check reads the graph through its own spanning tree; handed
+        # this one instead, it must refuse it too
+        monkeypatch.setattr(FiniteGraph, "spanning_tree", lambda self: tree)
+        ident = GraphAutomorphism(graph, range(graph.n_vertices), range(graph.n_darts()))
+        with pytest.raises(ValueError, match="span"):
+            ivanov_check(graph, ident)
 
 
 class TestGeneration:

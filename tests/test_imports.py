@@ -3,7 +3,7 @@ uses, or inside a function from a sibling module that it already imports
 at module level; no module-level private function or class goes
 unreferenced in the package, no public function, class or method goes
 unmentioned in the repository, no function has a parameter it never
-reads, only ``Frozen`` overrides ``__setattr__`` or calls
+reads, every parameter default is overridden by some call, only ``Frozen`` overrides ``__setattr__`` or calls
 ``object.__new__``, only the certification in ``FreeAutomorphism.__init__``
 calls ``apply_endo``, the package imports nothing outside itself and
 the standard library, and every ``module.name`` that the README names
@@ -361,6 +361,111 @@ def test_frozen_trusted_is_the_only_object_new():
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
 
+
+def _call_signatures(texts: list) -> dict:
+    """Called name -> list of (positional count before any ``*``, whether a
+    ``*`` follows, keyword names, whether a ``**`` is given) per call."""
+    calls = {}
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            calls.setdefault(name, []).append((
+                starred[0] if starred else len(node.args),
+                bool(starred),
+                {k.arg for k in node.keywords if k.arg is not None},
+                any(k.arg is None for k in node.keywords),
+            ))
+    return calls
+
+
+def unpassed_defaults(package: dict, others: list) -> list:
+    """(module, function, parameter) for every parameter with a default of a
+    module-level function, or of a method of a module-level class, in the
+    ``package`` sources (module -> text) that no call in the package or in
+    ``others`` (a list of texts) passes by keyword or by position.  Calls
+    match by name, and a call of a class counts toward its ``__init__``; a
+    ``*`` or ``**`` argument passes every parameter it can reach.  Other
+    dunder methods serve a protocol that fixes their calls, so they are
+    exempt."""
+    calls = _call_signatures([*package.values(), *others])
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name != "__init__":
+                    continue
+                qualified = fn.name if fn is node else f"{node.name}.{fn.name}"
+                called = node.name if fn.name == "__init__" else fn.name
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+                )
+                # a method's first parameter is bound, not passed
+                offset = 0 if fn is node or static else 1
+                args = fn.args
+                positional = [*args.posonlyargs, *args.args]
+                with_default = [
+                    (i - offset, p.arg)
+                    for i, p in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)
+                ]
+                with_default += [
+                    (None, p.arg)
+                    for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                for position, param in with_default:
+                    if not any(
+                        param in keywords
+                        or double_star
+                        or (position is not None and (position < n or star))
+                        for n, star, keywords, double_star in calls.get(called, ())
+                    ):
+                        found.append((module, qualified, param))
+    return sorted(found)
+
+
+def test_checker_finds_unpassed_default():
+    package = {
+        "a.py": (
+            "def f(x, k=1, *, flag=False):\n"
+            "    return x\n"
+            "def g(x, limit=3):\n"
+            "    return f(x, 2)\n"
+            "class Thing:\n"
+            "    def __init__(self, size=0):\n"
+            "        pass\n"
+            "    def walk(self, start=None, stop=None):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def make(n=1):\n"
+            "        pass\n"
+            "    def __eq__(self, other=None):\n"
+            "        pass\n"
+        ),
+    }
+    others = ["Thing(size=4).walk(1)\nThing.make(*args)\ng(**options)\n"]
+    assert unpassed_defaults(package, others) == [
+        ("a.py", "Thing.walk", "stop"), ("a.py", "f", "flag")
+    ]
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no caller overrides is a knob nobody turns: make it a
+    # constant, or test the other setting
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [
+        path.read_text()
+        for directory in ("tests", "demos")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+    assert unpassed_defaults(package, others) == []
 
 def apply_endo_calls(source: str) -> list:
     """Qualified name of the innermost function or class around each call

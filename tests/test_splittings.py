@@ -613,6 +613,18 @@ class TestFileFormat:
         assert parsed.vertex_groups == segment().vertex_groups
         assert parsed.tree_edges == segment().tree_edges
 
+    def test_round_trip_custom_marking(self):
+        # the rose marked a, ab: its witness inverse sends b to Ab, which the
+        # parser cannot guess
+        backward = [w("a"), w("Ab")]
+        marked = rose_marked(A2, [w("a"), w("ab")], backward)
+        text = marked_graph_str(marked)
+        parsed = parse_marked_graph(A2, text, backward=backward)
+        assert parsed.loop_words == marked.loop_words
+        assert parsed.witness == marked.witness
+        with pytest.raises(ValueError):
+            parse_marked_graph(A2, text)
+
     def test_round_trip_theta(self):
         text = marked_graph_str(theta_marked(A2))
         parsed = parse_marked_graph(A2, text)

@@ -420,6 +420,15 @@ class TestFreeFactorSystems:
         assert ffs_poset_leq(basis_ffs(A3, [[1]]), basis_ffs(A3, [[1, 2]])) is True
         assert ffs_poset_leq(basis_ffs(A3, [[1], [2]]), basis_ffs(A3, [[1]])) is False
 
+    def test_poset_conjugator_bound(self):
+        # the witness b-conjugation carries <a> to <bab^-1>, which lies in
+        # <a> only up to the conjugator b: one letter, so bound 0 decides nothing
+        conjugated = FreeFactorSystem(ad(w("b")), [frozenset({1})])
+        assert conjugated.classes[0].representative.generators() == [w("baB")]
+        single = basis_ffs(A2, [[1]])
+        assert ffs_poset_leq(conjugated, single, conj_bound=0) is None
+        assert ffs_poset_leq(conjugated, single, conj_bound=1) is True
+
     def test_poset_rank_reversal(self):
         f1, f2 = basis_ffs(A3, [[1]]), basis_ffs(A3, [[1, 2]])
         assert ffs_poset_leq(f1, f2) is True
