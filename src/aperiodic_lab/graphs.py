@@ -11,7 +11,6 @@ Oriented edges are darts: edge e gives darts 2e (forward) and 2e+1
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -190,146 +189,140 @@ class GraphAutomorphism(Frozen):
         return GraphAutomorphism(self.graph, v_inv, d_inv)
 
 
-def _adjacency_counts(graph: FiniteGraph) -> Dict[Tuple[int, int], int]:
-    counts: Dict[Tuple[int, int], int] = {}
-    for u, v in graph.edges:
-        key = (min(u, v), max(u, v))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 # the enumeration lists every automorphism, and k parallel edges or k loops
 # at one vertex alone give k! or 2^k k! of them, so larger graphs are refused
 MAX_AUTOMORPHISM_EDGES = 10
 
 
-def enumerate_automorphisms(graph: FiniteGraph) -> List[GraphAutomorphism]:
-    """All automorphisms, by backtracking on vertex images with incidence
-    pruning, then assigning parallel-edge bijections and loop orientations."""
-    if graph.n_edges > MAX_AUTOMORPHISM_EDGES:
-        raise ValueError(f"graph has {graph.n_edges} edges, cap is {MAX_AUTOMORPHISM_EDGES}")
-    counts = _adjacency_counts(graph)
-    n = graph.n_vertices
-
-    # vertex invariant: (valence, loop count) must be preserved
-    invariant = [
-        (graph.valence(v), counts.get((v, v), 0)) for v in range(n)
+def _profiles(graph: FiniteGraph) -> List[Tuple[int, int]]:
+    """(valence, loop count) of each vertex; isomorphisms preserve it."""
+    return [
+        (len(ds), sum(1 for d in ds if d & 1 == 0 and graph.dart_head(d) == v))
+        for v, ds in enumerate(graph._incidence)
     ]
 
-    vertex_perms: List[Tuple[int, ...]] = []
 
-    def backtrack(assigned: List[int], used: set) -> None:
-        v = len(assigned)
-        if v == n:
-            vertex_perms.append(tuple(assigned))
+def _isomorphisms(
+    source: FiniteGraph, target: FiniteGraph
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every isomorphism from source to target as (vertex images, dart
+    images), lazily.
+
+    Edge by edge: the forward dart of each source edge maps to an unused
+    dart of target whose ends agree with the vertex images chosen so far,
+    and a vertex maps only to an unused vertex of the same profile.  After
+    the last edge, the vertices on no edge are permuted among themselves.
+    """
+    n, n_darts = source.n_vertices, source.n_darts()
+    if (n, n_darts) != (target.n_vertices, target.n_darts()):
+        return
+    edges, n_edges = source.edges, source.n_edges
+    source_profile, target_profile = _profiles(source), _profiles(target)
+    ends = [(target.dart_origin(d), target.dart_head(d)) for d in range(n_darts)]
+    vertex_image = [-1] * n
+    vertex_used = [False] * n
+    dart_image = [-1] * n_darts
+    dart_used = [False] * n_darts
+
+    def bind(v: int, w: int) -> bool:
+        if vertex_used[w] or source_profile[v] != target_profile[w]:
+            return False
+        vertex_image[v], vertex_used[w] = w, True
+        return True
+
+    def unbind(v: int) -> None:
+        vertex_used[vertex_image[v]], vertex_image[v] = False, -1
+
+    def search(e: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        if e == n_edges:
+            v = next((v for v in range(n) if vertex_image[v] < 0), None)
+            if v is None:
+                yield tuple(vertex_image), tuple(dart_image)
+                return
+            # v lies on no edge, and so do the unused target vertices
+            for w in range(n):
+                if bind(v, w):
+                    yield from search(e)
+                    unbind(v)
             return
-        for image in range(n):
-            if image in used or invariant[image] != invariant[v]:
+        u, v = edges[e]
+        at = vertex_image[u]
+        for d in target.darts_at(at) if at >= 0 else range(n_darts):
+            if dart_used[d]:
                 continue
-            ok = True
-            for w in range(v):
-                key = (min(v, w), max(v, w))
-                image_key = (min(image, assigned[w]), max(image, assigned[w]))
-                if counts.get(key, 0) != counts.get(image_key, 0):
-                    ok = False
+            # a loop sent to a non-loop, or the reverse, breaks here: its
+            # second end finds its vertex bound elsewhere or its image used
+            bound = []
+            for x, y in zip((u, v), ends[d]):
+                if vertex_image[x] == y:
+                    continue
+                if vertex_image[x] >= 0 or not bind(x, y):
                     break
-            if ok:
-                backtrack(assigned + [image], used | {image})
+                bound.append(x)
+            else:
+                dart_image[2 * e], dart_image[2 * e + 1] = d, d ^ 1
+                dart_used[d] = dart_used[d ^ 1] = True
+                yield from search(e + 1)
+                dart_used[d] = dart_used[d ^ 1] = False
+            for x in bound:
+                unbind(x)
 
-    backtrack([], set())
-
-    # group edge ids by unordered endpoint pair
-    classes: Dict[Tuple[int, int], List[int]] = {}
-    for e, (u, v) in enumerate(graph.edges):
-        classes.setdefault((min(u, v), max(u, v)), []).append(e)
-
-    autos: List[GraphAutomorphism] = []
-    for vp in vertex_perms:
-        # per parallel class, enumerate bijections onto the image class;
-        # loops additionally choose an orientation
-        class_keys = sorted(classes)
-        options_per_class = []
-        consistent = True
-        for key in class_keys:
-            u, v = key
-            image_key = (min(vp[u], vp[v]), max(vp[u], vp[v]))
-            src, dst = classes[key], classes.get(image_key, [])
-            if len(src) != len(dst):
-                consistent = False
-                break
-            is_loop = u == v
-            opts = []
-            for perm in itertools.permutations(dst):
-                if is_loop:
-                    for flips in itertools.product((0, 1), repeat=len(src)):
-                        opts.append((perm, flips))
-                else:
-                    opts.append((perm, None))
-            options_per_class.append((key, src, opts))
-        if not consistent:
-            continue
-        for combo in itertools.product(*(opts for _, _, opts in options_per_class)):
-            dart_perm = [0] * graph.n_darts()
-            for ((u, v), src, _), (perm, flips) in zip(options_per_class, combo):
-                for idx, e in enumerate(src):
-                    e_img = perm[idx]
-                    if flips is not None:
-                        # loop: orientation free
-                        flip = flips[idx]
-                        dart_perm[2 * e] = 2 * e_img + flip
-                        dart_perm[2 * e + 1] = 2 * e_img + (flip ^ 1)
-                    else:
-                        # orientation forced by endpoint images
-                        eu, _ = graph.edges[e]
-                        img_u, _ = graph.edges[e_img]
-                        if vp[eu] == img_u:
-                            dart_perm[2 * e] = 2 * e_img
-                            dart_perm[2 * e + 1] = 2 * e_img + 1
-                        else:
-                            dart_perm[2 * e] = 2 * e_img + 1
-                            dart_perm[2 * e + 1] = 2 * e_img
-            # each dart image is built from the vertex images, so the
-            # per-dart checks of the constructor can never fail here
-            autos.append(GraphAutomorphism._trusted(graph, vp, tuple(dart_perm)))
-    return autos
+    yield from search(0)
 
 
-def _cycle_coordinates(darts: Sequence[int], non_tree: Dict[int, int]) -> List[int]:
-    """Coordinates of a closed dart path in the non-tree-edge cycle basis."""
-    coords = [0] * len(non_tree)
-    for d in darts:
-        e = d >> 1
-        if e in non_tree:
-            coords[non_tree[e]] += 1 if d & 1 == 0 else -1
-    return coords
+def enumerate_automorphisms(graph: FiniteGraph) -> List[GraphAutomorphism]:
+    """All automorphisms, from the isomorphism search of the graph onto
+    itself."""
+    if graph.n_edges > MAX_AUTOMORPHISM_EDGES:
+        raise ValueError(f"graph has {graph.n_edges} edges, cap is {MAX_AUTOMORPHISM_EDGES}")
+    # each dart image is built from the vertex images, so the per-dart
+    # checks of the constructor can never fail here
+    return [GraphAutomorphism._trusted(graph, vp, dp) for vp, dp in _isomorphisms(graph, graph)]
 
 
-def h1_basis(graph: FiniteGraph) -> Tuple[Dict[int, int], List[List[int]]]:
-    """The H_1 basis of the BFS tree: (non-tree edge index map, fundamental
-    cycles as dart paths), both in increasing edge order."""
-    loops = graph.fundamental_loops(graph.spanning_tree())
-    return {e: i for i, e in enumerate(loops)}, list(loops.values())
+def loop_image_letters(loops: Dict[int, List[int]], f: GraphAutomorphism) -> List[List[int]]:
+    """The image under f of each fundamental loop of ``loops`` (as
+    ``FiniteGraph.fundamental_loops`` gives them), read as signed letters:
+    the i-th non-tree edge reads i when crossed forward and -i backward,
+    and tree edges read nothing."""
+    index = {e: i for i, e in enumerate(loops, 1)}
+    images = []
+    for loop in loops.values():
+        letters = []
+        for d in loop:
+            d = f.dart_perm[d]
+            i = index.get(d >> 1)
+            if i is not None:
+                letters.append(i if d & 1 == 0 else -i)
+        images.append(letters)
+    return images
 
 
-def _lemma_data(graph: FiniteGraph) -> Tuple[Tuple[int, ...], Dict[int, int], List[List[int]]]:
-    """(leaves, non-tree edge index map, fundamental cycles) of a connected
-    graph, computed on the first call and kept on the graph."""
+def h1_basis(graph: FiniteGraph) -> Dict[int, List[int]]:
+    """The H_1 basis of the BFS tree: the fundamental loop of each non-tree
+    edge, in increasing edge order."""
+    return graph.fundamental_loops(graph.spanning_tree())
+
+
+def _lemma_data(graph: FiniteGraph) -> Tuple[Tuple[int, ...], Dict[int, List[int]]]:
+    """(leaves, ``h1_basis``) of a connected graph, computed on the first
+    call and kept on the graph."""
     if graph._lemma is None:
-        non_tree, cycles = h1_basis(graph)
         leaves = tuple(v for v in range(graph.n_vertices) if graph.valence(v) == 1)
-        object.__setattr__(graph, "_lemma", (leaves, non_tree, cycles))
+        object.__setattr__(graph, "_lemma", (leaves, h1_basis(graph)))
     return graph._lemma
 
 
 def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> IntMatrix:
     """Matrix of f_* on H_1(X, Z/3Z) in the non-tree-edge basis of a fixed
     spanning tree; column i is the image of the i-th fundamental cycle."""
-    _, non_tree, cycles = _lemma_data(graph)
-    columns = [
-        _cycle_coordinates([f.dart_perm[d] for d in cycle], non_tree)
-        for cycle in cycles
-    ]
-    return tuple(tuple(col[i] % 3 for col in columns) for i in range(len(non_tree)))
+    _, loops = _lemma_data(graph)
+    rank = len(loops)
+    columns = [[0] * rank for _ in range(rank)]
+    for column, letters in zip(columns, loop_image_letters(loops, f)):
+        for letter in letters:
+            column[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(tuple(column[i] % 3 for column in columns) for i in range(rank))
 
 
 class IvanovOutcome(Enum):
@@ -373,7 +366,7 @@ def ivanov_check(graph: FiniteGraph, f: GraphAutomorphism) -> IvanovOutcome:
 
     Any other outcome raises TheoremViolation.
     """
-    leaves, _, _ = _lemma_data(graph)  # raises if the graph is not connected
+    leaves, _ = _lemma_data(graph)  # raises if the graph is not connected
     if any(f.vertex_perm[v] != v for v in leaves):
         return IvanovOutcome.HYPOTHESIS_FAILS
     action = h1_action_mod3(graph, f)
@@ -392,94 +385,29 @@ def ivanov_check(graph: FiniteGraph, f: GraphAutomorphism) -> IvanovOutcome:
 # exhaustive generation of connected multigraphs up to isomorphism
 
 
-def _refine_classes(n: int, counts: Dict[Tuple[int, int], int]) -> List[int]:
-    """Iterated neighbourhood refinement; returns a class id per vertex."""
-    valence = [0] * n
-    loops = [0] * n
-    for (u, v), c in counts.items():
-        if u == v:
-            loops[u] += c
-            valence[u] += 2 * c
-        else:
-            valence[u] += c
-            valence[v] += c
-    # rank-compress by sorted signature each round, so class ids depend
-    # only on the isomorphism type, not on the vertex numbering
-    initial = sorted(set((valence[v], loops[v]) for v in range(n)))
-    rank_of = {sig: i for i, sig in enumerate(initial)}
-    labels = [rank_of[(valence[v], loops[v])] for v in range(n)]
-    while True:
-        signature = []
-        for v in range(n):
-            neigh = []
-            for (a, b), c in counts.items():
-                if a == v and b != v:
-                    neigh.append((labels[b], c))
-                elif b == v and a != v:
-                    neigh.append((labels[a], c))
-            signature.append((labels[v], tuple(sorted(neigh))))
-        ranks = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        new_labels = [ranks[sig] for sig in signature]
-        if new_labels == labels:
-            break
-        labels = new_labels
-    return labels
-
-
-def canonical_key(graph: FiniteGraph) -> tuple:
-    """Isomorphism-invariant key: minimum edge multiset over relabelings
-    compatible with the refined vertex classes."""
-    n = graph.n_vertices
-    counts = _adjacency_counts(graph)
-    labels = _refine_classes(n, counts)
-    by_class: Dict[int, List[int]] = {}
-    for v in range(n):
-        by_class.setdefault(labels[v], []).append(v)
-    # vertices of lexicographically smaller class signatures come first
-    class_order = sorted(by_class)
-    best = None
-    for orderings in itertools.product(
-        *(itertools.permutations(by_class[c]) for c in class_order)
-    ):
-        perm: Dict[int, int] = {}
-        position = 0
-        for ordering in orderings:
-            for v in ordering:
-                perm[v] = position
-                position += 1
-        edges = sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in graph.edges
-        )
-        key = (n, tuple(edges))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def from_canonical_key(key: tuple) -> FiniteGraph:
-    return FiniteGraph(key[0], key[1])
-
-
 def connected_multigraphs(max_edges: int) -> Iterator[FiniteGraph]:
     """All connected multigraphs with 1..max_edges edges, up to isomorphism.
 
     Grown one edge at a time: either an edge between existing vertices or a
-    pendant edge to a fresh vertex; canonical keys deduplicate levels.
+    pendant edge to a fresh vertex.  A new graph is kept unless the
+    isomorphism search maps it onto a graph already kept with the same
+    sorted vertex profiles (and so the same vertex count).
     """
-    level = {canonical_key(FiniteGraph(1, ()))}
+    level = [FiniteGraph(1, ())]
     for _ in range(max_edges):
-        next_level = set()
-        for key in level:
-            graph = from_canonical_key(key)
+        next_level: List[FiniteGraph] = []
+        kept: Dict[Tuple[Tuple[int, int], ...], List[FiniteGraph]] = {}
+        for graph in level:
             n = graph.n_vertices
             for u in range(n):
-                for v in range(u, n):
-                    bigger = FiniteGraph(n, graph.edges + ((u, v),))
-                    next_level.add(canonical_key(bigger))
-                bigger = FiniteGraph(n + 1, graph.edges + ((u, n),))
-                next_level.add(canonical_key(bigger))
-        for key in sorted(next_level):
-            yield from_canonical_key(key)
+                # v == n adds a pendant edge to a fresh vertex
+                for v in range(u, n + 1):
+                    bigger = FiniteGraph(max(n, v + 1), graph.edges + ((u, v),))
+                    bucket = kept.setdefault(tuple(sorted(_profiles(bigger))), [])
+                    if all(next(_isomorphisms(bigger, other), None) is None for other in bucket):
+                        bucket.append(bigger)
+                        next_level.append(bigger)
+        yield from next_level
         level = next_level
 
 

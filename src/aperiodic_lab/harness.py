@@ -17,6 +17,7 @@ elapsed field.  The runners return them, and the CLI writes them.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -406,13 +407,22 @@ def default_splitting_pool(alphabet: Alphabet) -> List[MarkedGraph]:
     return pool
 
 
+# every splitting probe that is iterated lists the symmetries of its graph,
+# and the rose of the pool has 2^N N! of them: 46 080 at N = 6, 645 120 at 7
+MAX_SPLITTING_SYMMETRIES = 10**5
+
+
 def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of marked-graph splittings under sampled congruence-kernel
     automorphisms: never a Period(p > 1).
 
     A marking that ``splittings.certify_splitting`` proves to have no period
     under the sample's abelianization counts as CertifiedByHomology and is
-    not iterated."""
+    not iterated.  Ranks whose rose has more than
+    ``MAX_SPLITTING_SYMMETRIES`` automorphisms raise ``ValueError``."""
+    symmetries = 2**cfg.rank * math.factorial(cfg.rank)
+    if symmetries > MAX_SPLITTING_SYMMETRIES:
+        raise ValueError(f"rank {cfg.rank}: the rose has {symmetries} automorphisms, over 10^5")
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     gens = standard_generators(cfg.rank, cfg.family)

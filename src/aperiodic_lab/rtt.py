@@ -517,10 +517,11 @@ def bcc_inequality_holds(f: GraphMapRep, rho1: Sequence[int], rho2: Sequence[int
 
 def _bcc_holds(f: GraphMapRep, c: int, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
     """``bcc_inequality_holds`` with the constant c = ``bcc_bound(f)``
-    already computed, for callers that test many splittings of one map."""
-    left = len(map_path(f, tuple(rho1) + tuple(rho2)))
-    right = len(map_path(f, rho1)) + len(map_path(f, rho2)) - 2 * c
-    return left >= right
+    already computed, for callers that test many splittings of one map.
+    Tightening is confluent, so [f(rho1 rho2)] is the two tightened halves
+    tightened again at the junction."""
+    image1, image2 = map_path(f, rho1), map_path(f, rho2)
+    return len(tighten(image1 + image2)) >= len(image1) + len(image2) - 2 * c
 
 
 def random_tight_path(graph, length: int, rng) -> Tuple[int, ...]:

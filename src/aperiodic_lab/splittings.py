@@ -27,7 +27,8 @@ from .aut import (
     inverse,
 )
 from .graphs import (
-    FiniteGraph, GraphAutomorphism, enumerate_automorphisms, graph_str, parse_graph
+    FiniteGraph, GraphAutomorphism, enumerate_automorphisms, graph_str, loop_image_letters,
+    parse_graph,
 )
 from .homology import IntMatrix, certify_infinite_order, certify_lattice, word_exponent_vector
 from .subgroups import (
@@ -224,25 +225,6 @@ def _coordinates(marked: MarkedGraph, phi: FreeAutomorphism) -> FreeAutomorphism
     return compose(inverse(mu), compose(phi, mu))
 
 
-def _graph_free_part_images(
-    loops: Dict[int, List[int]], h: GraphAutomorphism, free_alphabet: Alphabet
-) -> List[Word]:
-    """Images of the free-part basis under the graph automorphism: each
-    fundamental loop (``MarkedGraph.fundamental_loops``) maps to a loop;
-    collapse tree edges, read non-tree letters."""
-    index = {e: i + 1 for i, e in enumerate(loops)}
-    images = []
-    for cycle in loops.values():
-        letters = []
-        for d in cycle:
-            d = h.dart_perm[d]
-            edge = d >> 1
-            if edge in index:
-                letters.append(index[edge] if d & 1 == 0 else -index[edge])
-        images.append(Word(free_alphabet, letters))
-    return images
-
-
 def invariance_test(
     marked: MarkedGraph, phi: FreeAutomorphism
 ) -> Optional[GraphAutomorphism]:
@@ -256,13 +238,14 @@ def invariance_test(
     its action h* on the free part equals rho up to an inner automorphism.
 
     - h* collapses the spanning tree after h, reading the non-tree letters
-      of each image loop.  This is an automorphism even when h moves vertex
-      0: h is a homeomorphism from the graph based at 0 to the graph based
-      at h(0), and collapsing the tree is a homotopy equivalence onto a
-      rose whatever the basepoint.  Reading h^-1 the same way does not give
-      its inverse: h* (h^-1)* is conjugation by the read of h applied to
-      the tree path from 0 to h^-1(0), which need not stay in the tree.
-      So no inverse of h* is built.
+      of each image loop (``graphs.loop_image_letters``).  This is an
+      automorphism even when h moves vertex 0: h is a homeomorphism from
+      the graph based at 0 to the graph based at h(0), and collapsing the
+      tree is a homotopy equivalence onto a rose whatever the basepoint.
+      Reading h^-1 the same way does not give its inverse: h* (h^-1)* is
+      conjugation by the read of h applied to the tree path from 0 to
+      h^-1(0), which need not stay in the tree.  So no inverse of h* is
+      built.
     - Conjugate subgroups have equal rank, so matching classes checks
       ranks.  A bijection that maps the group vertices into the group
       vertices maps them onto themselves, so trivial vertices land on
@@ -308,8 +291,10 @@ def _realizing_symmetry(
         if any(h.vertex_perm[v] not in matches[v] for v in matches):
             continue
         if loop_letters:
-            h_star = _graph_free_part_images(loops, h, free_alphabet)
-            images = [rho_inverse(w) for w in h_star]
+            images = [
+                rho_inverse(Word(free_alphabet, letters))
+                for letters in loop_image_letters(loops, h)
+            ]
             if _inner_conjugator(free_alphabet, images) is None:
                 continue
         return h

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the library in ``src/``, so
-a renamed or deleted public name that a demo still uses shows up here."""
+a renamed or deleted public name that a demo still uses shows up here; the
+graph lemma demo's exhaustive scan must also print its pinned totals."""
 
 import os
 import subprocess
@@ -12,14 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_demos_found():
-    assert len(DEMOS) >= 8
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_cleanly(demo):
+def run_demo(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,
         env=env,
@@ -27,4 +23,27 @@ def test_demo_exits_cleanly(demo):
         text=True,
         timeout=120,
     )
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 8
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_cleanly(demo):
+    result = run_demo(demo)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_graph_lemma_scan_totals():
+    # the symmetry listings above the scan may come in any order; the scan's
+    # totals are the lemma's content
+    result = run_demo(ROOT / "demos" / "04_graph_lemma.py")
+    assert result.returncode == 0, result.stderr[-2000:]
+    scan = result.stdout.split("== exhaustive scan")[1].splitlines()[1:]
+    assert [line.strip() for line in scan] == [
+        "142 connected multigraphs with <= 5 edges",
+        "CircleRotation: 10",
+        "HypothesisFails: 6554",
+        "Identity: 142",
+    ]

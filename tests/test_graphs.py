@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from aperiodic_lab.graphs import (
     GraphAutomorphism,
     IvanovOutcome,
     TheoremViolation,
+    _isomorphisms,
     automorphism_str,
-    canonical_key,
     connected_multigraphs,
     enumerate_automorphisms,
     graph_str,
@@ -65,6 +66,64 @@ class TestEnumeration:
                 assert GraphAutomorphism(graph, f.vertex_perm, f.dart_perm) == f
                 checked += 1
         assert checked == 800
+
+    def test_matches_brute_force(self):
+        # every vertex permutation with every signed edge permutation,
+        # kept when the validating constructor accepts it
+        for graph in connected_multigraphs(4):
+            oracle = set()
+            for vp in itertools.permutations(range(graph.n_vertices)):
+                for edge_perm in itertools.permutations(range(graph.n_edges)):
+                    for flips in itertools.product((0, 1), repeat=graph.n_edges):
+                        dp = [0] * graph.n_darts()
+                        for e, (image, flip) in enumerate(zip(edge_perm, flips)):
+                            dp[2 * e], dp[2 * e + 1] = 2 * image + flip, 2 * image + 1 - flip
+                        try:
+                            oracle.add(GraphAutomorphism(graph, vp, dp))
+                        except ValueError:
+                            pass
+            autos = enumerate_automorphisms(graph)
+            assert len(autos) == len(oracle) and set(autos) == oracle
+
+    @pytest.mark.parametrize(
+        "graph, count",
+        [
+            (FiniteGraph(0, ()), 1),
+            (FiniteGraph(1, ()), 1),
+            (FiniteGraph(3, ()), 6),
+            (FiniteGraph(2, [(0, 0), (1, 1)]), 8),
+            (FiniteGraph(3, [(0, 0)]), 4),
+            (FiniteGraph(4, [(0, 1), (2, 3)]), 8),
+        ],
+        ids=["empty", "point", "three-points", "two-loops", "loop-and-points", "two-segments"],
+    )
+    def test_small_and_disconnected_graphs(self, graph, count):
+        autos = enumerate_automorphisms(graph)
+        assert len(set(autos)) == len(autos) == count
+        for f in autos:
+            assert GraphAutomorphism(graph, f.vertex_perm, f.dart_perm) == f
+
+    def test_isomorphisms_between_relabelings(self):
+        # a relabeled copy has as many isomorphisms onto it as the graph
+        # has automorphisms, and each one carries incidence across
+        rng = random.Random(9)
+        for graph in connected_multigraphs(4):
+            relabel = list(range(graph.n_vertices))
+            rng.shuffle(relabel)
+            edges = [
+                (relabel[v], relabel[u]) if rng.random() < 0.5 else (relabel[u], relabel[v])
+                for u, v in graph.edges
+            ]
+            rng.shuffle(edges)
+            copy = FiniteGraph(graph.n_vertices, edges)
+            found = list(_isomorphisms(graph, copy))
+            assert len(set(found)) == len(found) == len(enumerate_automorphisms(graph))
+            for vp, dp in found:
+                assert sorted(vp) == list(range(graph.n_vertices))
+                assert sorted(dp) == list(range(graph.n_darts()))
+                for d in range(graph.n_darts()):
+                    assert dp[d ^ 1] == dp[d] ^ 1
+                    assert copy.dart_origin(dp[d]) == vp[graph.dart_origin(d)]
 
     def test_size_cap(self):
         big = FiniteGraph(1, [(0, 0)] * 11)
@@ -336,9 +395,15 @@ class TestGeneration:
         assert len(by_edges[1]) == 2
         assert len(by_edges[2]) == 4
 
-    def test_no_isomorphic_duplicates(self):
-        import itertools
+    def test_counts_by_edges(self):
+        graphs, autos = {}, {}
+        for g in connected_multigraphs(5):
+            graphs[g.n_edges] = graphs.get(g.n_edges, 0) + 1
+            autos[g.n_edges] = autos.get(g.n_edges, 0) + len(enumerate_automorphisms(g))
+        assert graphs == {1: 2, 2: 4, 3: 11, 4: 30, 5: 95}
+        assert autos == {1: 4, 2: 16, 3: 102, 4: 678, 5: 5906}
 
+    def test_no_isomorphic_duplicates(self):
         def brute_iso(g1, g2):
             if (g1.n_vertices, g1.n_edges) != (g2.n_vertices, g2.n_edges):
                 return False
@@ -349,14 +414,9 @@ class TestGeneration:
                 for p in itertools.permutations(range(g1.n_vertices))
             )
 
-        graphs = list(connected_multigraphs(3))
+        graphs = list(connected_multigraphs(4))
         for a, b in itertools.combinations(graphs, 2):
             assert not brute_iso(a, b)
-
-    def test_canonical_key_invariance(self):
-        g1 = FiniteGraph(3, [(0, 1), (1, 2)])
-        g2 = FiniteGraph(3, [(2, 1), (1, 0)])
-        assert canonical_key(g1) == canonical_key(g2)
 
     def test_connectivity(self):
         for g in connected_multigraphs(3):

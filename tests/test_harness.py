@@ -153,6 +153,26 @@ class TestRunners:
         assert report["identity_sanity_period1"]
         assert report["control"]["outcomes"]["Period(>1)"] >= 1
 
+    def test_splitting_rank_past_the_symmetry_cap_is_refused(self, monkeypatch):
+        import aperiodic_lab.harness as harness_module
+
+        def never(*args):
+            raise AssertionError("sampled before the rank was refused")
+
+        monkeypatch.setattr(harness_module, "sample", never)
+        with pytest.raises(ValueError, match="645120 automorphisms"):
+            run_splitting_experiment(ExperimentConfig(rank=7, samples=1))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_splitting_cap_counts_the_rose(self, rank):
+        from math import factorial
+
+        from aperiodic_lab.graphs import enumerate_automorphisms
+        from aperiodic_lab.splittings import rose_marked
+
+        rose = rose_marked(Alphabet(rank)).graph
+        assert len(enumerate_automorphisms(rose)) == 2**rank * factorial(rank)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(rank=1)
