@@ -6,6 +6,7 @@ forward and backward images and certifies that they compose to the identity.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -355,25 +356,33 @@ def standard_generators(rank: int, family: str) -> List[FreeAutomorphism]:
     return gens
 
 
-def sample(
-    generators: Sequence[FreeAutomorphism], budget: int, seed: int
-) -> FreeAutomorphism:
-    """A product of ``budget`` uniformly chosen generators or their inverses.
-
-    Deterministic function of ``seed``.
+def draw(count: int, budget: int, seed: int) -> List[Tuple[int, bool]]:
+    """The factors of a sample from ``count`` generators: ``budget`` pairs
+    (index, inverted), each index uniform and inverted with probability
+    1/2.  Deterministic function of ``seed``, and the only reader of the
+    sampling random stream, so callers that need only the factors' images
+    in some functor of Aut(F_N) can skip composing them.
     """
-    if not generators:
+    if count < 1:
         raise ValueError("empty generator list")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
-    result = identity_automorphism(generators[0].alphabet)
-    for _ in range(budget):
-        gen = generators[rng.randrange(len(generators))]
-        if rng.random() < 0.5:
-            gen = inverse(gen)
-        result = compose(result, gen)
-    return result
+    return [(rng.randrange(count), rng.random() < 0.5) for _ in range(budget)]
+
+
+def sample(
+    generators: Sequence[FreeAutomorphism], budget: int, seed: int
+) -> FreeAutomorphism:
+    """The product, left to right, of the factors ``draw`` picks: ``budget``
+    uniformly chosen generators or their inverses.  Deterministic function
+    of ``seed``.
+    """
+    factors = [
+        inverse(generators[i]) if inverted else generators[i]
+        for i, inverted in draw(len(generators), budget, seed)
+    ]
+    return functools.reduce(compose, factors)
 
 
 # ---------------------------------------------------------------------------

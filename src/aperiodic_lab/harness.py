@@ -17,6 +17,7 @@ elapsed field.  The runners return them, and the CLI writes them.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -25,11 +26,13 @@ from typing import Dict, List, Optional, Sequence
 
 from .aut import (
     FreeAutomorphism,
+    _inner_conjugator,
     ad,
     basis_cycle,
     compose,
+    draw,
     identity_automorphism,
-    is_inner,
+    inverse,
     sample,
     standard_generators,
     swap,
@@ -44,6 +47,7 @@ from .homology import (
     cover_action,
     cover_class,
     finite_order,
+    mat_mul,
     word_exponent_vector,
 )
 from .splittings import (
@@ -103,23 +107,58 @@ def _histogram() -> Dict[str, int]:
     }
 
 
-def _cover_action(phi: FreeAutomorphism) -> Optional[IntMatrix]:
-    """phi's action on H_1 of the mod-2 cover, or None above
-    ``COVER_MAX_RANK``, where its size grows as 2^N."""
-    return cover_action(phi) if phi.alphabet.rank <= COVER_MAX_RANK else None
+class _Sample:
+    """A sampled automorphism phi, known first by its action on H_1.
+
+    H_1 is a functor, so ``action``, the abelianization of phi, is the
+    product of its factors' matrices.  The words of phi and its action on
+    H_1 of the mod-2 cover are built on first use, so a sample whose probes
+    all certify from ``action`` builds neither.
+    """
+
+    def __init__(self, factors: Sequence[FreeAutomorphism], action: IntMatrix):
+        self._factors = factors
+        self.action = action
+
+    @functools.cached_property
+    def phi(self) -> FreeAutomorphism:
+        # from the first factor: composing it onto the identity would only
+        # copy its images
+        return functools.reduce(compose, self._factors)
+
+    @functools.cached_property
+    def cover(self) -> Optional[IntMatrix]:
+        """phi's action on H_1 of the mod-2 cover, or None above
+        ``COVER_MAX_RANK``, where its size grows as 2^N."""
+        return cover_action(self.phi) if len(self.action) <= COVER_MAX_RANK else None
 
 
-def _certificate(
-    action: IntMatrix, cover: Optional[IntMatrix], basis: Sequence[Word]
-) -> Optional[str]:
+class _Family:
+    """A generator family, each generator and its inverse abelianized once."""
+
+    def __init__(self, generators: Sequence[FreeAutomorphism]):
+        self._factors = [(g, inverse(g)) for g in generators]
+        self._matrices = [(abelianization(g), abelianization(h)) for g, h in self._factors]
+
+    def sample(self, budget: int, seed: int) -> _Sample:
+        """The sample ``aut.sample`` draws from this family with this seed."""
+        picks = draw(len(self._factors), budget, seed)
+        return _Sample(
+            [self._factors[i][inverted] for i, inverted in picks],
+            functools.reduce(mat_mul, [self._matrices[i][inverted] for i, inverted in picks]),
+        )
+
+
+def _certificate(drawn: _Sample, basis: Sequence[Word]) -> Optional[str]:
     """The certificate that proves the class of the subgroup with this basis
-    to have no period under phi, or None; a word w is probed as the basis
-    (w).  ``certify_lattice`` tests the abelian support under phi's
-    abelianization ``action``, then ``certify_cover`` the class of w^2 or
-    [a, b] under ``cover``, which is None above ``COVER_MAX_RANK``; below
-    it every proper factor has rank 1 or 2."""
-    if certify_lattice(action, [word_exponent_vector(g) for g in basis]):
+    to have no period under the sample, or None; a word w is probed as the
+    basis (w).  ``certify_lattice`` tests the abelian support under the
+    sample's ``action``, then ``certify_cover`` the class of w^2 or [a, b]
+    under its ``cover``, built only here and None above
+    ``COVER_MAX_RANK``; below it every proper factor has rank 1 or 2."""
+    if certify_lattice(drawn.action, [word_exponent_vector(g) for g in basis]):
         return CERTIFIED
+    cover = drawn.cover
     if cover is None:
         return None
     if len(basis) == 1:
@@ -185,30 +224,28 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     declines them."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    gens = standard_generators(cfg.rank, cfg.family)
+    family = _Family(standard_generators(cfg.rank, cfg.family))
     rng = random.Random(cfg.seed)
     hist_outer = _histogram()
     hist_aut = _histogram()
     violations = []
     for trial in range(cfg.samples):
-        phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        action = abelianization(phi)
-        cover = _cover_action(phi)
+        drawn = family.sample(cfg.budget, rng.randrange(2**32))
         pool = [
             _random_cyclic_word(alphabet, cfg.pool_length, rng)
             for _ in range(cfg.pool_size)
         ]
         for cyclic in pool:
             word = cyclic.as_word()
-            kind = _certificate(action, cover, (word,))
+            kind = _certificate(drawn, (word,))
             if kind is not None:
                 hist_outer[kind] += 1
                 hist_aut[kind] += 1
                 continue
             where = {"trial": trial, "word": word_str(word)}
-            outcome = orbit_period(phi, cyclic, cfg.max_iter, cfg.length_cap)
+            outcome = orbit_period(drawn.phi, cyclic, cfg.max_iter, cfg.length_cap)
             _record(hist_outer, outcome, violations, {**where, "mode": "outer"})
-            exact = exact_word_orbit(phi, word, cfg.max_iter, cfg.length_cap)
+            exact = exact_word_orbit(drawn.phi, word, cfg.max_iter, cfg.length_cap)
             _record(hist_aut, exact, violations, {**where, "mode": "aut"})
 
     # inner sanity: conjugation fixes every class
@@ -265,24 +302,22 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     its certificate and is not iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    gens = standard_generators(cfg.rank, cfg.family)
+    family = _Family(standard_generators(cfg.rank, cfg.family))
     nielsen = standard_generators(cfg.rank, "nielsen")
     rng = random.Random(cfg.seed)
     hist = _histogram()
     violations = []
     for trial in range(cfg.samples):
-        phi = sample(gens, cfg.budget, rng.randrange(2**32))
+        drawn = family.sample(cfg.budget, rng.randrange(2**32))
         witness = sample(nielsen, min(cfg.budget, 4), rng.randrange(2**32))
         subsets = _random_proper_subsets(cfg.rank, rng)
         system = FreeFactorSystem(witness, subsets)
-        action = abelianization(phi)
-        cover = _cover_action(phi)
         for cls in system.classes:
-            kind = _certificate(action, cover, cls.representative.generators())
+            kind = _certificate(drawn, cls.representative.generators())
             if kind is not None:
                 hist[kind] += 1
                 continue
-            outcome = orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
+            outcome = orbit_period(drawn.phi, cls, cfg.max_iter, cfg.length_cap)
             _record(hist, outcome, violations, {"trial": trial, "class": repr(cls)})
 
     control_hist = _histogram()
@@ -321,13 +356,16 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
 
 def _first_inner_power(phi: FreeAutomorphism, cfg: ExperimentConfig) -> OrbitOutcome:
     """Least k <= max_iter with phi^k inner, as Period(k); Blowup once the
-    images of a power outgrow the length cap.  Each power is one
-    ``compose`` with phi, from the identity."""
+    images of a power outgrow the length cap.  Being inner is a property of
+    the forward images alone, so each power steps only those, phi^k(x_i) =
+    phi(phi^(k-1)(x_i)) through phi's forward map from the basis, and no
+    power's backward images are built."""
+    alphabet = phi.alphabet
     return _first_return(
-        lambda power: compose(phi, power),
-        identity_automorphism(phi.alphabet),
-        FreeAutomorphism.max_image_length,
-        lambda power: is_inner(power) is not None,
+        lambda images: tuple(map(phi.forward_map, images)),
+        tuple(Word(alphabet, (i,)) for i in alphabet.letters()),
+        lambda images: max(map(len, images)),
+        lambda images: _inner_conjugator(alphabet, images) is not None,
         cfg.max_iter,
         cfg.length_cap,
     )[0]
@@ -339,15 +377,17 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
 
     A shortcut disposes of most samples exactly: an inner power forces the
     abelianized action to have finite order, and a finite-order integer
-    matrix congruent to I mod 3 is I.  Samples whose abelianization is not I
-    therefore certify themselves (``certify_infinite_order``).  The rest,
-    and every sample outside the congruence kernel, iterate powers with an
-    honest length cap, the one inner test: Period(1) means phi is inner and
+    matrix congruent to I mod 3 is I.  Samples whose abelianization, the
+    product of their factors' matrices, is not I therefore certify
+    themselves (``certify_infinite_order``) before any of their words is
+    built.  The rest, and every sample outside the congruence kernel, are
+    composed and iterate the forward images of their powers with an honest
+    length cap, the one inner test: Period(1) means phi is inner and
     skipped, and a capped sample counts as Blowup, not as a clean trial.
     """
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    gens = standard_generators(cfg.rank, cfg.family)
+    family = _Family(standard_generators(cfg.rank, cfg.family))
     rng = random.Random(cfg.seed)
     clean = 0
     skipped_inner = 0
@@ -359,15 +399,15 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     max_attempts = cfg.samples * 20
     while clean < cfg.samples and attempts < max_attempts:
         attempts += 1
-        phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        ab = abelianization(phi)
+        drawn = family.sample(cfg.budget, rng.randrange(2**32))
+        ab = drawn.action
         if certify_infinite_order(ab):
             # no power of ab is I, so no power of phi is inner
             assert finite_order(ab) is None
             certified_by_homology += 1
             clean += 1
             continue
-        outcome = _first_inner_power(phi, cfg)
+        outcome = _first_inner_power(drawn.phi, cfg)
         if outcome.kind == BLOWUP:
             blowups += 1
         elif outcome.period == 1:
@@ -425,20 +465,19 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"rank {cfg.rank}: the rose has {symmetries} automorphisms, over 10^5")
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    gens = standard_generators(cfg.rank, cfg.family)
+    family = _Family(standard_generators(cfg.rank, cfg.family))
     rng = random.Random(cfg.seed)
     pool = default_splitting_pool(alphabet)
     hist = _histogram()
     violations = []
     for trial in range(cfg.samples):
-        phi = sample(gens, cfg.budget, rng.randrange(2**32))
-        action = abelianization(phi)
+        drawn = family.sample(cfg.budget, rng.randrange(2**32))
         for idx, marked in enumerate(pool):
-            if certify_splitting(action, marked):
+            if certify_splitting(drawn.action, marked):
                 hist[CERTIFIED] += 1
                 continue
             outcome = splitting_orbit_period(
-                marked, phi, cfg.max_iter, cfg.length_cap
+                marked, drawn.phi, cfg.max_iter, cfg.length_cap
             )
             _record(hist, outcome, violations, {"trial": trial, "splitting": idx})
     identity_ok = all(

@@ -288,8 +288,8 @@ def cyclic_reduce(word: Word) -> Tuple[CyclicWord, Word]:
 _BLOCK = 8
 # memo entries past which a ``Substitution`` keeps no more blocks; the
 # orbits of the probes meet at most about 130 blocks per map, while a
-# generator map that lives through a whole run of ``aut.sample`` would
-# otherwise keep every block it meets
+# generator's maps, which compose the words of every sample of a run that
+# builds them, would otherwise keep every block they meet
 _MEMO_BLOCKS = 1024
 # letters past which a block image is not kept: a hit saves a loop over 8
 # images, which costs little beside copying an image this long, and a map

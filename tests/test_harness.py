@@ -7,12 +7,23 @@ from collections import Counter
 
 import pytest
 
-from aperiodic_lab.aut import basis_cycle, is_inner, sample, standard_generators, swap
+from aperiodic_lab import harness
+from aperiodic_lab.aut import (
+    basis_cycle,
+    compose,
+    identity_automorphism,
+    inverse,
+    is_inner,
+    sample,
+    standard_generators,
+    swap,
+)
 from aperiodic_lab.cli import main
 from aperiodic_lab.harness import (
     CERTIFIED,
     CERTIFIED_BY_COVER,
     ExperimentConfig,
+    _Family,
     _random_cyclic_word,
     _random_proper_subsets,
     default_splitting_pool,
@@ -83,10 +94,19 @@ class TestRunners:
         assert report["trials"] == FAST["samples"]
 
     @pytest.mark.parametrize(
-        "rank, budget, length_cap, seed",
-        [(2, 3, 1500, 1), (3, 3, 40, 1), (3, 3, 40, 6), (3, 4, 1500, 2)],
+        "rank, budget, length_cap, seed, samples, max_iter",
+        [
+            pytest.param(2, 3, 1500, 1, 12, 6, id="2-3-1500-1"),
+            pytest.param(3, 3, 40, 1, 12, 6, id="3-3-40-1"),
+            pytest.param(3, 3, 40, 6, 12, 6, id="3-3-40-6"),
+            pytest.param(3, 4, 1500, 2, 12, 6, id="3-4-1500-2"),
+            # criterion 8 as pinned: the forward images of the Blowup
+            # samples' powers run to the full cap
+            pytest.param(2, 4, 20_000, 505, 200, 12, id="2-4-20000-505"),
+            pytest.param(3, 4, 20_000, 506, 150, 12, id="3-4-20000-506"),
+        ],
     )
-    def test_torsion_report_matches_power_oracle(self, rank, budget, length_cap, seed):
+    def test_torsion_report_matches_power_oracle(self, rank, budget, length_cap, seed, samples, max_iter):
         # oracle: redraw the samples and test each phi^k, built from nothing,
         # for being inner, with the cap on every power from phi itself
         def first_inner_power(phi):
@@ -99,7 +119,7 @@ class TestRunners:
             return None
 
         cfg = ExperimentConfig(
-            rank=rank, samples=12, budget=budget, max_iter=6, length_cap=length_cap, seed=seed
+            rank=rank, samples=samples, budget=budget, max_iter=max_iter, length_cap=length_cap, seed=seed
         )
         gens = standard_generators(rank, cfg.family)
         rng = random.Random(seed)
@@ -125,8 +145,8 @@ class TestRunners:
         assert (report["attempts"], report["blowups"]) == (attempts, blowups)
         assert (report["checked_by_iteration"], report["violations"]) == (checked, violations)
         assert report["control"]["order"] == first_inner_power(swap(Alphabet(rank), 1, 2)) == 2
-        if length_cap < 100:
-            # small enough a cap to stop some samples, not all
+        if length_cap < 100 or seed == 506:
+            # a cap that stops some samples, not all
             assert blowups > 0 and checked > 0
 
     def test_torsion_outside_the_kernel_iterates(self):
@@ -154,12 +174,11 @@ class TestRunners:
         assert report["control"]["outcomes"]["Period(>1)"] >= 1
 
     def test_splitting_rank_past_the_symmetry_cap_is_refused(self, monkeypatch):
-        import aperiodic_lab.harness as harness_module
-
         def never(*args):
             raise AssertionError("sampled before the rank was refused")
 
-        monkeypatch.setattr(harness_module, "sample", never)
+        monkeypatch.setattr(harness, "sample", never)
+        monkeypatch.setattr(harness, "draw", never)
         with pytest.raises(ValueError, match="645120 automorphisms"):
             run_splitting_experiment(ExperimentConfig(rank=7, samples=1))
 
@@ -408,6 +427,83 @@ class TestHomologyCertificates:
         ):
             for key in CERTIFICATES:
                 assert report["control"]["outcomes"][key] == 0
+
+
+def compose_from_identity(gens, budget, seed):
+    """``aut.sample`` as one loop: each factor drawn and composed onto the
+    product so far, from the identity."""
+    rng = random.Random(seed)
+    result = identity_automorphism(gens[0].alphabet)
+    for _ in range(budget):
+        gen = gens[rng.randrange(len(gens))]
+        if rng.random() < 0.5:
+            gen = inverse(gen)
+        result = compose(result, gen)
+    return result
+
+
+PINNED_SEEDS = (101, 202, 303, 404, 505, 506)
+
+
+class TestMatrixFirstSampling:
+    """The runners know a sample first by the product of its factors'
+    matrices, and build its words and its cover action on first use."""
+
+    @pytest.mark.parametrize("family", ["ia3", "nielsen"])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_drawn_product_matches_the_composed_sample(self, rank, family):
+        # rank 4 is past COVER_MAX_RANK; nielsen brings det -1 factors
+        gens = standard_generators(rank, family)
+        drawn_family = _Family(gens)
+        for seed in PINNED_SEEDS + tuple(s + 10_000 for s in PINNED_SEEDS):
+            for budget in range(1, 7):
+                oracle = compose_from_identity(gens, budget, seed)
+                phi = sample(gens, budget, seed)
+                assert (phi, phi.backward) == (oracle, oracle.backward)
+                drawn = drawn_family.sample(budget, seed)
+                assert drawn.action == abelianization(phi)
+                assert (drawn.phi, drawn.phi.backward) == (oracle, oracle.backward)
+                cover = cover_action(oracle) if rank <= COVER_MAX_RANK else None
+                assert drawn.cover == cover
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = Counter()
+        for name in ("compose", "cover_action"):
+            real = getattr(harness, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("rank, seed, samples", [(2, 505, 200), (3, 506, 50)])
+    def test_torsion_composes_only_uncertified_samples(self, monkeypatch, rank, seed, samples):
+        calls = self.count_calls(monkeypatch)
+        cfg = ExperimentConfig(rank=rank, samples=samples, budget=4, max_iter=12, length_cap=20_000, seed=seed)
+        report = run_torsion_experiment(cfg)
+        composed = report["attempts"] - report["certified_by_homology"]
+        assert 0 < composed < report["attempts"]
+        # budget - 1 compose calls build one sample's words
+        assert calls == Counter(compose=(cfg.budget - 1) * composed)
+
+    def test_conjugacy_builds_words_and_cover_only_where_a_certificate_declined(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        cfg = ExperimentConfig(
+            rank=3, samples=10, budget=4, pool_size=3, pool_length=6, max_iter=12, length_cap=10_000, seed=202
+        )
+        run_conjugacy_experiment(cfg)
+        probes = [(phi, cyclic.as_word()) for phi, cyclic in conjugacy_probes(cfg)]
+        lattice_declined = composed = 0
+        for i in range(0, len(probes), cfg.pool_size):
+            pool = probes[i : i + cfg.pool_size]
+            action = abelianization(pool[0][0])
+            lattice_declined += any(not certify_lattice(action, [word_exponent_vector(w)]) for _, w in pool)
+            composed += any(conjugacy_certificate(phi, w) is None for phi, w in pool)
+        assert 0 < composed <= lattice_declined < cfg.samples
+        assert calls == Counter(compose=(cfg.budget - 1) * composed, cover_action=lattice_declined)
 
 
 class TestCLI:
