@@ -5,11 +5,14 @@ Each runner samples outer automorphisms from the homologically trivial
 classes, or splittings, and records a histogram of outcomes.  Before a
 probe iterates, a certificate may prove that it has no period at all: one
 from the action on H_1(F_N) counts it as CertifiedByHomology, one from the
-action on H_1 of the mod-2 cover as CertifiedByCover (see the certificates
-in ``homology``).  A violation is a Period(p > 1) outcome under the
-congruence hypothesis; the shipped configurations expect zero.  Control
-sections rerun the probe with automorphisms outside the congruence kernel,
-where genuine periods exist, so the hypotheses are shown necessary.
+action on the free nilpotent quotient of class 2 as CertifiedByNilpotent,
+one from the action on H_1 of the mod-2 cover as CertifiedByCover, and,
+for an exact word whose class the sample fixes, one from the conjugator as
+CertifiedByConjugator (see the certificates in ``homology``).  A
+violation is a Period(p > 1) outcome under the congruence hypothesis; the
+shipped configurations expect zero.  Control sections rerun the probe with
+automorphisms outside the congruence kernel, where genuine periods exist,
+so the hypotheses are shown necessary.
 
 Reports are deterministic functions of (config, seed) apart from the
 elapsed field.  The runners return them, and the CLI writes them.
@@ -41,13 +44,16 @@ from .homology import (
     COVER_MAX_RANK,
     IntMatrix,
     abelianization,
+    certify_conjugator,
     certify_cover,
     certify_infinite_order,
     certify_lattice,
+    certify_nilpotent,
     cover_action,
     cover_class,
-    finite_order,
     mat_mul,
+    nilpotent_action,
+    nilpotent_coordinates,
     word_exponent_vector,
 )
 from .splittings import (
@@ -67,7 +73,7 @@ from .subgroups import (
     orbit_period,
     subgroup_class,
 )
-from .words import Alphabet, CyclicWord, Word, word_str
+from .words import Alphabet, CyclicWord, Word, cyclic_reduce, word_str
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,15 @@ class ExperimentConfig:
 
 
 # probes that a certificate proves to have no period at all, from the action
-# on H_1(F_N) or on H_1 of the mod-2 cover; they are never iterated
+# on H_1(F_N), on the class-2 nilpotent quotient or on H_1 of the mod-2
+# cover; they are never iterated
 CERTIFIED = "CertifiedByHomology"
+CERTIFIED_BY_NILPOTENT = "CertifiedByNilpotent"
 CERTIFIED_BY_COVER = "CertifiedByCover"
+# exact words whose conjugacy class the sample fixes, and whose conjugator
+# proves that the word itself has no period; a bucket of the Aut histogram
+# only, as the class's own outcome is Period(1)
+CERTIFIED_BY_CONJUGATOR = "CertifiedByConjugator"
 
 
 def _histogram() -> Dict[str, int]:
@@ -103,6 +115,7 @@ def _histogram() -> Dict[str, int]:
         "NoPeriodWithin": 0,
         "Blowup": 0,
         CERTIFIED: 0,
+        CERTIFIED_BY_NILPOTENT: 0,
         CERTIFIED_BY_COVER: 0,
     }
 
@@ -111,14 +124,21 @@ class _Sample:
     """A sampled automorphism phi, known first by its action on H_1.
 
     H_1 is a functor, so ``action``, the abelianization of phi, is the
-    product of its factors' matrices.  The words of phi and its action on
-    H_1 of the mod-2 cover are built on first use, so a sample whose probes
-    all certify from ``action`` builds neither.
+    product of its factors' matrices.  So is ``nilpotent``, phi's
+    ``nilpotent_action``, of its factors' ``nilpotent_action``.  It is built
+    on first use, as are the words of phi and its action on H_1 of the
+    mod-2 cover: a sample whose probes all certify from ``action`` builds
+    none of the three, and one whose probes certify from ``nilpotent``
+    builds neither words nor cover.
     """
 
     def __init__(self, factors: Sequence[FreeAutomorphism], action: IntMatrix):
         self._factors = factors
         self.action = action
+
+    @functools.cached_property
+    def nilpotent(self) -> IntMatrix:
+        return functools.reduce(mat_mul, map(nilpotent_action, self._factors))
 
     @functools.cached_property
     def phi(self) -> FreeAutomorphism:
@@ -153,11 +173,15 @@ def _certificate(drawn: _Sample, basis: Sequence[Word]) -> Optional[str]:
     """The certificate that proves the class of the subgroup with this basis
     to have no period under the sample, or None; a word w is probed as the
     basis (w).  ``certify_lattice`` tests the abelian support under the
-    sample's ``action``, then ``certify_cover`` the class of w^2 or [a, b]
-    under its ``cover``, built only here and None above
-    ``COVER_MAX_RANK``; below it every proper factor has rank 1 or 2."""
+    sample's ``action``, then, for a basis (w), ``certify_nilpotent`` the
+    class-2 coordinates of w under its ``nilpotent``, then
+    ``certify_cover`` the class of w^2 or [a, b] under its ``cover``; the
+    last two are built only here, and the cover is None above
+    ``COVER_MAX_RANK``, below which every proper factor has rank 1 or 2."""
     if certify_lattice(drawn.action, [word_exponent_vector(g) for g in basis]):
         return CERTIFIED
+    if len(basis) == 1 and certify_nilpotent(drawn.nilpotent, nilpotent_coordinates(basis[0])):
+        return CERTIFIED_BY_NILPOTENT
     cover = drawn.cover
     if cover is None:
         return None
@@ -212,6 +236,15 @@ def _random_cyclic_word(alphabet: Alphabet, max_len: int, rng: random.Random) ->
     return CyclicWord(alphabet, letters)
 
 
+def _conjugator_certifies(drawn: _Sample, word: Word) -> bool:
+    """``certify_conjugator`` for a cyclically reduced word in least
+    rotation whose conjugacy class the sample fixes: then
+    ``cyclic_reduce(phi(w))`` returns w's own class with the conjugator c of
+    phi(w) = c w c^-1."""
+    conjugator = cyclic_reduce(drawn.phi.apply(word))[1]
+    return certify_conjugator(drawn.action, word_exponent_vector(word), word_exponent_vector(conjugator))
+
+
 def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     """Orbits of conjugacy classes (outer version) and of exact words under
     a fixed representative (Aut version), for sampled congruence-kernel
@@ -219,15 +252,17 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
 
     A word w that ``_certificate`` takes as the basis (w) has no period in
     either mode, so it counts under its certificate in both histograms and
-    is not iterated.  Samples outside the congruence kernel iterate like
-    any other; their periods are genuine, and the mod-3 certificate
-    declines them."""
+    is not iterated.  A word whose class returns at once, phi(w) = c w
+    c^-1, is not iterated as a word either when ``_conjugator_certifies``:
+    its outer outcome is Period(1), its Aut outcome CertifiedByConjugator.
+    Samples outside the congruence kernel iterate like any other; their
+    periods are genuine, and the mod-3 certificates decline them."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     family = _Family(standard_generators(cfg.rank, cfg.family))
     rng = random.Random(cfg.seed)
     hist_outer = _histogram()
-    hist_aut = _histogram()
+    hist_aut = {**_histogram(), CERTIFIED_BY_CONJUGATOR: 0}
     violations = []
     for trial in range(cfg.samples):
         drawn = family.sample(cfg.budget, rng.randrange(2**32))
@@ -245,6 +280,9 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
             where = {"trial": trial, "word": word_str(word)}
             outcome = orbit_period(drawn.phi, cyclic, cfg.max_iter, cfg.length_cap)
             _record(hist_outer, outcome, violations, {**where, "mode": "outer"})
+            if outcome == OrbitOutcome("Period", 1) and _conjugator_certifies(drawn, word):
+                hist_aut[CERTIFIED_BY_CONJUGATOR] += 1
+                continue
             exact = exact_word_orbit(drawn.phi, word, cfg.max_iter, cfg.length_cap)
             _record(hist_aut, exact, violations, {**where, "mode": "aut"})
 
@@ -403,7 +441,6 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
         ab = drawn.action
         if certify_infinite_order(ab):
             # no power of ab is I, so no power of phi is inner
-            assert finite_order(ab) is None
             certified_by_homology += 1
             clean += 1
             continue

@@ -397,6 +397,161 @@ def certify_infinite_order(m: IntMatrix) -> bool:
     return congruent_to_identity(m) and m != identity_matrix(len(m))
 
 
+@functools.cache
+def _subsets(n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The k-subsets of range(n) in lexicographic order: the basis
+    e_S = e_(s_1) ^ ... ^ e_(s_k) of the k-th exterior power of Z^n."""
+    return tuple(itertools.combinations(range(n), k))
+
+
+@functools.cache
+def _subset_index(n: int, k: int) -> Dict[Tuple[int, ...], int]:
+    return {s: i for i, s in enumerate(_subsets(n, k))}
+
+
+def _outside_wedge(v: Sequence[int], x: Sequence[int], k: int) -> bool:
+    """True iff x, a k-vector in the basis of ``_subsets``, is not v ^ y
+    for any rational (k - 1)-vector y: x != 0 for v = 0, and x ^ v != 0
+    otherwise (for v != 0 the sequence x -> x ^ v is exact).  For k = 1
+    this says x is not in Q v.
+
+    Both certificates below end here, on this lemma.  Let B be an integer
+    matrix with B = I mod 3.  Then no eigenvalue of B is a root of unity
+    other than 1.  A primitive d-th root of unity is an eigenvalue iff the
+    rational kernel of Phi_d(B) is nonzero.  For d > 1 that kernel cut
+    with Z^m is a B-invariant saturated lattice, B restricted to it is = I
+    mod 3 and has finite order (B^d = I there), so it is I (Minkowski, as
+    in ``certify_lattice``).  Then Phi_d(B) is Phi_d(1) != 0 times I on
+    it, and the lattice is 0.  Hence S_p(B) = I + B + ... + B^(p-1),
+    whose eigenvalues are p and (l^p - 1) / (l - 1) for the eigenvalues
+    l != 1 of B, is nonsingular over Q for every p >= 1, and
+    so is S_p of the map that B induces on Q^m / W, for any B-invariant
+    subspace W: its eigenvalues are among those of B.  Each certificate
+    finds a vector x and a B-invariant W = v ^ Q^(...) such that a period
+    p of the probe gives S_p(B) x in W.  Then x is in W, which True here
+    refutes.  ``tests/test_homology.py`` checks det S_p(B) != 0 for p <= 12
+    on boxes of congruence matrices, and of their exterior squares.
+    """
+    n = len(v)
+    if not any(v):
+        return any(x)
+    index = _subset_index(n, k)
+    for s in _subsets(n, k + 1):
+        # (x ^ v)_S is the sum over j in S of x_(S - j) v_j, with the sign
+        # of moving e_j past the later members of S
+        total = 0
+        for position, j in enumerate(s):
+            term = x[index[s[:position] + s[position + 1 :]]] * v[j]
+            total += term if (k - position) % 2 == 0 else -term
+        if total:
+            return True
+    return False
+
+
+def certify_conjugator(m: IntMatrix, v: Sequence[int], c: Sequence[int]) -> bool:
+    """True proves that the word w has no period under phi, given phi(w) =
+    g w g^-1 for words w != 1 and g, with exponent vectors v = [w] and
+    c = [g], and M the abelianization of phi: M = I mod 3 and c is not in
+    Q v.
+
+    Then phi^p(w) = g_p w g_p^-1 for g_p = phi^(p-1)(g) ... phi(g) g, so
+    [g_p] = S_p(M) c.  If phi^p(w) = w, then g_p centralises w, so it is a
+    power of the root of w, and S_p(M) c is in Q v.  Mv = v, since phi(w)
+    is conjugate to w, so W = Q v is M-invariant, and the lemma of
+    ``_outside_wedge`` puts c in Q v.  The conjugator is defined up to the
+    centraliser of w, which changes c by a multiple of the root's vector,
+    in Q v; the test does not depend on that choice.
+    """
+    return congruent_to_identity(m) and _outside_wedge(v, c, 1)
+
+
+# ---------------------------------------------------------------------------
+# the free nilpotent quotient of class 2
+#
+# For a word w = l_1 ... l_r let Omega(w) be the sum over k of
+# [l_1 ... l_(k-1)] ^ [l_k], in the exterior square of Z^N with the basis
+# of ``_subsets``.  Inserting x x^-1 adds p ^ x + (p + x) ^ (-x) = 0, so
+# Omega is a function on F_N, and Omega(uv) = Omega(u) + Omega(v) + [u] ^
+# [v].  So w -> ([w], Omega(w)) is a homomorphism onto a class-2 nilpotent
+# group, and Omega(u w u^-1) = Omega(w) + 2 [u] ^ [w].  For an
+# automorphism phi with abelianization M, Omega(phi(w)) - (^2 M) Omega(w)
+# is additive in w, so it is L [w], where column i of L is Omega(phi(x_i)).
+# The coordinates ([w], Omega(w)) therefore map to ([phi(w)],
+# Omega(phi(w))) by one integer matrix, T = ((M, 0), (L, ^2 M)), and T of
+# a composite is the product of the factors' T: the blocks multiply as
+# (^2 M_1, L_1)(^2 M_2, L_2) = (^2 M_1 ^2 M_2, ^2 M_1 L_2 + L_1 M_2).
+
+
+def exterior_square(m: IntMatrix) -> IntMatrix:
+    """^2 M: column (k, l) is M e_k ^ M e_l, so entry ((i, j), (k, l)) is
+    the minor m_ik m_jl - m_il m_jk."""
+    pairs = _subsets(len(m), 2)
+    return tuple(
+        tuple(m[i][k] * m[j][l] - m[i][l] * m[j][k] for k, l in pairs) for i, j in pairs
+    )
+
+
+def nilpotent_coordinates(word: Word) -> Tuple[int, ...]:
+    """([w], Omega(w)) as one vector of N + N (N - 1) / 2 integers."""
+    n = word.alphabet.rank
+    index = _subset_index(n, 2)
+    prefix = [0] * n
+    omega = [0] * len(index)
+    for letter in word.letters:
+        k = abs(letter) - 1
+        sign = 1 if letter > 0 else -1
+        # omega += prefix ^ (sign e_k)
+        for i in range(n):
+            if prefix[i] and i != k:
+                if i < k:
+                    omega[index[i, k]] += sign * prefix[i]
+                else:
+                    omega[index[k, i]] -= sign * prefix[i]
+        prefix[k] += sign
+    return tuple(prefix) + tuple(omega)
+
+
+def nilpotent_action(phi: FreeAutomorphism) -> IntMatrix:
+    """The matrix T = ((M, 0), (L, ^2 M)) of phi on the coordinates of
+    ``nilpotent_coordinates``: T x(w) = x(phi(w)) for every word w.  Column
+    i is x(phi(x_i)), read from the image words."""
+    columns = [nilpotent_coordinates(image) for image in phi.forward]
+    n = len(columns)
+    # the rows of M^T are the columns [phi(x_i)], and the rows of ^2 (M^T)
+    # = (^2 M)^T are the columns of ^2 M
+    transpose = tuple(column[:n] for column in columns)
+    columns.extend((0,) * n + row for row in exterior_square(transpose))
+    return tuple(zip(*columns))
+
+
+def certify_nilpotent(t: IntMatrix, x: Sequence[int]) -> bool:
+    """True proves that neither the conjugacy class of w, nor the word w,
+    nor the factor <w> has a period under phi, for T = ``nilpotent_action``
+    of phi and x = ``nilpotent_coordinates`` of w: M = I mod 3, Mv = v for
+    v = [w], and delta = Omega(phi(w)) - Omega(w) is not in v ^ Q^N.
+
+    Let phi^p(w) be conjugate to w.  Then Omega(phi^p(w)) - Omega(w) is in
+    W = v ^ Q^N, which ^2 M fixes as a set since Mv = v.  Omega(phi^(k+1)
+    (w)) - Omega(phi^k(w)) = (^2 M)^k delta, as [phi^k(w)] = v, so the sum
+    is S_p(^2 M) delta.  ^2 M = I mod 3, as its entries are the 2 x 2
+    minors of M, and the lemma of ``_outside_wedge`` puts delta in W.  A
+    period of the word w is one of its class.  A period p of the factor
+    <w> makes phi^p(w) conjugate to w^(+-1), and then phi^(2p)(w) is
+    conjugate to w, a period of the class.
+
+    At N = 2 this never holds: W is all of ^2 Q^2 when v != 0, and for
+    v = 0 delta = (det M - 1) Omega(w) = 0.
+    """
+    n = (math.isqrt(8 * len(x) + 1) - 1) // 2
+    if not congruent_to_identity(tuple(row[:n] for row in t[:n])):
+        return False
+    y = _mat_vec(t, x)
+    v = x[:n]
+    if y[:n] != v:
+        return False
+    return _outside_wedge(v, tuple(a - b for a, b in zip(y[n:], x[n:])), 2)
+
+
 # ---------------------------------------------------------------------------
 # the homology of the mod-2 cover
 #

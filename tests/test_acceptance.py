@@ -137,12 +137,39 @@ def conjugacy_reports():
     return reports, time.perf_counter() - start
 
 
+# the Period(1) counts that iteration finds on the pinned configurations; a
+# certificate may only take probes out of NoPeriodWithin and Blowup
+PERIOD_ONE = {
+    ("conjugacy", 101, "outcomes_outer"): 593,
+    ("conjugacy", 202, "outcomes_outer"): 154,
+    ("conjugacy", 101, "outcomes_aut"): 78,
+    ("conjugacy", 202, "outcomes_aut"): 76,
+    ("factors", 303, "outcomes"): 105,
+}
+
+
+def _assert_periods_kept(report, key):
+    hist = report[key]
+    assert hist["Period(1)"] == PERIOD_ONE[report["experiment"], report["config"]["seed"], key]
+    assert hist["Period(>1)"] == 0
+
+
+def _assert_conjugacy_histogram(report, key):
+    # every probe lands in one bucket, and only the Aut histogram has the
+    # conjugator's
+    _assert_periods_kept(report, key)
+    config = report["config"]
+    assert sum(report[key].values()) == config["samples"] * config["pool_size"]
+    assert "CertifiedByConjugator" not in report["outcomes_outer"]
+    assert "CertifiedByConjugator" in report["outcomes_aut"]
+
+
 def test_criterion_4_periodic_conjugacy_classes_fixed(conjugacy_reports):
     reports, elapsed = conjugacy_reports
     total = sum(r["trials"] for r in reports)
     assert total >= 1000
     for report in reports:
-        assert report["outcomes_outer"]["Period(>1)"] == 0
+        _assert_conjugacy_histogram(report, "outcomes_outer")
         assert [v for v in report["violations"] if v["mode"] == "outer"] == []
         assert report["control"]["nontrivial_periods"] >= 1
     assert elapsed < 120.0
@@ -161,7 +188,7 @@ def test_criterion_4_periodic_conjugacy_classes_fixed(conjugacy_reports):
 def test_criterion_5_periodic_elements_fixed_aut_version(conjugacy_reports):
     reports, _ = conjugacy_reports
     for report in reports:
-        assert report["outcomes_aut"]["Period(>1)"] == 0
+        _assert_conjugacy_histogram(report, "outcomes_aut")
         assert [v for v in report["violations"] if v["mode"] == "aut"] == []
     hist = {
         k: sum(r["outcomes_aut"][k] for r in reports)
@@ -177,7 +204,7 @@ def test_criterion_6_periodic_free_factors_fixed():
         )
     )
     assert report["violations"] == []
-    assert report["outcomes"]["Period(>1)"] == 0
+    _assert_periods_kept(report, "outcomes")
     assert report["control"]["period"] == 3
     _announce(
         6,

@@ -1,9 +1,11 @@
 import csv
+import itertools
 import json
 import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +23,9 @@ from aperiodic_lab.aut import (
 from aperiodic_lab.cli import main
 from aperiodic_lab.harness import (
     CERTIFIED,
+    CERTIFIED_BY_CONJUGATOR,
     CERTIFIED_BY_COVER,
+    CERTIFIED_BY_NILPOTENT,
     ExperimentConfig,
     _Family,
     _random_cyclic_word,
@@ -41,12 +45,14 @@ from aperiodic_lab.homology import (
     congruent_to_identity,
     cover_action,
     cover_class,
+    finite_order,
     identity_matrix,
+    nilpotent_action,
     word_exponent_vector,
 )
 from aperiodic_lab.splittings import splitting_orbit_period
 from aperiodic_lab.subgroups import FreeFactorSystem, exact_word_orbit, orbit_period
-from aperiodic_lab.words import Alphabet, CyclicWord
+from aperiodic_lab.words import Alphabet, CyclicWord, cyclic_reduce
 
 FAST = dict(samples=8, budget=3, pool_size=2, seed=1, max_iter=6, length_cap=1500)
 
@@ -241,24 +247,93 @@ def splitting_probes(cfg):
             yield phi, marked
 
 
-CERTIFICATES = (CERTIFIED, CERTIFIED_BY_COVER)
+CERTIFICATES = (CERTIFIED, CERTIFIED_BY_NILPOTENT, CERTIFIED_BY_COVER, CERTIFIED_BY_CONJUGATOR)
+# the certificates that hold only for M = I mod 3
+MOD_3_CERTIFICATES = (CERTIFIED, CERTIFIED_BY_NILPOTENT, CERTIFIED_BY_CONJUGATOR)
 
 
 def assert_runner_matches_iteration(hist, iterated, uncertified, certified):
     """``hist`` from a runner; ``iterated`` buckets every probe by its
     iterated outcome, ``uncertified`` only the probes no certificate took,
-    and ``certified`` counts those each certificate took."""
+    and ``certified`` counts those each certificate took.  Only the Aut
+    histogram has a CertifiedByConjugator bucket."""
     for key in CERTIFICATES:
-        assert hist[key] == certified[key], key
+        assert hist.get(key, 0) == certified[key], key
     for key in ("Period(1)", "Period(>1)"):
         assert hist[key] == iterated[key]
     assert (
-        sum(hist[key] for key in CERTIFICATES) + hist["NoPeriodWithin"] + hist["Blowup"]
+        sum(hist.get(key, 0) for key in CERTIFICATES) + hist["NoPeriodWithin"] + hist["Blowup"]
         == iterated["NoPeriodWithin"] + iterated["Blowup"]
     )
     assert {k: v for k, v in hist.items() if k not in CERTIFICATES} == {
         k: uncertified[k] for k in ("Period(1)", "Period(>1)", "NoPeriodWithin", "Blowup")
     }
+
+
+def rational_rank(vectors):
+    """The rank of ``vectors`` over Q, by elimination over fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def in_rational_span(x, spanning):
+    return rational_rank(list(spanning) + [x]) == rational_rank(spanning)
+
+
+def omega_matrix(word):
+    """Omega(w) from its definition, the sum over k of [l_1 ... l_(k-1)] ^
+    [l_k], as the antisymmetric matrix whose entry (i, j) is the
+    coefficient of e_i ^ e_j (a ^ b has entries a_i b_j - a_j b_i),
+    flattened row by row."""
+    n = word.alphabet.rank
+    prefix = [0] * n
+    omega = [[0] * n for _ in range(n)]
+    for letter in word.letters:
+        k, sign = abs(letter) - 1, 1 if letter > 0 else -1
+        for i in range(n):
+            omega[i][k] += sign * prefix[i]
+            omega[k][i] -= sign * prefix[i]
+        prefix[k] += sign
+    return [x for row in omega for x in row]
+
+
+def wedge_matrix(a, b):
+    return [x * y - a[j] * b[i] for i, x in enumerate(a) for j, y in enumerate(b)]
+
+
+def nilpotent_certifies(phi, word):
+    """The class-2 rule read from scratch on the composed word phi(w): M = I
+    mod 3, Mv = v for v = [w], and Omega(phi(w)) - Omega(w) is not v ^ u
+    for any rational u."""
+    image, v = phi.apply(word), word_exponent_vector(word)
+    if not congruent_to_identity(abelianization(phi)) or word_exponent_vector(image) != v:
+        return False
+    delta = [x - y for x, y in zip(omega_matrix(image), omega_matrix(word))]
+    units = identity_matrix(len(v))
+    return not in_rational_span(delta, [wedge_matrix(v, e) for e in units])
+
+
+def conjugator_certifies(phi, word):
+    """The conjugator rule read from ``cyclic_reduce`` of the composed word
+    phi(w), for w in least rotation: phi fixes the class of w, so phi(w) =
+    c w c^-1, and M = I mod 3 with [c] not in Q [w]."""
+    image = phi.apply(word)
+    core, c = cyclic_reduce(image)
+    if core != CyclicWord(word.alphabet, word.letters):
+        return False
+    assert image == c * word * c.inverse()
+    moved = not in_rational_span(word_exponent_vector(c), [word_exponent_vector(word)])
+    return congruent_to_identity(abelianization(phi)) and moved
 
 
 def cover_certifies(phi, word):
@@ -270,23 +345,37 @@ def cover_certifies(phi, word):
 def conjugacy_certificate(phi, word):
     """The certificate that takes a conjugacy probe, or None: the mod-3 rule
     on the exponent vector v written out, M = I mod 3 and Mv != v, then the
-    cover on w^2."""
+    class-2 rule, then the cover on w^2."""
     action, v = abelianization(phi), word_exponent_vector(word)
     moved = tuple(sum(x * y for x, y in zip(row, v)) for row in action) != v
     if congruent_to_identity(action) and moved:
         return CERTIFIED
+    if nilpotent_certifies(phi, word):
+        return CERTIFIED_BY_NILPOTENT
     if cover_certifies(phi, word**2):
         return CERTIFIED_BY_COVER
     return None
 
 
+def exact_word_certificate(phi, word):
+    """The certificate that takes an exact-word probe: that of its class,
+    else the conjugator rule."""
+    kind = conjugacy_certificate(phi, word)
+    if kind is None and conjugator_certifies(phi, word):
+        return CERTIFIED_BY_CONJUGATOR
+    return kind
+
+
 def factor_certificate(phi, cls):
-    """The certificate that takes a factor probe, or None: the cover tests
-    w^2 for a rank-1 factor <w> and [a, b] for a rank-2 factor <a, b>."""
+    """The certificate that takes a factor probe, or None: the class-2 rule
+    tests the generator w of a rank-1 factor <w>, and the cover w^2 for a
+    rank-1 factor and [a, b] for a rank-2 factor <a, b>."""
     basis = cls.representative.generators()
     if certify_lattice(abelianization(phi), [word_exponent_vector(g) for g in basis]):
         return CERTIFIED
     if len(basis) == 1:
+        if nilpotent_certifies(phi, basis[0]):
+            return CERTIFIED_BY_NILPOTENT
         word = basis[0] ** 2
     else:
         a, b = basis
@@ -309,7 +398,7 @@ def splitting_certificate(phi, marked):
 
 # max_iter 12 for the soundness of the certified probes, a low cap to keep
 # their iteration short
-ORACLE = dict(budget=3, max_iter=12, length_cap=1500)
+ORACLE = dict(max_iter=12, length_cap=1500)
 
 
 def check_against_oracle(probes, iterate, certificate, hist):
@@ -329,7 +418,7 @@ def check_against_oracle(probes, iterate, certificate, hist):
             continue
         certified[kind] += 1
         assert outcome.kind != "Period", (kind, phi, probe)
-        if kind == CERTIFIED:
+        if kind in MOD_3_CERTIFICATES:
             assert congruent_to_identity(abelianization(phi))
     assert sum(certified.values()) < sum(iterated.values())
     assert_runner_matches_iteration(hist, iterated, left, certified)
@@ -339,20 +428,29 @@ def check_against_oracle(probes, iterate, certificate, hist):
 class TestHomologyCertificates:
     """Each runner against iteration of every one of its probes through the
     public probe, certified or not: no certified probe returns, and the
-    certified probes are exactly the runner's CertifiedByHomology and
-    CertifiedByCover, taken out of NoPeriodWithin and Blowup."""
+    certified probes are exactly the runner's certificate buckets, taken out
+    of NoPeriodWithin and Blowup.  The rules are read from scratch on the
+    composed words, the class-2 one and the conjugator from phi(w).  The
+    pinned seeds run at the budget and pool of their acceptance criterion,
+    and so do their held-out shifts by 10 000."""
 
     @pytest.mark.parametrize(
-        "rank, family, seed",
+        "rank, family, seed, budget, pool_size",
         [
-            pytest.param(2, "ia3", 3, id="2-3"),
-            pytest.param(3, "ia3", 4, id="3-4"),
-            pytest.param(3, "ia3", 202, id="3-202"),
-            pytest.param(2, "nielsen", 10, id="nielsen-2-10"),
+            pytest.param(2, "ia3", 3, 3, 4, id="2-3"),
+            pytest.param(3, "ia3", 4, 3, 4, id="3-4"),
+            pytest.param(3, "ia3", 202, 3, 4, id="3-202"),
+            pytest.param(2, "nielsen", 10, 3, 4, id="nielsen-2-10"),
+            pytest.param(2, "ia3", 101, 5, 4, id="pinned-2-101"),
+            pytest.param(3, "ia3", 202, 4, 3, id="pinned-3-202"),
+            pytest.param(2, "ia3", 10_101, 5, 4, id="held-out-2-10101"),
+            pytest.param(3, "ia3", 10_202, 4, 3, id="held-out-3-10202"),
         ],
     )
-    def test_conjugacy_runner(self, rank, family, seed):
-        cfg = ExperimentConfig(rank=rank, family=family, samples=16, pool_size=4, seed=seed, **ORACLE)
+    def test_conjugacy_runner(self, rank, family, seed, budget, pool_size):
+        cfg = ExperimentConfig(
+            rank=rank, family=family, samples=40, budget=budget, pool_size=pool_size, seed=seed, **ORACLE
+        )
         report = run_conjugacy_experiment(cfg)
         word_probes = [(phi, cyclic.as_word()) for phi, cyclic in conjugacy_probes(cfg)]
 
@@ -365,20 +463,36 @@ class TestHomologyCertificates:
         certified, outside = check_against_oracle(
             word_probes, outer, conjugacy_certificate, report["outcomes_outer"]
         )
-        assert check_against_oracle(
-            word_probes, exact, conjugacy_certificate, report["outcomes_aut"]
-        ) == (certified, outside)
+        certified_aut, outside_aut = check_against_oracle(
+            word_probes, exact, exact_word_certificate, report["outcomes_aut"]
+        )
+        assert outside_aut == outside
+        assert {k: v for k, v in certified_aut.items() if k != CERTIFIED_BY_CONJUGATOR} == certified
+        assert CERTIFIED_BY_CONJUGATOR not in report["outcomes_outer"]
         if family == "ia3":
             assert certified[CERTIFIED] > 0 and outside == 0
+            assert certified_aut[CERTIFIED_BY_CONJUGATOR] > 0
         else:
-            assert outside > 0 and certified[CERTIFIED] == 0
-        if seed == 202:
+            assert outside > 0 and sum(certified_aut[key] for key in MOD_3_CERTIFICATES) == 0
+        if rank == 2:
+            # the class-2 rule cannot hold at rank 2
+            assert certified[CERTIFIED_BY_NILPOTENT] == 0
+        if seed in (202, 10_202):
             # rank 3 words whose exponent vectors M fixes
-            assert certified[CERTIFIED_BY_COVER] > 0
+            assert certified[CERTIFIED_BY_NILPOTENT] > 0 and certified[CERTIFIED_BY_COVER] > 0
 
-    @pytest.mark.parametrize("family, seed", [("ia3", 5), ("nielsen", 6)])
+    @pytest.mark.parametrize(
+        "family, seed",
+        [
+            ("ia3", 5),
+            ("nielsen", 6),
+            pytest.param("ia3", 303, id="pinned-303"),
+            pytest.param("ia3", 10_303, id="held-out-10303"),
+        ],
+    )
     def test_factor_runner(self, family, seed):
-        cfg = ExperimentConfig(rank=3, family=family, samples=10, seed=seed, **ORACLE)
+        budget = 4 if seed in (303, 10_303) else 3
+        cfg = ExperimentConfig(rank=3, family=family, samples=30, budget=budget, seed=seed, **ORACLE)
 
         def iterate(phi, cls):
             return orbit_period(phi, cls, cfg.max_iter, cfg.length_cap)
@@ -389,12 +503,14 @@ class TestHomologyCertificates:
         assert certified[CERTIFIED_BY_COVER] > 0
         if family == "ia3":
             assert certified[CERTIFIED] > 0 and outside == 0
+            # rank-1 factors <w> whose exponent vector M fixes
+            assert certified[CERTIFIED_BY_NILPOTENT] > 0
         else:
-            assert outside > 0 and certified[CERTIFIED] == 0
+            assert outside > 0 and sum(certified[key] for key in MOD_3_CERTIFICATES) == 0
 
     @pytest.mark.parametrize("rank, family, seed", [(2, "ia3", 7), (3, "ia3", 8), (2, "nielsen", 9)])
     def test_splitting_runner(self, rank, family, seed):
-        cfg = ExperimentConfig(rank=rank, family=family, samples=10, seed=seed, **ORACLE)
+        cfg = ExperimentConfig(rank=rank, family=family, samples=10, budget=3, seed=seed, **ORACLE)
 
         def iterate(phi, marked):
             return splitting_orbit_period(marked, phi, cfg.max_iter, cfg.length_cap)
@@ -403,7 +519,7 @@ class TestHomologyCertificates:
         certified, outside = check_against_oracle(
             probes, iterate, splitting_certificate, run_splitting_experiment(cfg)["outcomes"]
         )
-        assert certified[CERTIFIED_BY_COVER] == 0
+        assert set(certified) <= {CERTIFIED}
         if family == "ia3":
             assert outside == 0
             with_groups = [(phi, m) for phi, m in probes if m.vertex_groups]
@@ -419,14 +535,14 @@ class TestHomologyCertificates:
         for v in identity_matrix(3):
             assert not certify_lattice(cycle, [v])
         assert not certify_infinite_order(sw) and not certify_infinite_order(cycle)
-        cfg = ExperimentConfig(rank=3, samples=2, **ORACLE)
+        cfg = ExperimentConfig(rank=3, samples=2, budget=3, **ORACLE)
         for report in (
-            run_conjugacy_experiment(ExperimentConfig(rank=2, samples=2, **ORACLE)),
+            run_conjugacy_experiment(ExperimentConfig(rank=2, samples=2, budget=3, **ORACLE)),
             run_factor_experiment(cfg),
             run_splitting_experiment(cfg),
         ):
             for key in CERTIFICATES:
-                assert report["control"]["outcomes"][key] == 0
+                assert report["control"]["outcomes"].get(key, 0) == 0
 
 
 def compose_from_identity(gens, budget, seed):
@@ -466,6 +582,32 @@ class TestMatrixFirstSampling:
                 cover = cover_action(oracle) if rank <= COVER_MAX_RANK else None
                 assert drawn.cover == cover
 
+    @pytest.mark.parametrize("family", ["ia3", "nielsen"])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_nilpotent_product_matches_the_composed_words(self, rank, family):
+        # the product of the factors' class-2 matrices against the blocks
+        # read from the composed words: ^2 M from the 2 x 2 minors of M, and
+        # column i of L from Omega(phi(x_i)) by its definition
+        gens = standard_generators(rank, family)
+        drawn_family = _Family(gens)
+        pairs = list(itertools.combinations(range(rank), 2))
+        flat = [i * rank + j for i, j in pairs]
+        for seed in PINNED_SEEDS + tuple(s + 10_000 for s in PINNED_SEEDS):
+            for budget in range(1, 7):
+                oracle = compose_from_identity(gens, budget, seed)
+                m = abelianization(oracle)
+                square = [[m[i][k] * m[j][l] - m[i][l] * m[j][k] for k, l in pairs] for i, j in pairs]
+                omegas = [omega_matrix(image) for image in oracle.forward]
+                low = [[omegas[c][f] for c in range(rank)] for f in flat]
+                expected = tuple(
+                    tuple(row)
+                    for row in [list(r) + [0] * len(pairs) for r in m]
+                    + [low[r] + square[r] for r in range(len(pairs))]
+                )
+                drawn = drawn_family.sample(budget, seed)
+                assert drawn.nilpotent == expected, (seed, budget)
+                assert nilpotent_action(oracle) == expected
+
     @staticmethod
     def count_calls(monkeypatch):
         calls = Counter()
@@ -496,14 +638,39 @@ class TestMatrixFirstSampling:
         )
         run_conjugacy_experiment(cfg)
         probes = [(phi, cyclic.as_word()) for phi, cyclic in conjugacy_probes(cfg)]
-        lattice_declined = composed = 0
+        mod_3_declined = composed = 0
         for i in range(0, len(probes), cfg.pool_size):
             pool = probes[i : i + cfg.pool_size]
             action = abelianization(pool[0][0])
-            lattice_declined += any(not certify_lattice(action, [word_exponent_vector(w)]) for _, w in pool)
+            mod_3_declined += any(
+                not certify_lattice(action, [word_exponent_vector(w)]) and not nilpotent_certifies(phi, w)
+                for phi, w in pool
+            )
             composed += any(conjugacy_certificate(phi, w) is None for phi, w in pool)
-        assert 0 < composed <= lattice_declined < cfg.samples
-        assert calls == Counter(compose=(cfg.budget - 1) * composed, cover_action=lattice_declined)
+        assert 0 < composed <= mod_3_declined < cfg.samples
+        assert calls == Counter(compose=(cfg.budget - 1) * composed, cover_action=mod_3_declined)
+
+    @pytest.mark.parametrize("shift", [0, 10_000])
+    @pytest.mark.parametrize("rank, seed, samples", [(2, 505, 200), (3, 506, 150)])
+    def test_torsion_certified_samples_have_infinite_order(self, monkeypatch, rank, seed, samples, shift):
+        # every sample of criterion 8 and of its held-out shift that
+        # certify_infinite_order takes has no finite order at all
+        certified = []
+        real = harness.certify_infinite_order
+
+        def recorded(m):
+            if real(m):
+                certified.append(m)
+                return True
+            return False
+
+        monkeypatch.setattr(harness, "certify_infinite_order", recorded)
+        cfg = ExperimentConfig(
+            rank=rank, samples=samples, budget=4, max_iter=12, length_cap=20_000, seed=seed + shift
+        )
+        report = run_torsion_experiment(cfg)
+        assert len(certified) == report["certified_by_homology"] > 0
+        assert all(finite_order(m) is None for m in certified)
 
 
 class TestCLI:

@@ -28,13 +28,17 @@ from aperiodic_lab.homology import (
     _scan_steps,
     abelian_standing_assumptions_check,
     abelianization,
+    _outside_wedge,
+    certify_conjugator,
     certify_cover,
     certify_infinite_order,
     certify_lattice,
+    certify_nilpotent,
     congruent_to_identity,
     cover_action,
     cover_class,
     det,
+    exterior_square,
     finite_order,
     fix_subgroup,
     identity_matrix,
@@ -45,14 +49,16 @@ from aperiodic_lab.homology import (
     mat_pow,
     matrix_str,
     minkowski_scan,
+    nilpotent_action,
+    nilpotent_coordinates,
     order_bound,
     parse_matrix,
     per_subgroup,
     saturation,
     word_exponent_vector,
 )
-from aperiodic_lab.subgroups import orbit_period
-from aperiodic_lab.words import Alphabet, CyclicWord, Word, all_reduced_words, parse_word
+from aperiodic_lab.subgroups import exact_word_orbit, orbit_period
+from aperiodic_lab.words import Alphabet, CyclicWord, Word, all_reduced_words, cyclic_reduce, parse_word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -700,3 +706,178 @@ class TestCover:
             cover_class(w("aa", a4))
         with pytest.raises(ValueError):
             cover_class(w("ab"))
+
+
+def wedge(a, b):
+    """a ^ b in the basis e_i ^ e_j, i < j, in lexicographic order."""
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2))
+
+
+def random_word(alphabet, rng, max_len=12):
+    return Word(alphabet, [rng.choice(alphabet.signed_letters()) for _ in range(rng.randrange(max_len))])
+
+
+def partial_sum(m, p):
+    """S_p(M) = I + M + ... + M^(p-1)."""
+    total = identity_matrix(len(m))
+    for k in range(1, p):
+        total = tuple(tuple(x + y for x, y in zip(r, q)) for r, q in zip(total, mat_pow(m, k)))
+    return total
+
+
+class TestNilpotentQuotient:
+    """The coordinates ([w], Omega(w)) of the class-2 quotient, the matrix
+    of an automorphism on them, the lemma behind the two new certificates,
+    and the certificates against iteration."""
+
+    @pytest.mark.parametrize("n, bound", [(2, 6), (3, 3)])
+    def test_lemma_partial_sums_are_nonsingular(self, n, bound):
+        # B = I mod 3 has no eigenvalue that is a root of unity other than
+        # 1, so det S_p(B) != 0; at n = 3 the same for ^2 B, also = I mod 3
+        matrices = list(_congruence_matrices(n, bound, 3))
+        assert len(matrices) == {2: 17, 3: 181}[n]
+        for m in matrices:
+            squares = [exterior_square(m)] if n == 3 else []
+            for b in [m] + squares:
+                assert congruent_to_identity(b)
+                for p in range(1, 13):
+                    assert det(partial_sum(b, p)) != 0, (b, p)
+
+    def test_exterior_square_is_multiplicative(self):
+        matrices = list(_congruence_matrices(3, 3, 3))[::7] + [THREE_CYCLE]
+        for a, b in itertools.product(matrices, repeat=2):
+            assert exterior_square(mat_mul(a, b)) == mat_mul(exterior_square(a), exterior_square(b))
+        assert exterior_square(THREE_CYCLE) != identity_matrix(3)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_coordinates_are_a_homomorphism(self, rank):
+        # x(uv) = (a + b, Omega(u) + Omega(v) + a ^ b), x(u^-1) = -x(u),
+        # and conjugation adds 2 [u] ^ [w] to Omega(w)
+        alphabet = Alphabet(rank)
+        rng = random.Random(rank)
+        for _ in range(60):
+            u, v = random_word(alphabet, rng), random_word(alphabet, rng)
+            xu, xv = nilpotent_coordinates(u), nilpotent_coordinates(v)
+            a, b = xu[:rank], xv[:rank]
+            expected = tuple(x + y for x, y in zip(a, b)) + tuple(
+                x + y + z for x, y, z in zip(xu[rank:], xv[rank:], wedge(a, b))
+            )
+            assert nilpotent_coordinates(u * v) == expected, (u, v)
+            assert nilpotent_coordinates(u.inverse()) == tuple(-x for x in xu)
+            conjugate = nilpotent_coordinates(u * v * u.inverse())
+            assert conjugate[rank:] == tuple(x + 2 * y for x, y in zip(xv[rank:], wedge(a, b)))
+        assert nilpotent_coordinates(w("abAB")) == (0, 0, 2)
+
+    @pytest.mark.parametrize("family", ["ia3", "nielsen"])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_action_on_coordinates(self, rank, family):
+        # T x(w) = x(phi(w)), 30 samples x 10 words per rank, and T is a
+        # homomorphism: T of a composite is the product
+        alphabet = Alphabet(rank)
+        gens = standard_generators(rank, family)
+        rng = random.Random(rank * 10 + len(family))
+        previous = None
+        for _ in range(30):
+            phi = sample(gens, rng.randrange(1, 5), rng.randrange(2**32))
+            t = nilpotent_action(phi)
+            assert abs(det(t)) == 1
+            for _ in range(10):
+                word = random_word(alphabet, rng)
+                assert apply(t, nilpotent_coordinates(word)) == nilpotent_coordinates(phi.apply(word))
+            if previous is not None:
+                assert nilpotent_action(compose(phi, previous)) == mat_mul(t, nilpotent_action(previous))
+            previous = phi
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_outside_wedge_against_rational_rank(self, n):
+        # x is v ^ y for some rational y iff adding x to the v ^ e_j does
+        # not raise their rank; for k = 1, iff x is a multiple of v
+        rng = random.Random(n)
+        seen = set()
+        for _ in range(300):
+            v = tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n))
+            y = tuple(rng.randrange(-2, 3) for _ in range(n))
+            for k in (1, 2):
+                if rng.random() < 0.5:
+                    x = tuple(rng.randrange(-2, 3) * c for c in (v if k == 1 else wedge(v, y)))
+                else:
+                    x = tuple(rng.randrange(-2, 3) for _ in range(n if k == 1 else n * (n - 1) // 2))
+                spanning = [v] if k == 1 else [wedge(v, e) for e in identity_matrix(n)]
+                inside = rank_of(spanning + [x]) == rank_of(spanning)
+                assert _outside_wedge(v, x, k) == (not inside), (v, x, k)
+                seen.add((k, inside))
+        assert seen == {(k, inside) for k in (1, 2) for inside in (False, True)}
+
+    def test_certificates_on_rank_three_generators(self):
+        # M = I for both, so certify_lattice takes nothing.  The class-2
+        # certificate takes the classes that iteration never brings back,
+        # the same words as the cover; the conjugator takes the words whose
+        # class returns at once and that never return themselves
+        expected = {
+            commutator_insertion(A3, 1, 2, 3): ({"a", "ab", "ac", "abc", "aB"}, set()),
+            partial_conjugation(A3, 1, 2): ({"ac", "abc"}, {"a", "ab", "aB"}),
+        }
+        for phi, (by_class, by_conjugator) in expected.items():
+            t, m = nilpotent_action(phi), abelianization(phi)
+            for text in ("a", "b", "c", "ab", "ac", "bc", "abc", "aB"):
+                word = w(text, A3)
+                cyclic = CyclicWord(A3, word.letters)
+                assert certify_nilpotent(t, nilpotent_coordinates(word)) == (text in by_class)
+                returns = orbit_period(phi, cyclic, 12).kind == "Period"
+                assert returns == (text not in by_class), (phi, text)
+                if returns:
+                    c = cyclic_reduce(phi.apply(word))[1]
+                    certified = certify_conjugator(m, word_exponent_vector(word), word_exponent_vector(c))
+                    assert certified == (text in by_conjugator)
+                    assert (exact_word_orbit(phi, word, 12).kind == "Period") == (not certified)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_certificates_against_iteration(self, rank):
+        # neither certificate takes a probe that returns; the class-2 one
+        # never holds at rank 2
+        alphabet = Alphabet(rank)
+        gens = standard_generators(rank, "ia3")
+        rng = random.Random(100 + rank)
+        seen = set()
+        for _ in range(25):
+            phi = sample(gens, rng.randrange(1, 4), rng.randrange(2**32))
+            t, m = nilpotent_action(phi), abelianization(phi)
+            for _ in range(8):
+                word = CyclicWord(alphabet, random_word(alphabet, rng, 7).letters).as_word()
+                if not word.letters:
+                    continue
+                cyclic = CyclicWord(alphabet, word.letters)
+                if certify_nilpotent(t, nilpotent_coordinates(word)):
+                    seen.add("class-2")
+                    assert rank > 2
+                    assert orbit_period(phi, cyclic, 12, 1500).kind != "Period", (phi, word)
+                core, c = cyclic_reduce(phi.apply(word))
+                if core == cyclic and certify_conjugator(m, word_exponent_vector(word), word_exponent_vector(c)):
+                    seen.add("conjugator")
+                    assert exact_word_orbit(phi, word, 12, 1500).kind != "Period", (phi, word)
+        assert seen == ({"conjugator"} if rank == 2 else {"class-2", "conjugator"})
+
+    def test_nothing_outside_the_kernel(self):
+        # the controls' genuine orbits are never certified
+        for phi in (swap(A2, 1, 2), swap(A3, 1, 2), basis_cycle(A3, [1, 2, 3])):
+            alphabet = phi.alphabet
+            t, m = nilpotent_action(phi), abelianization(phi)
+            for word in all_reduced_words(alphabet, 3):
+                x = nilpotent_coordinates(word)
+                assert not certify_nilpotent(t, x)
+                assert not certify_conjugator(m, x[: alphabet.rank], (1,) + (0,) * (alphabet.rank - 1))
+
+
+def rank_of(vectors):
+    """The rank of integer vectors over Q, by fraction-free elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            rows[r] = [x * rows[rank][col] - y * rows[r][col] for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
