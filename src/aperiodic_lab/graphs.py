@@ -22,11 +22,14 @@ class FiniteGraph(Frozen):
     """Vertices 0..n-1 and an edge list; loops and parallel edges allowed.
 
     The darts at each vertex are listed once, in ascending order, when the
-    graph is built.  ``_lemma`` holds the leaves and the H_1 basis that
-    ``ivanov_check`` needs, filled on first use by ``_lemma_data``.
+    graph is built.  Two tables are filled on first use and kept on the
+    graph, so that the many graphs ``connected_multigraphs`` builds pay for
+    neither: ``_lemma`` holds the leaves and the H_1 basis that
+    ``ivanov_check`` needs (``_lemma_data``), and ``_turns`` the turn table
+    of ``turn_table``.
     """
 
-    __slots__ = ("n_vertices", "edges", "_incidence", "_lemma")
+    __slots__ = ("n_vertices", "edges", "_incidence", "_lemma", "_turns")
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int]]):
         edges = tuple((int(u), int(v)) for u, v in edges)
@@ -40,6 +43,7 @@ class FiniteGraph(Frozen):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_incidence", tuple(tuple(ds) for ds in incidence))
         object.__setattr__(self, "_lemma", None)
+        object.__setattr__(self, "_turns", None)
 
     def __eq__(self, other):
         return (
@@ -70,6 +74,23 @@ class FiniteGraph(Frozen):
     def darts_at(self, vertex: int) -> Tuple[int, ...]:
         """The darts leaving ``vertex``, in ascending order."""
         return self._incidence[vertex]
+
+    def turn_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Entry d lists the darts that can follow dart d in a tight path:
+        the darts at the head of d other than its reverse, in ascending
+        order.  Built on the first call and kept on the graph.
+
+        >>> FiniteGraph(2, [(0, 1), (1, 1)]).turn_table()
+        ((2, 3), (), (1, 2), (1, 3))
+        """
+        if self._turns is None:
+            incidence = self._incidence
+            table = tuple(
+                tuple(x for x in incidence[self.dart_head(d)] if x != d ^ 1)
+                for d in range(self.n_darts())
+            )
+            object.__setattr__(self, "_turns", table)
+        return self._turns
 
     def valence(self, vertex: int) -> int:
         return len(self._incidence[vertex])
@@ -344,12 +365,9 @@ def is_circle(graph: FiniteGraph) -> bool:
 
 
 def _circle_next_dart(graph: FiniteGraph, dart: int) -> int:
-    head = graph.dart_head(dart)
-    candidates = [d for d in graph.darts_at(head) if d != (dart ^ 1)]
-    if not candidates:
-        # single loop: continuing past the reversal means the loop itself
-        return dart
-    return candidates[0]
+    candidates = graph.turn_table()[dart]
+    # on a single loop nothing follows but the reversal: the loop itself
+    return candidates[0] if candidates else dart
 
 
 def _is_rotation(graph: FiniteGraph, f: GraphAutomorphism) -> bool:

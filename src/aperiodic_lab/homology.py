@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import time
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .aut import FreeAutomorphism
@@ -38,10 +39,14 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """The product ab; each entry is one ``sum(map(mul, ...))`` of a row
+    of a and a column of b.
+
+    >>> mat_mul(((1, 2, 3), (4, 5, 6)), ((7, 8), (9, 10), (11, 12)))
+    ((58, 64), (139, 154))
+    """
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -340,7 +345,7 @@ def finite_order(m: IntMatrix) -> Optional[int]:
 
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def certify_lattice(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> bool:
@@ -372,6 +377,8 @@ def certify_lattice(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> bool:
     the conjugacy class of H has no period under phi.  For H = <w>, a
     period of w, as a word or as a conjugacy class, is one of [H].
     """
+    if len(vectors) == 1:
+        return congruent_to_identity(m) and _mat_vec(m, vectors[0]) != tuple(vectors[0])
     if not congruent_to_identity(m):
         return False
     n = len(m)

@@ -40,11 +40,29 @@ def is_tight(darts: Sequence[int]) -> bool:
 
 
 def map_path(f: GraphMapRep, darts: Sequence[int]) -> Tuple[int, ...]:
-    """Tight image of an edge path."""
-    image: List[int] = []
+    """Tight image of an edge path, tightened as each dart's image is
+    appended.
+
+    On the fibonacci map a -> ab, b -> a, the path B a maps to A . a b, and
+    the junction cancels:
+
+    >>> from aperiodic_lab.splittings import graph_map_from_words, rose_marked
+    >>> from aperiodic_lab.words import Alphabet, parse_word
+    >>> a2 = Alphabet(2)
+    >>> fib = graph_map_from_words(rose_marked(a2), [parse_word(a2, "ab"), parse_word(a2, "a")])
+    >>> map_path(fib, (3, 0))
+    (2,)
+    """
+    out: List[int] = []
+    pop, push = out.pop, out.append
+    images = f._dart_images
     for d in darts:
-        image.extend(f.dart_image(d))
-    return tighten(image)
+        for x in images[d]:
+            if out and out[-1] == x ^ 1:
+                pop()
+            else:
+                push(x)
+    return tuple(out)
 
 
 def _check_tight_images(f: GraphMapRep) -> None:
@@ -518,21 +536,41 @@ def bcc_inequality_holds(f: GraphMapRep, rho1: Sequence[int], rho2: Sequence[int
 def _bcc_holds(f: GraphMapRep, c: int, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
     """``bcc_inequality_holds`` with the constant c = ``bcc_bound(f)``
     already computed, for callers that test many splittings of one map.
-    Tightening is confluent, so [f(rho1 rho2)] is the two tightened halves
-    tightened again at the junction."""
+
+    Junction lemma: let [f(rho1)] and [f(rho2)] be tight, and let k be their
+    overlap at the junction, the largest k such that the last k darts of
+    the first are the first k darts of the second reversed.  Then
+    [f(rho1 rho2)] is the first without its last k darts followed by the
+    second without its first k.  Tightening is confluent, so it may start
+    from the two tight halves, and a tight path has no backtracking of its
+    own: every cancellation pairs a dart of the first with one of the
+    second, at the junction.  So [f(rho1 rho2)] has length
+    |[f(rho1)]| + |[f(rho2)]| - 2k, and the inequality is k <= c."""
     image1, image2 = map_path(f, rho1), map_path(f, rho2)
-    return len(tighten(image1 + image2)) >= len(image1) + len(image2) - 2 * c
+    overlap = 0
+    for x, y in zip(reversed(image1), image2):
+        if y != x ^ 1:
+            break
+        overlap += 1
+    return overlap <= c
 
 
-def random_tight_path(graph, length: int, rng) -> Tuple[int, ...]:
+def random_tight_path(graph: FiniteGraph, length: int, rng) -> Tuple[int, ...]:
     """A uniformly grown backtracking-free dart path (may be shorter when a
-    dead end is hit)."""
+    dead end is hit), walked along ``graph.turn_table()``.
+
+    The random stream is part of the contract, since seeded reports list
+    the paths they draw: one ``rng.choice(range(n_darts))`` for the first
+    dart, then one ``rng.choice(options)`` per step, where the options are
+    the darts at the head of the last dart other than its reverse, in
+    ascending order.
+    """
     if not graph.n_darts():
         return ()
+    table = graph.turn_table()
     path = [rng.choice(range(graph.n_darts()))]
     while len(path) < length:
-        back = path[-1] ^ 1
-        options = [d for d in graph.darts_at(graph.dart_head(path[-1])) if d != back]
+        options = table[path[-1]]
         if not options:
             break
         path.append(rng.choice(options))

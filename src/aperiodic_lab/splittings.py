@@ -307,10 +307,12 @@ class GraphMapRep(Frozen):
 
     Continuity is checked: each image path runs between the images of the
     edge's endpoints.  Images are stored as given; tightening happens on
-    demand in the analytics that require it.
+    demand in the analytics that require it.  ``_dart_images`` is the
+    dart-image table, built once with the map: entry 2e is the image of
+    edge e and entry 2e + 1 the reversed path, which ``dart_image`` reads.
     """
 
-    __slots__ = ("domain", "vertex_images", "edge_images")
+    __slots__ = ("domain", "vertex_images", "edge_images", "_dart_images")
 
     def __init__(
         self,
@@ -339,12 +341,13 @@ class GraphMapRep(Frozen):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "vertex_images", vertex_images)
         object.__setattr__(self, "edge_images", edge_images)
+        dart_images = []
+        for path in edge_images:
+            dart_images += (path, tuple(d ^ 1 for d in reversed(path)))
+        object.__setattr__(self, "_dart_images", tuple(dart_images))
 
     def dart_image(self, dart: int) -> Tuple[int, ...]:
-        path = self.edge_images[dart >> 1]
-        if dart & 1 == 0:
-            return path
-        return tuple(d ^ 1 for d in reversed(path))
+        return self._dart_images[dart]
 
     def __repr__(self):
         return (

@@ -478,6 +478,50 @@ class TestMatPow:
             mat_pow(ROTATION, -1)
 
 
+class TestMatMul:
+    @staticmethod
+    def naive(a, b):
+        rows, inner, cols = len(a), len(b), len(b[0])
+        out = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for k in range(inner):
+                    out[i][j] += a[i][k] * b[k][j]
+        return tuple(tuple(row) for row in out)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_against_triple_loop(self, size):
+        rng = random.Random(size)
+        for spread in (3, 10**6):
+            for _ in range(20):
+                a, b = (
+                    tuple(tuple(rng.randint(-spread, spread) for _ in range(size)) for _ in range(size))
+                    for _ in range(2)
+                )
+                assert mat_mul(a, b) == self.naive(a, b)
+
+    def test_rectangular_against_triple_loop(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+            a = tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(cols)) for _ in range(inner))
+            assert mat_mul(a, b) == self.naive(a, b)
+
+    def test_class_two_blocks_against_triple_loop(self):
+        # the 6 x 6 block matrices ((M, 0), (L, ^2 M)) of the class-2
+        # quotient at rank 3, and their products with each other
+        rng = random.Random(3)
+        blocks = [
+            nilpotent_action(sample(standard_generators(3, family), rng.randrange(1, 6), rng.randrange(2**32)))
+            for family in ("ia3", "nielsen")
+            for _ in range(10)
+        ]
+        assert {len(t) for t in blocks} == {6}
+        for a, b in itertools.product(blocks, repeat=2):
+            assert mat_mul(a, b) == self.naive(a, b)
+
+
 class TestMatrixIO:
     def test_round_trip(self):
         text = matrix_str(SHEAR3)

@@ -10,6 +10,7 @@ from aperiodic_lab.homology import det, mat_mul, mat_pow
 from aperiodic_lab.rtt import (
     Filtration,
     VerificationFailed,
+    _bcc_holds,
     _classify,
     _exceeds_spectral_radius,
     _pf_eigenvalue,
@@ -27,6 +28,7 @@ from aperiodic_lab.rtt import (
     transition_matrix,
     verify_rtt,
 )
+from aperiodic_lab.cli import _builtin_map
 from aperiodic_lab.graphs import FiniteGraph
 from aperiodic_lab.aut import identity_automorphism
 from aperiodic_lab.splittings import GraphMapRep, MarkedGraph, graph_map_from_words, rose_marked
@@ -693,6 +695,36 @@ def _random_two_vertex_map(rng):
     return _graph_map(edges, vertex_images, images)
 
 
+BUILTIN = {name: _builtin_map(name, A2) for name in ("fibonacci", "period2", "two-strata", "identity")}
+
+
+def _scanned_tight_path(graph, length, rng):
+    """``random_tight_path`` with each step's options found by a scan over
+    all darts."""
+    path = [rng.choice(range(graph.n_darts()))]
+    while len(path) < length:
+        head = graph.dart_head(path[-1])
+        options = [
+            d
+            for d in range(graph.n_darts())
+            if graph.dart_origin(d) == head and d != (path[-1] ^ 1)
+        ]
+        if not options:
+            break
+        path.append(rng.choice(options))
+    return tuple(path)
+
+
+def _map_path_oracle(graph_map, darts):
+    """The image of each dart read off ``edge_images``, concatenated, then
+    tightened."""
+    image = []
+    for d in darts:
+        path = graph_map.edge_images[d >> 1]
+        image.extend(path if d & 1 == 0 else [x ^ 1 for x in reversed(path)])
+    return tighten(image)
+
+
 class TestBoundedCancellation:
     def test_identity_constant(self):
         assert bcc_bound(IDENT) == 2
@@ -710,31 +742,71 @@ class TestBoundedCancellation:
                 assert bcc_inequality_holds(graph_map, path[:split], path[split:])
 
     def test_random_tight_path_matches_dart_scan(self):
-        # the per-vertex dart lists must hold what a scan over all darts
-        # finds, in the same order, so that a seeded rng draws the same path
-        def scanned(graph, length, rng):
-            path = [rng.choice(range(graph.n_darts()))]
-            while len(path) < length:
-                head = graph.dart_head(path[-1])
-                options = [
-                    d
-                    for d in range(graph.n_darts())
-                    if graph.dart_origin(d) == head and d != (path[-1] ^ 1)
-                ]
-                if not options:
-                    break
-                path.append(rng.choice(options))
-            return tuple(path)
-
+        # the turn table must hold what a scan over all darts finds, in the
+        # same order, so that a seeded rng draws the same path; each graph
+        # is walked twice, the second time from its kept table
         graphs = [
-            FIB.domain.graph,
+            *(BUILTIN[name].domain.graph for name in sorted(BUILTIN)),
             FiniteGraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (0, 2)]),
             FiniteGraph(3, [(0, 1), (1, 2)]),  # a tree: paths hit dead ends
         ]
         for graph in graphs:
-            for seed in range(40):
-                expected = scanned(graph, 25, random.Random(seed))
-                assert random_tight_path(graph, 25, random.Random(seed)) == expected
+            for _ in range(2):
+                for seed in range(40):
+                    expected = _scanned_tight_path(graph, 25, random.Random(seed))
+                    assert random_tight_path(graph, 25, random.Random(seed)) == expected
+
+    def test_trial_stream_matches_dart_scan(self):
+        # the (path, split) draws of rtt-analyze's 1000 trials at seed 0
+        def trials(walk):
+            rng = random.Random(0)
+            draws = []
+            for _ in range(1000):
+                path = walk(graph, rng.randrange(2, 50), rng)
+                draws.append((path, rng.randrange(0, len(path) + 1)))
+            return draws
+
+        graph = BUILTIN["fibonacci"].domain.graph
+        assert trials(random_tight_path) == trials(_scanned_tight_path)
+
+    def test_dart_image_table(self):
+        rng = random.Random(17)
+        maps = list(BUILTIN.values()) + [_random_two_vertex_map(rng) for _ in range(40)]
+        for graph_map in filter(None, maps):
+            for e, path in enumerate(graph_map.edge_images):
+                assert graph_map.dart_image(2 * e) == path
+                assert graph_map.dart_image(2 * e + 1) == tuple(d ^ 1 for d in reversed(path))
+
+    def test_junction_overlap_against_tightening(self):
+        # the overlap test against tightening the two mapped halves again,
+        # at the bound and at small constants, so that both outcomes occur
+        rng = random.Random(23)
+        maps = list(BUILTIN.values()) + [_random_two_vertex_map(rng) for _ in range(60)]
+        outcomes = set()
+        for graph_map in filter(None, maps):
+            graph = graph_map.domain.graph
+            bound = bcc_bound(graph_map)
+            for _ in range(100):
+                path = random_tight_path(graph, rng.randrange(1, 40), rng)
+                split = rng.randrange(0, len(path) + 1)
+                rho1, rho2 = path[:split], path[split:]
+                image1, image2 = _map_path_oracle(graph_map, rho1), _map_path_oracle(graph_map, rho2)
+                joined = len(tighten(image1 + image2))
+                for c in (0, 1, 2, bound):
+                    expected = joined >= len(image1) + len(image2) - 2 * c
+                    assert _bcc_holds(graph_map, c, rho1, rho2) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_map_path_against_concatenation(self):
+        rng = random.Random(29)
+        maps = list(BUILTIN.values()) + [_random_two_vertex_map(rng) for _ in range(40)]
+        for graph_map in filter(None, maps):
+            graph = graph_map.domain.graph
+            for _ in range(50):
+                # any dart sequence, tight or not
+                darts = [rng.randrange(graph.n_darts()) for _ in range(rng.randrange(0, 12))]
+                assert map_path(graph_map, darts) == _map_path_oracle(graph_map, darts)
 
     def test_actual_cancellation_occurs(self):
         # some split loses length at the junction, so the bound is needed
