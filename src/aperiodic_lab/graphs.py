@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .homology import IntMatrix, identity_matrix
+from .homology import IntMatrix
 from .words import Frozen
 
 
@@ -24,9 +24,9 @@ class FiniteGraph(Frozen):
     The darts at each vertex are listed once, in ascending order, when the
     graph is built.  Two tables are filled on first use and kept on the
     graph, so that the many graphs ``connected_multigraphs`` builds pay for
-    neither: ``_lemma`` holds the leaves and the H_1 basis that
-    ``ivanov_check`` needs (``_lemma_data``), and ``_turns`` the turn table
-    of ``turn_table``.
+    neither: ``_lemma`` holds the leaves, the H_1 basis and its dart-letter
+    table that ``ivanov_check`` needs (``_lemma_data``), and ``_turns`` the
+    turn table of ``turn_table``.
     """
 
     __slots__ = ("n_vertices", "edges", "_incidence", "_lemma", "_turns")
@@ -301,22 +301,30 @@ def enumerate_automorphisms(graph: FiniteGraph) -> List[GraphAutomorphism]:
     return [GraphAutomorphism._trusted(graph, vp, dp) for vp, dp in _isomorphisms(graph, graph)]
 
 
-def loop_image_letters(loops: Dict[int, List[int]], f: GraphAutomorphism) -> List[List[int]]:
-    """The image under f of each fundamental loop of ``loops`` (as
-    ``FiniteGraph.fundamental_loops`` gives them), read as signed letters:
-    the i-th non-tree edge reads i when crossed forward and -i backward,
-    and tree edges read nothing."""
-    index = {e: i for i, e in enumerate(loops, 1)}
-    images = []
-    for loop in loops.values():
-        letters = []
-        for d in loop:
-            d = f.dart_perm[d]
-            i = index.get(d >> 1)
-            if i is not None:
-                letters.append(i if d & 1 == 0 else -i)
-        images.append(letters)
-    return images
+def dart_letters(graph: FiniteGraph, loops: Dict[int, List[int]]) -> Tuple[int, ...]:
+    """The signed loop letter of each dart of ``graph``, for the non-tree
+    edges of ``loops`` (as ``FiniteGraph.fundamental_loops`` gives them):
+    the i-th non-tree edge reads i forward and -i backward, and a tree edge
+    reads 0.
+
+    >>> graph = FiniteGraph(2, [(0, 1), (1, 0), (0, 0)])
+    >>> dart_letters(graph, h1_basis(graph))
+    (0, 0, 1, -1, 2, -2)
+    """
+    table = [0] * graph.n_darts()
+    for i, e in enumerate(loops, 1):
+        table[2 * e], table[2 * e + 1] = i, -i
+    return tuple(table)
+
+
+def loop_image_letters(
+    loops: Dict[int, List[int]], letters: Sequence[int], f: GraphAutomorphism
+) -> List[List[int]]:
+    """The image under f of each fundamental loop of ``loops``, read as
+    signed letters through ``letters``, the ``dart_letters`` table of the
+    same loops; tree edges read nothing."""
+    perm = f.dart_perm
+    return [[x for x in (letters[perm[d]] for d in loop) if x] for loop in loops.values()]
 
 
 def h1_basis(graph: FiniteGraph) -> Dict[int, List[int]]:
@@ -325,25 +333,51 @@ def h1_basis(graph: FiniteGraph) -> Dict[int, List[int]]:
     return graph.fundamental_loops(graph.spanning_tree())
 
 
-def _lemma_data(graph: FiniteGraph) -> Tuple[Tuple[int, ...], Dict[int, List[int]]]:
-    """(leaves, ``h1_basis``) of a connected graph, computed on the first
-    call and kept on the graph."""
+def _lemma_data(
+    graph: FiniteGraph,
+) -> Tuple[Tuple[int, ...], Dict[int, List[int]], Tuple[int, ...]]:
+    """(leaves, ``h1_basis``, its ``dart_letters``) of a connected graph,
+    computed on the first call and kept on the graph."""
     if graph._lemma is None:
         leaves = tuple(v for v in range(graph.n_vertices) if graph.valence(v) == 1)
-        object.__setattr__(graph, "_lemma", (leaves, h1_basis(graph)))
+        loops = h1_basis(graph)
+        object.__setattr__(graph, "_lemma", (leaves, loops, dart_letters(graph, loops)))
     return graph._lemma
 
 
 def h1_action_mod3(graph: FiniteGraph, f: GraphAutomorphism) -> IntMatrix:
     """Matrix of f_* on H_1(X, Z/3Z) in the non-tree-edge basis of a fixed
     spanning tree; column i is the image of the i-th fundamental cycle."""
-    _, loops = _lemma_data(graph)
+    _, loops, letters = _lemma_data(graph)
     rank = len(loops)
     columns = [[0] * rank for _ in range(rank)]
-    for column, letters in zip(columns, loop_image_letters(loops, f)):
-        for letter in letters:
+    for column, image in zip(columns, loop_image_letters(loops, letters, f)):
+        for letter in image:
             column[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(tuple(column[i] % 3 for column in columns) for i in range(rank))
+
+
+def _acts_trivially_mod3(
+    loops: Dict[int, List[int]], letters: Tuple[int, ...], f: GraphAutomorphism
+) -> bool:
+    """True iff ``h1_action_mod3`` of f is the identity: loop by loop, the
+    image of the i-th loop counts to e_i mod 3, and the first loop that
+    does not ends the test."""
+    perm = f.dart_perm
+    for i, loop in enumerate(loops.values(), 1):
+        # slot j counts letter j; slot 0 is never touched, and e_i starts
+        # subtracted so that the column passes iff every slot is 0 mod 3
+        column = [0] * (len(loops) + 1)
+        column[i] = -1
+        for d in loop:
+            x = letters[perm[d]]
+            if x > 0:
+                column[x] += 1
+            elif x:
+                column[-x] -= 1
+        if any(c % 3 for c in column):
+            return False
+    return True
 
 
 class IvanovOutcome(Enum):
@@ -384,11 +418,10 @@ def ivanov_check(graph: FiniteGraph, f: GraphAutomorphism) -> IvanovOutcome:
 
     Any other outcome raises TheoremViolation.
     """
-    leaves, _ = _lemma_data(graph)  # raises if the graph is not connected
+    leaves, loops, letters = _lemma_data(graph)  # raises if the graph is not connected
     if any(f.vertex_perm[v] != v for v in leaves):
         return IvanovOutcome.HYPOTHESIS_FAILS
-    action = h1_action_mod3(graph, f)
-    if action != identity_matrix(len(action)):
+    if not _acts_trivially_mod3(loops, letters, f):
         return IvanovOutcome.HYPOTHESIS_FAILS
     if f.is_identity():
         return IvanovOutcome.IDENTITY

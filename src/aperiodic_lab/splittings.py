@@ -27,8 +27,8 @@ from .aut import (
     inverse,
 )
 from .graphs import (
-    FiniteGraph, GraphAutomorphism, enumerate_automorphisms, graph_str, loop_image_letters,
-    parse_graph,
+    FiniteGraph, GraphAutomorphism, dart_letters, enumerate_automorphisms, graph_str,
+    loop_image_letters, parse_graph,
 )
 from .homology import IntMatrix, certify_infinite_order, certify_lattice, word_exponent_vector
 from .subgroups import (
@@ -238,7 +238,8 @@ def invariance_test(
     its action h* on the free part equals rho up to an inner automorphism.
 
     - h* collapses the spanning tree after h, reading the non-tree letters
-      of each image loop (``graphs.loop_image_letters``).  This is an
+      of each image loop (``graphs.loop_image_letters``, through one
+      ``graphs.dart_letters`` table per marking).  This is an
       automorphism even when h moves vertex 0: h is a homeomorphism from
       the graph based at 0 to the graph based at h(0), and collapsing the
       tree is a homotopy equivalence onto a rose whatever the basepoint.
@@ -287,13 +288,14 @@ def _realizing_symmetry(
             [_project_free_part(psi.backward[l - 1], loop_index, free_alphabet) for l in loop_letters],
         )
         loops = marked.fundamental_loops()
+        letters = dart_letters(marked.graph, loops)
     for h in enumerate_automorphisms(marked.graph):
         if any(h.vertex_perm[v] not in matches[v] for v in matches):
             continue
         if loop_letters:
             images = [
-                rho_inverse(Word(free_alphabet, letters))
-                for letters in loop_image_letters(loops, h)
+                rho_inverse(Word(free_alphabet, image))
+                for image in loop_image_letters(loops, letters, h)
             ]
             if _inner_conjugator(free_alphabet, images) is None:
                 continue

@@ -8,14 +8,19 @@ from aperiodic_lab.graphs import (
     GraphAutomorphism,
     IvanovOutcome,
     TheoremViolation,
+    _acts_trivially_mod3,
     _isomorphisms,
+    _lemma_data,
     automorphism_str,
     connected_multigraphs,
+    dart_letters,
     enumerate_automorphisms,
     graph_str,
     h1_action_mod3,
+    h1_basis,
     is_circle,
     ivanov_check,
+    loop_image_letters,
     parse_automorphism,
     parse_graph,
 )
@@ -227,6 +232,22 @@ class TestIvanovCheck:
                 h1_action_mod3(graph, f)
         assert len(calls) == n_graphs
 
+    def test_trivial_action_against_matrix(self):
+        # the loop-by-loop test with early exit against the whole matrix
+        for graph in connected_multigraphs(5):
+            _, loops, letters = _lemma_data(graph)
+            for f in enumerate_automorphisms(graph):
+                trivial = h1_action_mod3(graph, f) == identity_matrix(len(loops))
+                assert _acts_trivially_mod3(loops, letters, f) == trivial, (graph, f)
+
+    def test_five_edge_outcomes(self):
+        outcomes = {}
+        for graph in connected_multigraphs(5):
+            for f in enumerate_automorphisms(graph):
+                name = ivanov_check(graph, f).name
+                outcomes[name] = outcomes.get(name, 0) + 1
+        assert outcomes == {"IDENTITY": 142, "HYPOTHESIS_FAILS": 6554, "CIRCLE_ROTATION": 10}
+
     def test_disconnected_rejected(self):
         two_loops = FiniteGraph(2, [(0, 0), (1, 1)])
         ident = GraphAutomorphism(two_loops, (0, 1), (0, 1, 2, 3))
@@ -337,6 +358,35 @@ def _loops_from_parent_darts(graph, parent_dart, tree_edges):
         for e, (u, v) in enumerate(graph.edges)
         if e not in tree
     }
+
+
+def _loop_letters_oracle(loops, f):
+    """Image loops read through an edge-to-letter index."""
+    index = {e: i for i, e in enumerate(loops, 1)}
+    images = []
+    for loop in loops.values():
+        letters = []
+        for d in loop:
+            d = f.dart_perm[d]
+            if d >> 1 in index:
+                letters.append(index[d >> 1] if d & 1 == 0 else -index[d >> 1])
+        images.append(letters)
+    return images
+
+
+class TestDartLetters:
+    def test_table_marks_non_tree_darts(self):
+        graph = FiniteGraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+        loops = graph.fundamental_loops([0, 1])
+        assert dart_letters(graph, loops) == (0, 0, 0, 0, 1, -1, 2, -2)
+
+    def test_image_letters_on_any_tree(self):
+        rng = random.Random(11)
+        for graph in connected_multigraphs(4):
+            for loops in (h1_basis(graph), graph.fundamental_loops(_random_spanning_tree(graph, rng))):
+                letters = dart_letters(graph, loops)
+                for f in enumerate_automorphisms(graph):
+                    assert loop_image_letters(loops, letters, f) == _loop_letters_oracle(loops, f)
 
 
 class TestFundamentalLoops:

@@ -25,6 +25,8 @@ from aperiodic_lab.homology import (
     Sublattice,
     _check_scan_args,
     _congruence_matrices,
+    _last_row_cofactors,
+    _per_is_fix,
     _scan_steps,
     abelian_standing_assumptions_check,
     abelianization,
@@ -463,6 +465,61 @@ class TestFiniteOrderOracle:
     def test_companion_of_order_eight(self):
         companion = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
         assert finite_order(companion) == power_loop_order(companion) == 8
+
+
+class TestScanKernels:
+    def test_no_det_inside_scans(self, monkeypatch):
+        # the enumeration yields det +-1 only, so neither scan needs one
+        calls = []
+        original = homology.det
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(homology, "det", counting)
+        assert minkowski_scan(3, 5)["enumerated"] == 973
+        assert abelian_standing_assumptions_check(3, 5)["enumerated"] == 973
+        assert calls == []
+        finite_order(ROTATION)  # the public entry point still validates
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "n,bound,level,differ,total",
+        [(3, 1, 1, 3179, 6960), (2, 3, 1, 91, 232), (2, 2, 2, 15, 20), (3, 5, 3, 0, 973)],
+    )
+    def test_per_is_fix_against_lattices(self, n, bound, level, differ, total):
+        matrices = list(_congruence_matrices(n, bound, level))
+        assert len(matrices) == total
+        found = 0
+        for m in matrices:
+            equal = per_subgroup(m) == fix_subgroup(m)
+            assert _per_is_fix(m) == equal, m
+            found += not equal
+        assert found == differ
+
+    def test_closed_form_cofactors(self):
+        def signed_minors(rows):
+            n = len(rows) + 1
+            return tuple(
+                (-1) ** (n - 1 + j) * det(tuple(row[:j] + row[j + 1 :] for row in rows))
+                for j in range(n)
+            )
+
+        assert _last_row_cofactors(()) == (1,)
+        for row in itertools.product(range(-3, 4), repeat=2):
+            assert _last_row_cofactors((row,)) == signed_minors((row,))
+        box = list(itertools.product(range(-2, 3), repeat=3))
+        for rows in itertools.product(box, repeat=2):
+            assert _last_row_cofactors(rows) == signed_minors(rows), rows
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cofactors_expand_the_determinant(self, n):
+        rng = random.Random(800 + n)
+        for _ in range(300):
+            rows = tuple(tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(n))
+            c = _last_row_cofactors(rows[:-1])
+            assert det(rows) == sum(x * y for x, y in zip(c, rows[-1]))
 
 
 class TestMatPow:
