@@ -8,9 +8,8 @@ kernel, so seeded products always land there.
 
 from aperiodic_lab.aut import (
     ad,
-    automorphism_str,
     compose,
-    identity_automorphism,
+    inverse,
     is_inner,
     outer_eq,
     sample,
@@ -25,9 +24,10 @@ F3 = Alphabet(3)
 
 print("== a Nielsen transvection and its carried inverse ==")
 phi = transvection(F2, 1, 2)
-print(automorphism_str(phi))
+print(f"  forward:  {phi}")
+print(f"  backward: {inverse(phi)}")
 
-print("== composition substitutes images ==")
+print("\n== composition substitutes images ==")
 square = compose(phi, phi)
 print(f"  a under phi^2: {word_str(square.forward[0])}")
 

@@ -2,22 +2,19 @@
 
 A finitely generated subgroup folds to a labeled core graph; membership is
 path tracing and conjugacy is equality of basepoint-free cores.  Free
-factor systems are built as witness images of basis subsets, ordered by
-bounded conjugate containment.
+factor systems are built as witness images of basis subsets.
 """
 
-from aperiodic_lab.aut import basis_cycle, sample, standard_generators, swap
+from aperiodic_lab.aut import basis_cycle, identity_automorphism, sample, standard_generators, swap
 from aperiodic_lab.subgroups import (
-    basis_ffs,
-    conjugate_into,
-    ffs_poset_leq,
+    FreeFactorSystem,
     fold_core,
     membership,
     orbit_period,
     orbit_report,
     subgroup_class,
 )
-from aperiodic_lab.words import Alphabet, CyclicWord, parse_word, word_str
+from aperiodic_lab.words import Alphabet, CyclicWord, parse_word
 
 F2 = Alphabet(2)
 F3 = Alphabet(3)
@@ -32,17 +29,10 @@ print("\n== conjugacy of subgroups ==")
 print(f"  [<a>] == [<bab^-1>]: {subgroup_class(F2, [parse_word(F2, 'a')]) == subgroup_class(F2, [parse_word(F2, 'baB')])}")
 print(f"  [<a>] == [<a^2>]:    {subgroup_class(F2, [parse_word(F2, 'a')]) == subgroup_class(F2, [parse_word(F2, 'aa')])}")
 
-print("\n== bounded conjugate containment ==")
-a_core = fold_core(F2, [parse_word(F2, "baB")])
-target = fold_core(F2, [parse_word(F2, "a")])
-print(f"  conjugator taking <bab^-1> into <a>: {word_str(conjugate_into(a_core, target, 4))}")
-
-print("\n== the free factor poset ==")
-single = basis_ffs(F3, [[1]])
-pair = basis_ffs(F3, [[1, 2]])
-print(f"  {{[<a>]}} below {{[<a,b>]}}: {ffs_poset_leq(single, pair)}")
-print(f"  Grushko ranks: {single.grushko_rank()} >= {pair.grushko_rank()} (order reversing)")
-print(f"  {{[<a>],[<b>]}} in F_2 is sporadic: {basis_ffs(F2, [[1],[2]]).is_sporadic()}")
+print("\n== free factor systems compare their classes ==")
+plain = FreeFactorSystem(identity_automorphism(F2), [frozenset({1}), frozenset({2})])
+swapped = FreeFactorSystem(swap(F2, 1, 2), [frozenset({1}), frozenset({2})])
+print(f"  {plain} under the swap witness: {swapped}, equal: {plain == swapped}")
 
 print("\n== orbits of classes ==")
 cycle = basis_cycle(F3, [1, 2, 3])

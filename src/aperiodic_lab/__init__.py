@@ -6,18 +6,16 @@ cores, free factor systems, marked-graph splittings, train track transition
 analytics, and a seeded experiment harness.
 """
 
-from .words import Alphabet, Word, CyclicWord, reduce, cyclic_reduce, apply_endo
-from .aut import FreeAutomorphism, OuterClass, compose, inverse, is_inner, outer_eq
+from .words import Alphabet, Word, CyclicWord, cyclic_reduce, apply_endo
+from .aut import FreeAutomorphism, compose, inverse, is_inner, outer_eq
 
 __all__ = [
     "Alphabet",
     "Word",
     "CyclicWord",
-    "reduce",
     "cyclic_reduce",
     "apply_endo",
     "FreeAutomorphism",
-    "OuterClass",
     "compose",
     "inverse",
     "is_inner",

@@ -1,4 +1,4 @@
-"""Automorphisms of F_N with certified inverses, outer classes, and sampling.
+"""Automorphisms of F_N with certified inverses, outer equality, and sampling.
 
 Inverses are always carried, never computed: every constructor takes both
 forward and backward images and certifies that they compose to the identity.
@@ -10,9 +10,7 @@ import functools
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .words import (
-    Alphabet, Frozen, Substitution, Word, _strip_conjugation, apply_endo, parse_word, word_str
-)
+from .words import Alphabet, Frozen, Substitution, Word, _strip_conjugation, apply_endo, word_str
 
 
 class CompositeNotIdentity(ValueError):
@@ -221,42 +219,6 @@ def outer_eq(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
     return is_inner(compose(phi, inverse(psi))) is not None
 
 
-class OuterClass(Frozen):
-    """An automorphism up to post-composition with inner automorphisms."""
-
-    __slots__ = ("representative",)
-
-    def __init__(self, representative: FreeAutomorphism):
-        object.__setattr__(self, "representative", representative)
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.representative.alphabet
-
-    def __eq__(self, other):
-        return isinstance(other, OuterClass) and outer_eq(
-            self.representative, other.representative
-        )
-
-    def __hash__(self):
-        # abelianization is inner-invariant, so this respects outer equality
-        from .homology import abelianization
-
-        return hash(abelianization(self.representative))
-
-    def __repr__(self):
-        return f"OuterClass({self.representative!r})"
-
-    def compose(self, other: "OuterClass") -> "OuterClass":
-        return OuterClass(compose(self.representative, other.representative))
-
-    def __pow__(self, n: int) -> "OuterClass":
-        return OuterClass(self.representative ** n)
-
-    def is_trivial(self) -> bool:
-        return is_inner(self.representative) is not None
-
-
 # ---------------------------------------------------------------------------
 # generator families
 
@@ -384,44 +346,3 @@ def sample(
     ]
     return functools.reduce(compose, factors)
 
-
-# ---------------------------------------------------------------------------
-# text format: one line per basis letter "a -> ab", a blank line, then the
-# inverse lines
-
-
-def automorphism_str(phi: FreeAutomorphism) -> str:
-    alphabet = phi.alphabet
-    lines = [
-        f"{word_str(Word(alphabet, (i,)))} -> {word_str(phi.forward[i - 1])}"
-        for i in alphabet.letters()
-    ]
-    lines.append("")
-    lines.extend(
-        f"{word_str(Word(alphabet, (i,)))} -> {word_str(phi.backward[i - 1])}"
-        for i in alphabet.letters()
-    )
-    return "\n".join(lines) + "\n"
-
-
-def parse_automorphism(alphabet: Alphabet, text: str) -> FreeAutomorphism:
-    """Parse the automorphism file format, certifying the result."""
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    if len(blocks) != 2:
-        raise ValueError("expected forward block, blank line, backward block")
-
-    def parse_block(block: str) -> Tuple[Word, ...]:
-        images = {}
-        for line in block.strip().splitlines():
-            lhs, arrow, rhs = line.partition("->")
-            if not arrow:
-                raise ValueError(f"bad line {line!r}")
-            letter = parse_word(alphabet, lhs.strip())
-            if len(letter) != 1 or letter.letters[0] < 0:
-                raise ValueError(f"left side must be a basis letter: {line!r}")
-            images[letter.letters[0]] = parse_word(alphabet, rhs.strip())
-        if sorted(images) != list(alphabet.letters()):
-            raise ValueError("need exactly one image per basis letter")
-        return tuple(images[i] for i in alphabet.letters())
-
-    return FreeAutomorphism(alphabet, parse_block(blocks[0]), parse_block(blocks[1]))

@@ -463,8 +463,7 @@ def connected_multigraphs(max_edges: int) -> Iterator[FiniteGraph]:
 
 
 # ---------------------------------------------------------------------------
-# text format: "V n" then one "u v" line per edge; automorphisms as two
-# permutation lines (vertex images, then dart images)
+# text format: "V n" then one "u v" line per edge
 
 
 def graph_str(graph: FiniteGraph) -> str:
@@ -473,28 +472,19 @@ def graph_str(graph: FiniteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str, tokens: Sequence[str], count: int) -> List[int]:
+    """``tokens`` of ``line`` as ``count`` non-negative integers, else a
+    ``ValueError`` that names the line."""
+    if len(tokens) != count or not all(t.isdecimal() for t in tokens):
+        raise ValueError(f"bad line {line!r}: expected {count} non-negative integer(s)")
+    return [int(t) for t in tokens]
+
+
 def parse_graph(text: str) -> FiniteGraph:
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("V"):
+    if not lines or lines[0].split()[0] != "V":
         raise ValueError("graph text must start with 'V n'")
-    n = int(lines[0].split()[1])
-    edges = [tuple(int(x) for x in line.split()) for line in lines[1:]]
+    (n,) = _ints(lines[0], lines[0].split()[1:], 1)
+    edges = [_ints(line, line.split(), 2) for line in lines[1:]]
     return FiniteGraph(n, edges)
 
-
-def automorphism_str(f: GraphAutomorphism) -> str:
-    return (
-        " ".join(str(v) for v in f.vertex_perm)
-        + "\n"
-        + " ".join(str(d) for d in f.dart_perm)
-        + "\n"
-    )
-
-
-def parse_automorphism(graph: FiniteGraph, text: str) -> GraphAutomorphism:
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected two permutation lines")
-    vp = [int(x) for x in lines[0].split()]
-    dp = [int(x) for x in lines[1].split()]
-    return GraphAutomorphism(graph, vp, dp)

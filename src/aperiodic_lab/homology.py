@@ -26,13 +26,6 @@ from .words import Frozen, Word
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
-    if any(len(row) != len(mat) for row in mat):
-        raise ValueError("matrix must be square")
-    return mat
-
-
 @functools.cache
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -964,19 +957,3 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
         "elapsed": time.perf_counter() - start,
     }
 
-
-# ---------------------------------------------------------------------------
-# matrix text I/O: one row of integers per line
-
-
-def matrix_str(m: IntMatrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in m) + "\n"
-
-
-def parse_matrix(text: str) -> IntMatrix:
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return as_matrix(rows)

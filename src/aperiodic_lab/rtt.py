@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, _ints
 from .homology import IntMatrix
 from .splittings import GraphMapRep, marked_graph_str, parse_marked_graph
 from .subgroups import _find, _identify
@@ -594,32 +594,42 @@ def graph_map_str(f: GraphMapRep) -> str:
 
 
 def parse_graph_map(alphabet, text: str) -> GraphMapRep:
-    lines = text.strip().splitlines()
-    marked_lines, map_lines, vertex_line = [], [], None
-    for line in lines:
+    """Parse the graph-map format.  A line that is malformed, names an edge
+    or dart the graph lacks, or maps an edge a second time raises
+    ``ValueError`` naming it, and so does a missing edge line."""
+    marked_lines, map_lines, vertex_lines = [], [], []
+    for line in text.strip().splitlines():
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("vertices"):
-            vertex_line = stripped
+        if stripped.split()[0] == "vertices":
+            vertex_lines.append(stripped)
         elif "->" in stripped:
             map_lines.append(stripped)
         else:
             marked_lines.append(stripped)
     marked = parse_marked_graph(alphabet, "\n".join(marked_lines))
-    if vertex_line is None:
-        raise ValueError("missing 'vertices' line")
-    vertex_images = [int(x) for x in vertex_line.split()[1:]]
+    if len(vertex_lines) != 1:
+        raise ValueError("need exactly one 'vertices' line")
+    graph = marked.graph
+    vertex_images = _ints(vertex_lines[0], vertex_lines[0].split()[1:], graph.n_vertices)
     edge_images: Dict[int, List[int]] = {}
     for line in map_lines:
         lhs, _, rhs = line.partition("->")
-        e = int(lhs.strip())
-        path = []
-        for token in rhs.strip().split(","):
-            token = token.strip()
-            sign = token[-1]
-            idx = int(token[:-1])
-            path.append(2 * idx if sign == "+" else 2 * idx + 1)
-        edge_images[e] = path
-    paths = [edge_images[e] for e in range(marked.graph.n_edges)]
+        (e,) = _ints(line, lhs.split(), 1)
+        tokens = [token.strip() for token in rhs.split(",")]
+        if any(token[-1:] not in ("+", "-") for token in tokens):
+            raise ValueError(f"bad line {line!r}: darts are written 'e+' or 'e-'")
+        darts = _ints(line, [token[:-1] for token in tokens], len(tokens))
+        if e in edge_images or max(e, *darts) >= graph.n_edges:
+            raise ValueError(
+                f"bad line {line!r}: edges are 0..{graph.n_edges - 1}, each mapped once"
+            )
+        edge_images[e] = [
+            2 * idx if token[-1] == "+" else 2 * idx + 1 for idx, token in zip(darts, tokens)
+        ]
+    missing = [e for e in range(graph.n_edges) if e not in edge_images]
+    if missing:
+        raise ValueError(f"missing line '{missing[0]} -> path' for edge {missing[0]}")
+    paths = [edge_images[e] for e in range(graph.n_edges)]
     return GraphMapRep(marked, vertex_images, paths)

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .aut import (
     FreeAutomorphism,
-    OuterClass,
     _inner_conjugator,
     _next_power,
     compose,
@@ -27,18 +26,11 @@ from .aut import (
     inverse,
 )
 from .graphs import (
-    FiniteGraph, GraphAutomorphism, dart_letters, enumerate_automorphisms, graph_str,
+    FiniteGraph, GraphAutomorphism, _ints, dart_letters, enumerate_automorphisms, graph_str,
     loop_image_letters, parse_graph,
 )
 from .homology import IntMatrix, certify_infinite_order, certify_lattice, word_exponent_vector
-from .subgroups import (
-    FreeFactorSystem,
-    OrbitOutcome,
-    _find,
-    _first_return,
-    cores_conjugate,
-    fold_core,
-)
+from .subgroups import OrbitOutcome, _first_return, cores_conjugate, fold_core
 from .words import Alphabet, Frozen, Substitution, Word, parse_word, reduce_letters, word_str
 
 
@@ -374,36 +366,6 @@ def graph_map_from_words(marked: MarkedGraph, images: Sequence[Word]) -> GraphMa
     return GraphMapRep(marked, (0,), paths)
 
 
-def induced_outer(
-    f: "GraphMapRep", backward_images: Sequence[Word]
-) -> OuterClass:
-    """Outer class induced by a homotopy equivalence of a marked graph with
-    trivial vertex groups; certification uses the supplied inverse images."""
-    marked = f.domain
-    if marked.vertex_groups:
-        raise ValueError("induced_outer supports trivial vertex groups only")
-    alphabet = marked.alphabet
-
-    def dart_word(d: int) -> Word:
-        e = d >> 1
-        if e not in marked.loop_words:
-            return Word(alphabet)
-        w = marked.loop_words[e]
-        return w if d & 1 == 0 else w.inverse()
-
-    forward = []
-    for cycle in marked.fundamental_loops().values():
-        image_word = Word(alphabet)
-        for d in cycle:
-            for dd in f.dart_image(d):
-                image_word = image_word * dart_word(dd)
-        forward.append(image_word)
-    # order basis positions by the marking layout (all loops here)
-    phi = FreeAutomorphism(alphabet, forward, backward_images)
-    mu = marked.witness
-    return OuterClass(compose(mu, compose(phi, inverse(mu))))
-
-
 def splitting_orbit_period(
     marked: MarkedGraph,
     phi: FreeAutomorphism,
@@ -453,129 +415,6 @@ def certify_splitting(m: IntMatrix, marked: MarkedGraph) -> bool:
     )
 
 
-def induced_ffs(
-    marked: MarkedGraph,
-    subforest_edges: Sequence[int],
-    extra_vertices: Sequence[int] = (),
-) -> FreeFactorSystem:
-    """Free factor system of the components of a subforest of tree edges.
-
-    The subforest must contain every vertex with a nontrivial group; each
-    component contributes the free product of its vertex groups, realized as
-    the witness image of the corresponding basis subset.
-    """
-    tree_set = marked.tree_edges
-    for e in subforest_edges:
-        if e not in tree_set:
-            raise ValueError("subforest must consist of spanning-tree edges")
-    vertices = set(extra_vertices)
-    for e in subforest_edges:
-        u, v = marked.graph.edges[e]
-        vertices.update((u, v))
-    missing = [v for v in marked.vertex_groups if v not in vertices]
-    if missing:
-        raise ValueError(f"subforest misses vertices with nontrivial group: {missing}")
-
-    parent = {v: v for v in vertices}
-    for e in subforest_edges:
-        u, v = marked.graph.edges[e]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-
-    components: Dict[int, List[int]] = {}
-    for v in vertices:
-        components.setdefault(_find(parent, v), []).append(v)
-
-    letters = _vertex_letters(marked)
-    subsets = []
-    for comp in components.values():
-        indices = [l for v in comp for l in letters.get(v, ())]
-        if indices:
-            subsets.append(frozenset(indices))
-    return FreeFactorSystem(marked.witness, subsets)
-
-
-def vertex_homology_image(marked: MarkedGraph, v: int) -> IntMatrix:
-    """Row-reduced basis (over Z/3Z) of the span of the abelianized marked
-    generators of the vertex group; for a free splitting this span is a
-    direct summand of dimension equal to the vertex-group rank."""
-    gens = marked.vertex_groups.get(v, ())
-    return _row_reduce_mod3([word_exponent_vector(g) for g in gens])
-
-
-def _row_reduce_mod3(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Reduced row echelon basis over Z/3Z of the span of ``rows``."""
-    rows = [[x % 3 for x in row] for row in rows]
-    pivot_row = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        # 1 and 2 are their own inverses mod 3
-        inv = rows[pivot_row][col]
-        rows[pivot_row] = [(x * inv) % 3 for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            c = rows[r][col]
-            if r != pivot_row and c:
-                rows[r] = [(x - c * y) % 3 for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return tuple(tuple(row) for row in rows[:pivot_row])
-
-
-def twist_descriptor(marked: MarkedGraph) -> dict:
-    """Structure of the twist group: one factor G_v^{n_v}/Z(G_v) per vertex.
-
-    Rank-1 vertex groups are their own center, so their factor is
-    Z^{n_v - 1}; rank >= 2 groups have trivial center, contributing a full
-    direct power; trivial groups contribute nothing.
-    """
-    factors = []
-    parts = []
-    for v in range(marked.graph.n_vertices):
-        rank = marked.vertex_rank(v)
-        valence = marked.graph.valence(v)
-        if rank == 0:
-            center = "whole"
-            factor = "1"
-        elif rank == 1:
-            center = "whole"
-            factor = "1" if valence == 1 else f"Z^{valence - 1}"
-        else:
-            center = "trivial"
-            factor = f"F_{rank}" + (f"^{valence}" if valence > 1 else "")
-        factors.append(
-            {
-                "vertex": v,
-                "rank": rank,
-                "valence": valence,
-                "center": center,
-                "factor": factor,
-            }
-        )
-        if rank > 0 and factor != "1":
-            parts.append(factor)
-    return {"factors": factors, "descriptor": " x ".join(parts) if parts else "1"}
-
-
-def suspension_presentation(phi: FreeAutomorphism) -> str:
-    """Presentation of the mapping torus: generators plus a stable letter t,
-    relations t x t^-1 = image of x."""
-    alphabet = phi.alphabet
-    gens = [word_str(Word(alphabet, (i,))) for i in alphabet.letters()]
-    relations = []
-    for i in alphabet.letters():
-        image = word_str(phi.forward[i - 1])
-        lhs = f"t*{gens[i - 1]}*t^-1"
-        rhs = "*".join(
-            (g.lower() if g.islower() else g.lower() + "^-1")
-            for g in image
-        ) if image != "1" else "1"
-        relations.append(f"{lhs} = {rhs}")
-    return f"< {', '.join(gens + ['t'])} | {', '.join(relations)} >"
-
-
 # ---------------------------------------------------------------------------
 # marked-graph file format: graph section, tree edges, loop markings,
 # vertex groups
@@ -604,14 +443,23 @@ def parse_marked_graph(
     loops: Dict[int, Word] = {}
     groups: Dict[int, List[Word]] = {}
     for line in lines:
-        if line.startswith("tree"):
-            tree = [int(x) for x in line.split()[1:]]
-        elif line.startswith("loop"):
-            parts = line.split()
-            loops[int(parts[1])] = parse_word(alphabet, parts[2])
-        elif line.startswith("group"):
-            parts = line.split()
-            groups[int(parts[1])] = [parse_word(alphabet, w) for w in parts[2:]]
+        keyword, *rest = line.split()
+        if keyword == "tree":
+            tree = _ints(line, rest, len(rest))
+        elif keyword == "loop":
+            if len(rest) != 2:
+                raise ValueError(f"bad line {line!r}: expected 'loop e word'")
+            (e,) = _ints(line, rest[:1], 1)
+            if e in loops:
+                raise ValueError(f"bad line {line!r}: edge {e} marked twice")
+            loops[e] = parse_word(alphabet, rest[1])
+        elif keyword == "group":
+            if len(rest) < 2:
+                raise ValueError(f"bad line {line!r}: expected 'group v words...'")
+            (v,) = _ints(line, rest[:1], 1)
+            if v in groups:
+                raise ValueError(f"bad line {line!r}: vertex {v} given twice")
+            groups[v] = [parse_word(alphabet, w) for w in rest[1:]]
         else:
             graph_lines.append(line)
     graph = parse_graph("\n".join(graph_lines))
@@ -621,6 +469,8 @@ def parse_marked_graph(
     tree_set = set(tree)
     for e in range(graph.n_edges):
         if e not in tree_set:
+            if e not in loops:
+                raise ValueError(f"missing line 'loop {e} word' for non-tree edge {e}")
             forward.append(loops[e])
     if backward is None:
         backward = identity_automorphism(alphabet).forward

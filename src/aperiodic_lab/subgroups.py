@@ -11,12 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .aut import FreeAutomorphism, identity_automorphism
-from .homology import Sublattice, saturation, word_exponent_vector
-from .words import (
-    Alphabet, CyclicWord, Frozen, Word, _strip_conjugation, all_reduced_words, cyclic_reduce,
-    parse_word, word_str,
-)
+from .aut import FreeAutomorphism
+from .words import Alphabet, CyclicWord, Frozen, Word, _strip_conjugation, cyclic_reduce, word_str
 
 
 class StallingsCore(Frozen):
@@ -153,7 +149,7 @@ def _letter_order(alphabet: Alphabet) -> List[int]:
     return sorted(alphabet.signed_letters(), key=lambda l: (abs(l), l < 0))
 
 
-def _find(parent: Union[List[int], Dict[int, int]], x: int) -> int:
+def _find(parent: List[int], x: int) -> int:
     """Root of ``x`` in a union-find forest, halving the path on the way."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -392,32 +388,6 @@ def _conjugate_to_trimmed(a: StallingsCore, nb: int, tb: Dict[Tuple[int, int], i
     return False
 
 
-def conjugate_into(
-    a: StallingsCore, b: StallingsCore, conj_bound: int
-) -> Optional[Word]:
-    """Search w with |w| <= conj_bound such that w A w^-1 <= B.
-
-    Returns the first conjugator found in shortlex order, or None; None is
-    inconclusive beyond the bound.
-    """
-    if conj_bound > 8:
-        raise ValueError("conjugator bound capped at 8")
-    alphabet = a.alphabet
-    gens = a.generators()
-    if not gens:
-        return Word(alphabet)
-    for w in all_reduced_words(alphabet, conj_bound):
-        w_inv = w.inverse()
-        if all(membership(w * g * w_inv, b) for g in gens):
-            return w
-    return None
-
-
-def _abelian_support(alphabet: Alphabet, gens: Sequence[Word]) -> Sublattice:
-    vectors = [word_exponent_vector(g) for g in gens]
-    return saturation(Sublattice(alphabet.rank, vectors))
-
-
 class FreeFactorSystem(Frozen):
     """A finite set of conjugacy classes of free factors, with a witness.
 
@@ -467,69 +437,6 @@ class FreeFactorSystem(Frozen):
 
     def __hash__(self):
         return hash((self.alphabet, tuple(sorted(map(hash, self.classes)))))
-
-    def grushko_rank(self) -> int:
-        """k + N' for the decomposition into k factors and a complement of
-        rank N' = N - sum of factor ranks."""
-        total = sum(c.rank() for c in self.classes)
-        return len(self.classes) + self.alphabet.rank - total
-
-    def is_sporadic(self) -> bool:
-        return self.grushko_rank() <= 2
-
-
-def basis_ffs(alphabet: Alphabet, subsets: Sequence[Sequence[int]]) -> FreeFactorSystem:
-    """The free factor system of plain basis subsets (identity witness)."""
-    return FreeFactorSystem(
-        identity_automorphism(alphabet), [frozenset(s) for s in subsets]
-    )
-
-
-def ffs_poset_leq(
-    f1: FreeFactorSystem, f2: FreeFactorSystem, conj_bound: int = 4
-) -> Optional[bool]:
-    """Tri-state partial order: True / False / None (inconclusive).
-
-    True iff every class of f1 conjugates into some class of f2 within the
-    bound; False when refuted by abelianized supports; None otherwise.
-    """
-    if f1.alphabet != f2.alphabet:
-        raise ValueError("ambient rank mismatch")
-    inconclusive = False
-    for cls in f1.classes:
-        supp = _abelian_support(f1.alphabet, cls.representative.generators())
-        candidates = []
-        for target in f2.classes:
-            target_supp = _abelian_support(
-                f2.alphabet, target.representative.generators()
-            )
-            if target_supp.contains_lattice(supp):
-                candidates.append(target)
-        if not candidates:
-            return False
-        found = False
-        for target in candidates:
-            if (
-                conjugate_into(
-                    cls.representative, target.representative, conj_bound
-                )
-                is not None
-            ):
-                found = True
-                break
-        if not found:
-            inconclusive = True
-    if inconclusive:
-        return None
-    assert f2.grushko_rank() <= f1.grushko_rank(), "poset map must reverse rank"
-    return True
-
-
-def image_class(phi: FreeAutomorphism, cls: SubgroupConjClass) -> SubgroupConjClass:
-    """The class of the image subgroup; well defined since inner twists
-    preserve cyclic cores."""
-    gens = [phi.apply(g) for g in cls.representative.generators()]
-    return subgroup_class(cls.alphabet, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -672,18 +579,3 @@ def exact_word_orbit(
     automorphism representative."""
     return _first_return(phi.apply, start, len, start.__eq__, max_iter, length_cap)[0]
 
-
-# ---------------------------------------------------------------------------
-# subgroup file format: one generator word per line
-
-
-def subgroup_str(gens: Sequence[Word]) -> str:
-    return "\n".join(word_str(g) for g in gens) + "\n"
-
-
-def parse_subgroup(alphabet: Alphabet, text: str) -> List[Word]:
-    return [
-        parse_word(alphabet, line)
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]

@@ -250,18 +250,6 @@ def _strip_conjugation(word: Word) -> Tuple[Word, Word]:
     return Word._trusted(alphabet, letters[i:j]), Word._trusted(alphabet, letters[:i])
 
 
-def reduce(alphabet: Alphabet, raw: Sequence[int]) -> Word:
-    """Return the unique freely reduced word equal to ``raw``.
-
-    >>> a = Alphabet(2)
-    >>> word_str(reduce(a, [1, -1, 2]))
-    'b'
-    >>> word_str(reduce(a, []))
-    '1'
-    """
-    return Word(alphabet, raw)
-
-
 def cyclic_reduce(word: Word) -> Tuple[CyclicWord, Word]:
     """Split ``word`` as conjugator * core * conjugator^-1.
 

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from aperiodic_lab.aut import OuterClass, identity_automorphism, transvection
+from aperiodic_lab.aut import identity_automorphism, transvection
 from aperiodic_lab.graphs import enumerate_automorphisms
 from aperiodic_lab.homology import Sublattice
 from aperiodic_lab.rtt import filtration_of
@@ -33,7 +33,6 @@ def examples():
         CyclicWord(alphabet, (2, 1)),
         Substitution(alphabet, [ab, parse_word(alphabet, "a")]),
         transvection(alphabet, 1, 2),
-        OuterClass(transvection(alphabet, 1, 2)),
         fold_core(alphabet, [ab]),
         subgroup_class(alphabet, [ab]),
         FreeFactorSystem(identity_automorphism(alphabet), [frozenset({1})]),

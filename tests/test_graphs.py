@@ -11,7 +11,6 @@ from aperiodic_lab.graphs import (
     _acts_trivially_mod3,
     _isomorphisms,
     _lemma_data,
-    automorphism_str,
     connected_multigraphs,
     dart_letters,
     enumerate_automorphisms,
@@ -21,7 +20,6 @@ from aperiodic_lab.graphs import (
     is_circle,
     ivanov_check,
     loop_image_letters,
-    parse_automorphism,
     parse_graph,
 )
 from aperiodic_lab.aut import identity_automorphism
@@ -477,10 +475,6 @@ class TestTextFormats:
     def test_graph_round_trip(self):
         text = graph_str(THETA)
         assert parse_graph(text) == THETA
-
-    def test_automorphism_round_trip(self):
-        f = petal_swap()
-        assert parse_automorphism(ROSE2, automorphism_str(f)) == f
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):

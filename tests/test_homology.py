@@ -49,12 +49,10 @@ from aperiodic_lab.homology import (
     mat_mod,
     mat_mul,
     mat_pow,
-    matrix_str,
     minkowski_scan,
     nilpotent_action,
     nilpotent_coordinates,
     order_bound,
-    parse_matrix,
     per_subgroup,
     saturation,
     word_exponent_vector,
@@ -580,10 +578,6 @@ class TestMatMul:
 
 
 class TestMatrixIO:
-    def test_round_trip(self):
-        text = matrix_str(SHEAR3)
-        assert parse_matrix(text) == SHEAR3
-
     def test_det(self):
         assert det(ROTATION) == 1
         assert det(((2, 0), (0, 2))) == 4

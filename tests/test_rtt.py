@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -882,6 +883,32 @@ class TestFileFormat:
         parsed = parse_graph_map(A2, text)
         assert parsed.edge_images == FIB.edge_images
         assert parsed.vertex_images == FIB.vertex_images
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("1 -> 0+", "1 -> 0x", "'1 -> 0x'"),
+            ("1 -> 0+", "1 -> 0+\n7 -> 0+", "'7 -> 0+'"),
+            ("1 -> 0+", "1 -> 0+\n1 -> 1+", "'1 -> 1+'"),
+            ("1 -> 0+", "", "'1 -> path'"),
+            ("loop 1 b", "", "'loop 1 word'"),
+            ("V 1", "V", "'V'"),
+            ("loop 1 b", "loop", "'loop'"),
+            ("loop 1 b", "loop 1 b\nloop 1 a", "'loop 1 a'"),
+            ("vertices 0", "vertices 0\nvertices 0", "'vertices'"),
+            ("1 -> 0+", "1 -> 5+", "'1 -> 5+'"),
+        ],
+        ids=["sign", "no-such-edge", "repeated-edge", "missing-edge", "missing-loop",
+             "bare-V", "bare-loop", "repeated-loop", "repeated-vertices",
+             "dart-past-graph"],
+    )
+    def test_malformed_text_names_its_line(self, old, new, named):
+        # FIB's text is "V 1 / 0 0 / 0 0 / tree / loop 0 a / loop 1 b /
+        # vertices 0 / 0 -> 0+,1+ / 1 -> 0+", one item a line
+        text = graph_map_str(FIB)
+        assert text.count(old) == 1
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_graph_map(A2, text.replace(old, new))
 
     def test_reports_strata_order(self):
         filt = filtration_of(LOWER)

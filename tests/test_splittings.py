@@ -18,21 +18,14 @@ from aperiodic_lab.aut import (
 )
 from aperiodic_lab.graphs import FiniteGraph, enumerate_automorphisms
 from aperiodic_lab.splittings import (
-    GraphMapRep,
     MarkedGraph,
     edge_of_groups,
-    graph_map_from_words,
-    induced_ffs,
-    induced_outer,
     invariance_test,
     marked_graph_str,
     parse_marked_graph,
     rose_marked,
     splitting_orbit_period,
-    suspension_presentation,
     theta_marked,
-    twist_descriptor,
-    vertex_homology_image,
 )
 from aperiodic_lab.subgroups import OrbitOutcome, cores_conjugate, fold_core
 from aperiodic_lab.words import Alphabet, Word, parse_word
@@ -91,6 +84,14 @@ class TestMarkedGraphValidation:
                 identity_automorphism(A2),
             )
 
+    def test_segment_marking_carries_its_inverse(self):
+        # <ab> * <b>: the witness a -> ab, b -> b is inverted by a -> aB,
+        # b -> b, and the default identity images do not invert it
+        marked = edge_of_groups(A2, [w("ab")], [w("b")], backward=[w("aB"), w("b")])
+        assert marked.vertex_groups == {0: (w("ab"),), 1: (w("b"),)}
+        assert marked.witness.backward == (w("aB"), w("b"))
+        with pytest.raises(ValueError):
+            edge_of_groups(A2, [w("ab")], [w("b")])
 
     def test_tree_with_cycle_rejected(self):
         # tree edges 0 and 1 form a 2-cycle that misses vertex 2
@@ -116,6 +117,12 @@ class TestMarkedGraphValidation:
         text = "V 3\n0 1\n1 0\n1 2\n2 2\ntree 0 1\nloop 2 a\nloop 3 b\n"
         with pytest.raises(ValueError, match="span"):
             parse_marked_graph(A2, text)
+
+    def test_parser_rejects_repeated_group(self):
+        text = marked_graph_str(segment()) + "group 1 a\n"
+        with pytest.raises(ValueError, match="'group 1 a'"):
+            parse_marked_graph(A2, text)
+
 
 class TestInvarianceTest:
     def test_rose_swap_found(self):
@@ -446,164 +453,6 @@ class TestInvarianceOracle:
                     break
             got = splitting_orbit_period(marked, phi, max_iter=4, length_cap=cap)
             assert (got, got.iterations) == (expected, expected.iterations), (marked, phi)
-
-
-class TestInducedFFS:
-    def test_rose_single_vertex_empty_system(self):
-        system = induced_ffs(rose_marked(A2), [], extra_vertices=[0])
-        assert len(system.classes) == 0
-
-    def test_segment_both_vertices(self):
-        system = induced_ffs(segment(), [], extra_vertices=[0, 1])
-        assert len(system.classes) == 2
-        assert system.grushko_rank() == 2
-
-    def test_segment_full_subforest_joins(self):
-        system = induced_ffs(segment(), [0])
-        assert len(system.classes) == 1
-        assert system.classes[0].rank() == 2
-
-    def test_theta_one_vertex_empty(self):
-        system = induced_ffs(theta_marked(A2), [], extra_vertices=[0])
-        assert len(system.classes) == 0
-
-    def test_missing_group_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            induced_ffs(segment(), [], extra_vertices=[0])
-
-    def test_non_tree_edges_rejected(self):
-        with pytest.raises(ValueError):
-            induced_ffs(theta_marked(A2), [1])
-
-    def test_below_full_system_with_rank_bookkeeping(self):
-        from aperiodic_lab.subgroups import basis_ffs, ffs_poset_leq
-
-        system = induced_ffs(segment(), [], extra_vertices=[0, 1])
-        full = basis_ffs(A2, [[1, 2]])
-        assert ffs_poset_leq(system, full) is True
-        assert full.grushko_rank() <= system.grushko_rank()
-
-
-class TestVertexHomology:
-    def test_cyclic_group_span(self):
-        assert vertex_homology_image(segment(), 0) == ((1, 0),)
-
-    def test_trivial_group_zero(self):
-        assert vertex_homology_image(rose_marked(A2), 0) == ()
-
-    def test_ab_generator(self):
-        marked = edge_of_groups(
-            A2, [w("ab")], [w("b")], backward=[w("aB"), w("b")]
-        )
-        assert vertex_homology_image(marked, 0) == ((1, 1),)
-
-    def test_dimensions_additive_and_summands(self):
-        marked = edge_of_groups(
-            A3,
-            [parse_word(A3, "a"), parse_word(A3, "b")],
-            [parse_word(A3, "c")],
-        )
-        img0 = vertex_homology_image(marked, 0)
-        img1 = vertex_homology_image(marked, 1)
-        assert len(img0) == 2 and len(img1) == 1
-        combined = img0 + img1
-        # ranks add: the spans intersect trivially
-        from aperiodic_lab.splittings import _row_reduce_mod3
-
-        assert len(_row_reduce_mod3(combined)) == 3
-
-
-class TestTwistDescriptor:
-    def test_segment_trivial(self):
-        assert twist_descriptor(segment())["descriptor"] == "1"
-
-    def test_rank_two_vertex_group(self):
-        marked = edge_of_groups(
-            A3,
-            [parse_word(A3, "a"), parse_word(A3, "b")],
-            [parse_word(A3, "c")],
-        )
-        assert twist_descriptor(marked)["descriptor"] == "F_2"
-
-    def test_rose_trivial(self):
-        assert twist_descriptor(rose_marked(A3))["descriptor"] == "1"
-
-    def test_higher_valence_cyclic(self):
-        # cyclic vertex group of valence 2 contributes Z
-        graph = FiniteGraph(2, [(0, 1), (0, 1)])
-        marked = MarkedGraph(
-            A2,
-            graph,
-            [0],
-            {1: w("b")},
-            {0: [w("a")]},
-            identity_automorphism(A2),
-        )
-        assert twist_descriptor(marked)["descriptor"] == "Z^1"
-
-
-class TestSuspension:
-    def test_example(self):
-        phi = FreeAutomorphism(A2, [w("ab"), w("a")], [w("b"), w("Ba")])
-        assert (
-            suspension_presentation(phi)
-            == "< a, b, t | t*a*t^-1 = a*b, t*b*t^-1 = a >"
-        )
-
-    def test_identity_rank_two(self):
-        assert (
-            suspension_presentation(identity_automorphism(A2))
-            == "< a, b, t | t*a*t^-1 = a, t*b*t^-1 = b >"
-        )
-
-    def test_identity_rank_one(self):
-        assert (
-            suspension_presentation(identity_automorphism(Alphabet(1)))
-            == "< a, t | t*a*t^-1 = a >"
-        )
-
-    def test_inverse_letters(self):
-        phi = FreeAutomorphism(A2, [w("bAB"), w("b")], [w("BAb"), w("b")])
-        text = suspension_presentation(phi)
-        assert "t*a*t^-1 = b*a^-1*b^-1" in text
-
-
-class TestInducedOuter:
-    def test_identity_map(self):
-        rose = rose_marked(A2)
-        f = graph_map_from_words(rose, [w("a"), w("b")])
-        assert induced_outer(f, identity_automorphism(A2).forward).is_trivial()
-
-    def test_transvection_map(self):
-        rose = rose_marked(A2)
-        f = graph_map_from_words(rose, [w("ab"), w("b")])
-        oc = induced_outer(f, [w("aB"), w("b")])
-        assert outer_eq(oc.representative, transvection(A2, 1, 2))
-
-    def test_petal_swap(self):
-        rose = rose_marked(A2)
-        f = graph_map_from_words(rose, [w("b"), w("a")])
-        oc = induced_outer(f, [w("b"), w("a")])
-        assert outer_eq(oc.representative, swap(A2, 1, 2))
-
-    def test_identity_map_for_every_theta_tree(self):
-        for tree_edge in range(3):
-            f = GraphMapRep(theta_with_tree(tree_edge), (0, 1), [(0,), (2,), (4,)])
-            assert induced_outer(f, identity_automorphism(A2).forward).is_trivial()
-
-    def test_theta_edge_swap_reads_the_marking_tree(self):
-        # tree edge 1, a = e0 e1^-1, b = e2 e1^-1; swapping e1 and e2 sends
-        # a to e0 e2^-1 = a b^-1 and b to e1 e2^-1 = b^-1, an involution
-        f = GraphMapRep(theta_with_tree(1), (0, 1), [(0,), (4,), (2,)])
-        oc = induced_outer(f, [w("aB"), w("B")])
-        expected = FreeAutomorphism(A2, [w("aB"), w("B")], [w("aB"), w("B")])
-        assert outer_eq(oc.representative, expected)
-
-    def test_bad_inverse_rejected(self):
-        rose = rose_marked(A2)
-        f = graph_map_from_words(rose, [w("ab"), w("b")])
-        with pytest.raises(Exception):
-            induced_outer(f, [w("a"), w("b")])
 
 
 class TestFileFormat:

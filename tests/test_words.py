@@ -15,7 +15,6 @@ from aperiodic_lab.words import (
     apply_endo,
     cyclic_reduce,
     parse_word,
-    reduce,
     reduce_letters,
     word_str,
 )
@@ -36,7 +35,7 @@ periodic_3 = st.builds(
     st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=4),
     st.integers(1, 4),
 )
-words_3 = st.one_of(letters_3, periodic_3).map(lambda l: reduce(A3, l))
+words_3 = st.one_of(letters_3, periodic_3).map(lambda l: Word(A3, l))
 
 
 def least_rotation_oracle(letters):
@@ -61,29 +60,29 @@ def cyclic_reduce_oracle(word):
 
 class TestReduce:
     def test_adjacent_cancellation(self):
-        assert reduce(A2, [1, -1, 2]) == w("b")
+        assert Word(A2, [1, -1, 2]) == w("b")
 
     def test_empty_is_identity(self):
-        assert reduce(A2, []) == w("1")
-        assert len(reduce(A2, [])) == 0
+        assert Word(A2, []) == w("1")
+        assert len(Word(A2, [])) == 0
 
     def test_inner_cancellation(self):
-        assert reduce(A2, [1, 2, -2, 1]) == w("aa")
+        assert Word(A2, [1, 2, -2, 1]) == w("aa")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            reduce(A2, [3])
+            Word(A2, [3])
         with pytest.raises(ValueError):
-            reduce(A2, [0])
+            Word(A2, [0])
 
     @given(letters_2)
     def test_idempotent(self, letters):
-        once = reduce(A2, letters)
-        assert reduce(A2, once.letters) == once
+        once = Word(A2, letters)
+        assert Word(A2, once.letters) == once
 
     @given(letters_2, letters_2)
     def test_concatenation_length_bounds(self, s, t):
-        u, v = reduce(A2, s), reduce(A2, t)
+        u, v = Word(A2, s), Word(A2, t)
         product = u * v
         assert abs(len(u) - len(v)) <= len(product) <= len(u) + len(v)
 
@@ -106,14 +105,14 @@ class TestCyclicReduce:
 
     @given(letters_2)
     def test_round_trip(self, letters):
-        word = reduce(A2, letters)
+        word = Word(A2, letters)
         core, conj = cyclic_reduce(word)
         assert conj * core.as_word() * conj.inverse() == word
 
     @given(letters_2, letters_2)
     def test_conjugate_words_share_core(self, s, t):
-        word = reduce(A2, s)
-        g = reduce(A2, t)
+        word = Word(A2, s)
+        g = Word(A2, t)
         conjugated = g * word * g.inverse()
         assert cyclic_reduce(word)[0] == cyclic_reduce(conjugated)[0]
 
@@ -178,7 +177,7 @@ class TestApplyEndo:
     @given(letters_2, letters_2)
     def test_homomorphism(self, s, t):
         images = [w("ab"), w("bA")]
-        u, v = reduce(A2, s), reduce(A2, t)
+        u, v = Word(A2, s), Word(A2, t)
         assert apply_endo(images, u * v) == apply_endo(images, u) * apply_endo(
             images, v
         )
@@ -253,7 +252,7 @@ class TestSubstitution:
         sub = Substitution(A3, images)
         rng = random.Random(5)
         for _ in range(40):
-            word = reduce(A3, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(40)])
+            word = Word(A3, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(40)])
             assert sub(word).letters == substitution_oracle(images, word)
         assert len(sub._memo) == 16
 
@@ -330,7 +329,7 @@ class TestCanonicalRotation:
 
     @given(letters_3)
     def test_hashable_conjugacy_keys(self, letters):
-        word = reduce(A3, letters)
+        word = Word(A3, letters)
         core = cyclic_reduce(word)[0]
         rotated = CyclicWord(A3, core.letters[1:] + core.letters[:1])
         assert hash(core) == hash(rotated) and core == rotated
