@@ -68,7 +68,10 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 def _add_experiment_args(parser, rank=2, budget=5, max_iter=12, length_cap=10_000):
     parser.add_argument("--rank", type=int, default=rank, help="ambient free-group rank N")
     parser.add_argument("--samples", type=int, default=100, help="number of sampled automorphisms")
-    parser.add_argument("--budget", type=int, default=budget, help="generators per sampled product")
+    parser.add_argument(
+        "--budget", type=int, default=budget,
+        help=f"generators per sampled product, at most {harness.MAX_BUDGET}",
+    )
     parser.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
     parser.add_argument("--length-cap", type=int, default=length_cap, dest="length_cap")
     parser.add_argument("--seed", type=int, default=0)

@@ -223,26 +223,37 @@ def _profiles(graph: FiniteGraph) -> List[Tuple[int, int]]:
     ]
 
 
-def _isomorphisms(
-    source: FiniteGraph, target: FiniteGraph
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Every isomorphism from source to target as (vertex images, dart
-    images), lazily.
+# the byte of an unbound vertex image in the search rows; the rows hold
+# vertex and dart numbers below it
+_UNSET = 255
+
+
+def _isomorphisms(source: FiniteGraph, target: FiniteGraph, first: bool) -> bytearray:
+    """The isomorphisms from source to target, one row each in search
+    order: the vertex images and then the dart images, a byte per image.
+    With ``first`` the search stops at the first row, so for graphs with a
+    vertex the rows are empty iff there is no isomorphism; the empty
+    graph's one isomorphism is the empty row.
 
     Edge by edge: the forward dart of each source edge maps to an unused
     dart of target whose ends agree with the vertex images chosen so far,
     and a vertex maps only to an unused vertex of the same profile.  After
     the last edge, the vertices on no edge are permuted among themselves.
+    One recursive search writes every row in place, and returns True to
+    end itself early.
     """
     n, n_darts = source.n_vertices, source.n_darts()
+    rows = bytearray()
     if (n, n_darts) != (target.n_vertices, target.n_darts()):
-        return
+        return rows
+    if max(n, n_darts) > _UNSET:
+        raise ValueError(f"the isomorphism search takes at most {_UNSET} vertices and darts")
     edges, n_edges = source.edges, source.n_edges
     source_profile, target_profile = _profiles(source), _profiles(target)
     ends = [(target.dart_origin(d), target.dart_head(d)) for d in range(n_darts)]
-    vertex_image = [-1] * n
+    vertex_image = bytearray([_UNSET] * n)
     vertex_used = [False] * n
-    dart_image = [-1] * n_darts
+    dart_image = bytearray(n_darts)
     dart_used = [False] * n_darts
 
     def bind(v: int, w: int) -> bool:
@@ -252,53 +263,103 @@ def _isomorphisms(
         return True
 
     def unbind(v: int) -> None:
-        vertex_used[vertex_image[v]], vertex_image[v] = False, -1
+        vertex_used[vertex_image[v]], vertex_image[v] = False, _UNSET
 
-    def search(e: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    def search(e: int) -> bool:
         if e == n_edges:
-            v = next((v for v in range(n) if vertex_image[v] < 0), None)
-            if v is None:
-                yield tuple(vertex_image), tuple(dart_image)
-                return
+            v = vertex_image.find(_UNSET)
+            if v < 0:
+                rows.extend(vertex_image)
+                rows.extend(dart_image)
+                return first
             # v lies on no edge, and so do the unused target vertices
             for w in range(n):
                 if bind(v, w):
-                    yield from search(e)
+                    stop = search(e)
                     unbind(v)
-            return
+                    if stop:
+                        return True
+            return False
         u, v = edges[e]
         at = vertex_image[u]
-        for d in target.darts_at(at) if at >= 0 else range(n_darts):
+        for d in target.darts_at(at) if at != _UNSET else range(n_darts):
             if dart_used[d]:
                 continue
             # a loop sent to a non-loop, or the reverse, breaks here: its
             # second end finds its vertex bound elsewhere or its image used
             bound = []
+            stop = False
             for x, y in zip((u, v), ends[d]):
                 if vertex_image[x] == y:
                     continue
-                if vertex_image[x] >= 0 or not bind(x, y):
+                if vertex_image[x] != _UNSET or not bind(x, y):
                     break
                 bound.append(x)
             else:
                 dart_image[2 * e], dart_image[2 * e + 1] = d, d ^ 1
                 dart_used[d] = dart_used[d ^ 1] = True
-                yield from search(e + 1)
+                stop = search(e + 1)
                 dart_used[d] = dart_used[d ^ 1] = False
             for x in bound:
                 unbind(x)
+            if stop:
+                return True
+        return False
 
-    yield from search(0)
+    search(0)
+    # search refers to itself through its cell; emptying the cell frees the
+    # search state now rather than at the next cyclic collection
+    del search
+    return rows
 
 
-def enumerate_automorphisms(graph: FiniteGraph) -> List[GraphAutomorphism]:
+class PackedAutomorphisms(Frozen):
+    """The automorphisms of ``graph``, as ``enumerate_automorphisms`` finds
+    them, in a read-only sequence: ``rows`` holds one row per automorphism,
+    the vertex images and then the dart images, a byte each, and indexing
+    or iterating builds each ``GraphAutomorphism`` only when it is read."""
+
+    __slots__ = ("graph", "rows", "_count")
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, index: int) -> GraphAutomorphism:
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("automorphism index out of range")
+        return next(self._build(index, index + 1))
+
+    def __iter__(self) -> Iterator[GraphAutomorphism]:
+        return self._build(0, self._count)
+
+    def __repr__(self):
+        return f"PackedAutomorphisms({self._count} of {self.graph!r})"
+
+    def _build(self, begin: int, end: int) -> Iterator[GraphAutomorphism]:
+        """The automorphisms of rows begin to end - 1."""
+        graph, rows = self.graph, self.rows
+        n = graph.n_vertices
+        width = n + graph.n_darts()
+        trusted = GraphAutomorphism._trusted
+        for index in range(begin, end):
+            start = index * width
+            # each dart image is built from the vertex images, so the
+            # per-dart checks of the constructor can never fail here
+            vertex_perm = tuple(rows[start : start + n])
+            yield trusted(graph, vertex_perm, tuple(rows[start + n : start + width]))
+
+
+def enumerate_automorphisms(graph: FiniteGraph) -> PackedAutomorphisms:
     """All automorphisms, from the isomorphism search of the graph onto
-    itself."""
+    itself, packed as its rows."""
     if graph.n_edges > MAX_AUTOMORPHISM_EDGES:
         raise ValueError(f"graph has {graph.n_edges} edges, cap is {MAX_AUTOMORPHISM_EDGES}")
-    # each dart image is built from the vertex images, so the per-dart
-    # checks of the constructor can never fail here
-    return [GraphAutomorphism._trusted(graph, vp, dp) for vp, dp in _isomorphisms(graph, graph)]
+    rows = _isomorphisms(graph, graph, False)
+    width = graph.n_vertices + graph.n_darts()
+    # the empty graph has one automorphism, with an empty row
+    return PackedAutomorphisms._trusted(graph, bytes(rows), len(rows) // width if width else 1)
 
 
 def dart_letters(graph: FiniteGraph, loops: Dict[int, List[int]]) -> Tuple[int, ...]:
@@ -455,7 +516,7 @@ def connected_multigraphs(max_edges: int) -> Iterator[FiniteGraph]:
                 for v in range(u, n + 1):
                     bigger = FiniteGraph(max(n, v + 1), graph.edges + ((u, v),))
                     bucket = kept.setdefault(tuple(sorted(_profiles(bigger))), [])
-                    if all(next(_isomorphisms(bigger, other), None) is None for other in bucket):
+                    if not any(_isomorphisms(bigger, other, True) for other in bucket):
                         bucket.append(bigger)
                         next_level.append(bigger)
         yield from next_level

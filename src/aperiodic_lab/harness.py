@@ -76,6 +76,13 @@ from .subgroups import (
 from .words import Alphabet, CyclicWord, Word, cyclic_reduce, word_str
 
 
+# the largest budget a runner accepts: sampled images grow exponentially in
+# it.  The forward images of ``sample`` from the ``ia3`` family, over seeds
+# 0-19 at ranks 2-8, total at most 4 392 letters at budget 12 and 18 246 at
+# budget 15; at rank 4 and budget 20 they reach 437 414
+MAX_BUDGET = 12
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     rank: int = 2
@@ -94,6 +101,8 @@ class ExperimentConfig:
         for name in ("samples", "budget", "pool_size", "pool_length", "max_iter", "length_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.budget > MAX_BUDGET:
+            raise ValueError(f"budget must be at most {MAX_BUDGET}, got {self.budget}")
 
 
 # probes that a certificate proves to have no period at all, from the action

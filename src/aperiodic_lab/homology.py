@@ -302,14 +302,11 @@ def finite_order(m: IntMatrix) -> Optional[int]:
     The eigenvalues of a finite-order m are roots of unity, so its trace is
     at most n in absolute value.  Every finite order divides the bound L,
     so m has finite order iff m^L = I, and then its order is L with each
-    prime factor p stripped while m^(order / p) = I still holds.
+    prime factor p stripped while m^(order / p) = I still holds.  The scans
+    decide the same question from the characteristic polynomial instead
+    (``_order_from_charpoly``), and the tests check them against this.
     """
     _check_gl(m)
-    return _finite_order(m)
-
-
-def _finite_order(m: IntMatrix) -> Optional[int]:
-    """``finite_order`` of an m already known to be in GL_n(Z)."""
     n = len(m)
     if abs(sum(m[i][i] for i in range(n))) > n:
         return None
@@ -327,21 +324,6 @@ def _finite_order(m: IntMatrix) -> Optional[int]:
                 order //= p
         p += 1
     return order
-
-
-def _per_is_fix(m: IntMatrix) -> bool:
-    """``per_subgroup(m) == fix_subgroup(m)`` for m in GL_n(Z), from one
-    integer kernel: every basis vector k of ker(m^L - I) has mk = k.
-
-    Both sublattices are integer kernels, ``kernel_basis`` gives a basis of
-    each, and the Hermite basis of ``Sublattice`` is canonical, so the two
-    compare equal iff they are equal as sets.  Fix(m) is inside Per(m)
-    always: mv = v gives m^L v = v.  So Per(m) = Fix(m) iff Per(m) is
-    inside Fix(m), iff m fixes a basis of Per(m), as Fix(m) is a group.
-    """
-    n = len(m)
-    per = kernel_basis(mat_sub(mat_pow(m, order_bound(n)), identity_matrix(n)))
-    return all(_mat_vec(m, k) == k for k in per)
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +777,135 @@ def certify_cover(a: IntMatrix, u: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the scans' questions, decided by the characteristic polynomial
+#
+# For M in GL_n(Z), n <= 3, both scans ask a question that chi, the
+# characteristic polynomial det(xI - M), nearly settles on its own.  Over
+# Q, x^k - 1 is the product of the cyclotomic polynomials Phi_d over the
+# d dividing k.  They are distinct irreducibles, so x^k - 1 is squarefree,
+# and Phi_d divides chi iff a primitive d-th root of unity is an
+# eigenvalue of M.  That needs totient(d) <= n <= 3, so d is 1, 2, 3, 4
+# or 6.  Polynomials are tuples of integer coefficients, constant first,
+# as in ``_krylov_polynomial``.
+
+# Phi_d for the d with totient(d) <= 3
+_CYCLOTOMIC = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return tuple(product)
+
+
+def _charpoly(m: IntMatrix) -> Tuple[int, ...]:
+    """det(xI - m) for n <= 3, in closed form: x^n - t x^(n-1) + s x^(n-2)
+    - det m, with t the trace and s the sum of the principal 2 x 2 minors.
+
+    >>> _charpoly(((0, -1), (1, 0)))
+    (1, 0, 1)
+    """
+    if len(m) == 1:
+        return (-m[0][0], 1)
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return (a * d - b * c, -a - d, 1)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    minor = e * i - f * h
+    return (
+        b * (d * i - f * g) - a * minor - c * (d * h - e * g),
+        a * e - b * d + a * i - c * g + minor,
+        -a - e - i,
+        1,
+    )
+
+
+def _root_of_unity_but_one(chi: Sequence[int]) -> bool:
+    """True iff one of Phi_2, Phi_3, Phi_4, Phi_6 divides chi, of degree
+    <= 3; ``abelian_standing_assumptions_check`` finds Per(M) != Fix(M)
+    exactly then.
+
+    Per(M) = ker(M^L - I) for L = ``order_bound(n)`` and Fix(M) = ker(M -
+    I) are integer kernels, so saturated, and they are equal iff they are
+    equal over Q.  Over Q the factors Phi_d, d | L, of x^L - 1 are pairwise
+    coprime, so ker(M^L - I) is the direct sum of the ker Phi_d(M), and
+    Fix(M) is the summand d = 1.  So Per(M) = Fix(M) iff ker Phi_d(M) = 0
+    for every d > 1 dividing L, iff no such Phi_d divides chi.  The d > 1
+    with totient(d) <= n are 2 for n = 1, where L = 2, and 2, 3, 4 and 6
+    for n = 2, 3, where L = 12.
+
+    Phi_d divides chi iff the remainder of chi mod Phi_d is 0.  With chi
+    = a_0 + a_1 x + a_2 x^2 + a_3 x^3 (zeros above the degree), x^2 and
+    x^3 reduce to -x - 1 and 1 mod Phi_3, to -1 and -x mod Phi_4, and to
+    x - 1 and -1 mod Phi_6, which gives the three pairs of conditions
+    below; Phi_2 divides chi iff chi(-1) = 0.
+    """
+    a0, a1, a2, a3 = tuple(chi) + (0,) * (4 - len(chi))
+    return (
+        a0 - a1 + a2 - a3 == 0
+        or (a1 == a2 and a0 - a2 + a3 == 0)
+        or (a1 == a3 and a0 == a2)
+        or (a1 == -a2 and a0 - a2 - a3 == 0)
+    )
+
+
+@functools.cache
+def _cyclotomic_products(n: int) -> Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...]]]:
+    """Each product chi of Phi_1, Phi_2, Phi_3, Phi_4 and Phi_6 of degree
+    n, mapped to (the lcm of its d, the product of its distinct Phi_d):
+    2, 6 and 10 of them for n = 1, 2 and 3."""
+    table = {}
+    for count in range(1, n + 1):
+        for ds in itertools.combinations_with_replacement(_CYCLOTOMIC, count):
+            if sum(len(_CYCLOTOMIC[d]) - 1 for d in ds) == n:
+                distinct = sorted(set(ds))
+                table[functools.reduce(_poly_mul, (_CYCLOTOMIC[d] for d in ds))] = (
+                    math.lcm(*distinct),
+                    functools.reduce(_poly_mul, (_CYCLOTOMIC[d] for d in distinct)),
+                )
+    return table
+
+
+def _vanishes_at(poly: Sequence[int], m: IntMatrix) -> bool:
+    """True iff the monic ``poly``, of degree >= 1, is zero at m; by
+    Horner's rule, with one product for each degree past the first."""
+    n = len(m)
+
+    def plus_scalar(a: IntMatrix, c: int) -> IntMatrix:
+        return tuple(
+            tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(a)
+        )
+
+    value = plus_scalar(m, poly[-2])
+    for c in reversed(poly[:-2]):
+        value = plus_scalar(mat_mul(value, m), c)
+    return value == ((0,) * n,) * n
+
+
+def _order_from_charpoly(m: IntMatrix) -> Optional[int]:
+    """``finite_order`` of m, n <= 3, from chi: the lcm of the d of the
+    Phi_d in chi if chi is a product of them (``_cyclotomic_products``)
+    and r, the product of its distinct Phi_d, is zero at m; else None.
+
+    If m has finite order, its eigenvalues are roots of unity, so each
+    irreducible factor of chi is a Phi_d with totient(d) <= n, and chi is
+    in the table.  The minimal polynomial of m has the same irreducible
+    factors as chi, and divides chi, so it is r iff r(m) = 0.  If it is r,
+    m is diagonalizable over C with the primitive d-th roots of unity as
+    eigenvalues, and its order is the lcm of the d.  If not, a repeated
+    factor gives m a Jordan block of size >= 2 at a root of unity z, and
+    the entry k z^(k-1) above the diagonal of its k-th power is never 0,
+    so no power of m is I.
+    """
+    entry = _cyclotomic_products(len(m)).get(_charpoly(m))
+    if entry is None or not _vanishes_at(entry[1], m):
+        return None
+    return entry[0]
+
+
+# ---------------------------------------------------------------------------
 # exhaustive desk-scale scans
 
 
@@ -905,10 +1016,13 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     element.  At level 3 the expected violation count is zero.
 
     The enumeration solves for each matrix's last diagonal entry (see
-    ``_congruence_matrices``), and each matrix then costs a trace or one
-    power M^L for the order bound L (see ``finite_order``), and no
-    determinant; at n = 3, level 3 the box of bound 5 holds 973 matrices
-    and that of bound 8 holds 13 609.
+    ``_congruence_matrices``).  Each matrix then costs its characteristic
+    polynomial in closed form and one table lookup, and, when that is a
+    product of cyclotomic polynomials, at most two matrix products (see
+    ``_order_from_charpoly``); no power M^L and no determinant.  At n = 3,
+    level 3 the box of bound 5 holds 973 matrices and that of bound 8
+    holds 13 609; the box of bound 5 takes about 0.010 s on a 2-CPU x86-64
+    machine under Python 3.11, enumeration included.
     """
     _check_scan_args(n, bound, level, 8)
     start = time.perf_counter()
@@ -917,8 +1031,7 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     violations = []
     for m in _congruence_matrices(n, bound, level):
         enumerated += 1
-        # the enumeration yields det +-1 only, so the GL_n(Z) check is skipped
-        order = _finite_order(m)
+        order = _order_from_charpoly(m)
         if order is not None and m != ident:
             violations.append({"matrix": [list(r) for r in m], "order": order})
     violations.sort(key=lambda v: v["matrix"])
@@ -936,9 +1049,12 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     """For every level-3 congruence matrix in the box, check that the periodic
     sublattice equals the fixed sublattice.
 
-    Enumerated as in ``minkowski_scan``; each matrix then costs a power
-    M^L, one integer kernel of M^L - I and a product M k per kernel basis
-    vector k (see ``_per_is_fix``), and no determinant.
+    Enumerated as in ``minkowski_scan``; each matrix then costs its
+    characteristic polynomial in closed form and four divisibility tests
+    on its coefficients (see ``_root_of_unity_but_one``): no matrix
+    power, no kernel and no determinant.  At n = 3 the box of bound 5
+    takes about 0.008 s on a 2-CPU x86-64 machine under Python 3.11,
+    enumeration included.
     """
     _check_scan_args(n, bound, 3, 6)
     start = time.perf_counter()
@@ -946,7 +1062,7 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     violations = []
     for m in _congruence_matrices(n, bound, 3):
         enumerated += 1
-        if not _per_is_fix(m):
+        if _root_of_unity_but_one(_charpoly(m)):
             violations.append({"matrix": [list(r) for r in m]})
     violations.sort(key=lambda v: v["matrix"])
     return {

@@ -54,6 +54,49 @@ class TestCertify:
         with pytest.raises(CompositeNotIdentity) as err:
             FreeAutomorphism(A2, [w("ab"), w("b")], [w("a"), w("b")])
         assert err.value.letter == 1
+        assert err.value.got == w("ab")
+
+    @pytest.mark.parametrize(
+        "forward, backward, letter, got",
+        [
+            # x_1 passes both composites, and x_2 fails forward then backward
+            (["a", "ab"], ["a", "b"], 2, "ab"),
+            # x_1 passes forward then backward, and fails backward then forward
+            (["b", "a"], ["a", "a"], 1, "b"),
+        ],
+    )
+    def test_first_failing_composite_is_reported(self, forward, backward, letter, got):
+        with pytest.raises(CompositeNotIdentity) as err:
+            FreeAutomorphism(A2, [w(x) for x in forward], [w(x) for x in backward])
+        assert (err.value.letter, err.value.got) == (letter, w(got))
+
+    @pytest.mark.parametrize("rank", [1, 2, 5, 40])
+    def test_construction_builds_two_substitutions(self, rank, monkeypatch):
+        # one map per side certifies the composites and is kept, however
+        # large the rank
+        built = []
+        init = words.Substitution.__init__
+        trusted = words.Substitution._trusted
+
+        def counting_init(self, alphabet, images):
+            built.append("init")
+            init(self, alphabet, images)
+
+        def counting_trusted(cls, *values):
+            built.append("trusted")
+            return trusted(*values)
+
+        monkeypatch.setattr(words.Substitution, "__init__", counting_init)
+        monkeypatch.setattr(words.Substitution, "_trusted", classmethod(counting_trusted))
+        alphabet = Alphabet(rank)
+        basis = [Word(alphabet, (i,)) for i in alphabet.letters()]
+        forward, backward = list(basis), list(basis)
+        if rank > 1:
+            forward[0] = Word(alphabet, (1, 2))
+            backward[0] = Word(alphabet, (1, -2))
+        phi = FreeAutomorphism(alphabet, forward, backward)
+        assert built == ["init", "init"]
+        assert phi.forward == tuple(forward) and phi.backward == tuple(backward)
 
     def test_identity_accepted(self):
         assert identity_automorphism(A2).is_identity()

@@ -39,6 +39,7 @@ def examples():
         OrbitOutcome("Period", 1, 3),
         Sublattice(2, [(1, 0)]),
         marked.graph,
+        enumerate_automorphisms(marked.graph),
         enumerate_automorphisms(marked.graph)[-1],
         marked,
         graph_map,

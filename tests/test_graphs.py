@@ -35,6 +35,16 @@ LOOP = FiniteGraph(1, [(0, 0)])
 A2 = Alphabet(2)
 
 
+def read_rows(graph, rows):
+    """(vertex images, dart images) of each packed row of an isomorphism
+    search from ``graph``."""
+    n, width = graph.n_vertices, graph.n_vertices + graph.n_darts()
+    return [
+        (tuple(rows[i : i + n]), tuple(rows[i + n : i + width]))
+        for i in range(0, len(rows), width)
+    ]
+
+
 def petal_swap():
     # swap the two petals keeping orientations
     return GraphAutomorphism(ROSE2, (0,), (2, 3, 0, 1))
@@ -87,6 +97,10 @@ class TestEnumeration:
                             pass
             autos = enumerate_automorphisms(graph)
             assert len(autos) == len(oracle) and set(autos) == oracle
+            # the packed rows, read without building an automorphism
+            rows = read_rows(graph, autos.rows)
+            assert len(rows) == len(oracle)
+            assert set(rows) == {(f.vertex_perm, f.dart_perm) for f in oracle}
 
     @pytest.mark.parametrize(
         "graph, count",
@@ -105,10 +119,12 @@ class TestEnumeration:
         assert len(set(autos)) == len(autos) == count
         for f in autos:
             assert GraphAutomorphism(graph, f.vertex_perm, f.dart_perm) == f
+        assert autos[0].is_identity() and autos[-1] == autos[count - 1]
+        assert len(autos.rows) == count * (graph.n_vertices + graph.n_darts())
 
     def test_isomorphisms_between_relabelings(self):
         # a relabeled copy has as many isomorphisms onto it as the graph
-        # has automorphisms, and each one carries incidence across
+        # has automorphisms, and each row carries incidence across
         rng = random.Random(9)
         for graph in connected_multigraphs(4):
             relabel = list(range(graph.n_vertices))
@@ -119,7 +135,8 @@ class TestEnumeration:
             ]
             rng.shuffle(edges)
             copy = FiniteGraph(graph.n_vertices, edges)
-            found = list(_isomorphisms(graph, copy))
+            rows = _isomorphisms(graph, copy, False)
+            found = read_rows(graph, rows)
             assert len(set(found)) == len(found) == len(enumerate_automorphisms(graph))
             for vp, dp in found:
                 assert sorted(vp) == list(range(graph.n_vertices))
@@ -127,6 +144,33 @@ class TestEnumeration:
                 for d in range(graph.n_darts()):
                     assert dp[d ^ 1] == dp[d] ^ 1
                     assert copy.dart_origin(dp[d]) == vp[graph.dart_origin(d)]
+            # the search for one isomorphism stops at the first row
+            width = graph.n_vertices + graph.n_darts()
+            assert _isomorphisms(graph, copy, True) == rows[:width]
+
+    def test_no_isomorphism_gives_no_row(self):
+        assert _isomorphisms(TRIANGLE, THETA, True) == bytearray()
+        assert _isomorphisms(SEGMENT, LOOP, False) == bytearray()
+        assert _isomorphisms(FiniteGraph(2, [(0, 0)]), SEGMENT, False) == bytearray()
+
+    def test_search_refuses_rows_past_a_byte(self):
+        many = FiniteGraph(256, ())
+        with pytest.raises(ValueError, match="at most 255"):
+            _isomorphisms(many, many, True)
+
+    def test_packed_sequence(self):
+        autos = enumerate_automorphisms(THETA)
+        listed = list(autos)
+        assert len(autos) == len(listed) == 12
+        assert [autos[i] for i in range(12)] == listed
+        assert [autos[i] for i in range(-12, 0)] == listed
+        for index in (12, -13):
+            with pytest.raises(IndexError):
+                autos[index]
+        assert isinstance(autos.rows, bytes)
+        assert len(autos.rows) == 12 * (THETA.n_vertices + THETA.n_darts())
+        with pytest.raises(AttributeError):
+            autos.rows = b""
 
     def test_size_cap(self):
         big = FiniteGraph(1, [(0, 0)] * 11)

@@ -203,6 +203,22 @@ class TestRunners:
             ExperimentConfig(rank=1)
         with pytest.raises(ValueError):
             ExperimentConfig(samples=0)
+        assert ExperimentConfig(budget=harness.MAX_BUDGET).budget == 12
+        with pytest.raises(ValueError, match="budget must be at most 12"):
+            ExperimentConfig(budget=13)
+        with pytest.raises(ValueError, match="budget must be at most 12"):
+            main(["torsion", "--budget", "13"])
+
+    def test_cli_refuses_a_large_budget(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aperiodic_lab.cli", "conjugacy", "--budget", "20", "--samples", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "budget must be at most 12" in proc.stderr
+        assert proc.stdout == ""
 
 
 def bucket(outcome):

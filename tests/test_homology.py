@@ -24,9 +24,13 @@ from aperiodic_lab.cli import main
 from aperiodic_lab.homology import (
     Sublattice,
     _check_scan_args,
+    _CYCLOTOMIC,
+    _charpoly,
     _congruence_matrices,
+    _cyclotomic_products,
     _last_row_cofactors,
-    _per_is_fix,
+    _order_from_charpoly,
+    _root_of_unity_but_one,
     _scan_steps,
     abelian_standing_assumptions_check,
     abelianization,
@@ -492,9 +496,99 @@ class TestScanKernels:
         found = 0
         for m in matrices:
             equal = per_subgroup(m) == fix_subgroup(m)
-            assert _per_is_fix(m) == equal, m
+            assert _root_of_unity_but_one(_charpoly(m)) == (not equal), m
             found += not equal
         assert found == differ
+
+    @pytest.mark.parametrize(
+        "n,bound,level,finite,total",
+        [(3, 1, 1, 1584, 6960), (2, 2, 1, 40, 104), (1, 3, 1, 2, 2), (3, 5, 3, 1, 973)],
+    )
+    def test_order_from_charpoly_against_finite_order(self, n, bound, level, finite, total):
+        matrices = list(_congruence_matrices(n, bound, level))
+        assert len(matrices) == total
+        found = 0
+        for m in matrices:
+            order = finite_order(m)
+            assert _order_from_charpoly(m) == order, m
+            found += order is not None
+        assert found == finite
+
+    def test_charpoly_against_determinants(self):
+        # det(xI - m) at n + 1 points fixes a monic polynomial of degree n
+        rng = random.Random(900)
+        for n in (1, 2, 3):
+            for _ in range(200):
+                m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+                chi = _charpoly(m)
+                assert len(chi) == n + 1 and chi[-1] == 1
+                for x in range(-1, n + 1):
+                    shifted = tuple(
+                        tuple((x if i == j else 0) - m[i][j] for j in range(n)) for i in range(n)
+                    )
+                    assert sum(c * x**k for k, c in enumerate(chi)) == det(shifted)
+
+    def test_root_test_against_division(self):
+        # every monic chi of degree <= 3 with small coefficients, against
+        # long division by each Phi_d, d > 1
+        def divides(f, chi):
+            rest = list(chi)
+            while len(rest) >= len(f):
+                top = rest[-1]
+                for i, c in enumerate(f):
+                    rest[len(rest) - len(f) + i] -= top * c
+                rest.pop()
+            return not any(rest)
+
+        for degree in (1, 2, 3):
+            for low in itertools.product(range(-4, 5), repeat=degree):
+                chi = low + (1,)
+                expected = any(divides(_CYCLOTOMIC[d], chi) for d in (2, 3, 4, 6))
+                assert _root_of_unity_but_one(chi) == expected, chi
+
+    def test_cyclotomic_tables_against_products(self):
+        # Phi_d from x^d - 1 divided by every Phi_k, k a proper divisor of
+        # d, then every product of them of degree n multiplied out
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return tuple(out)
+
+        def quotient(num, f):
+            num, out = list(num), []
+            while len(num) >= len(f):
+                top = num[-1]
+                out.append(top)
+                for i, c in enumerate(f):
+                    num[len(num) - len(f) + i] -= top * c
+                num.pop()
+            assert not any(num)
+            return tuple(reversed(out))
+
+        phi = {}
+        for d in (1, 2, 3, 4, 6):
+            poly = (-1,) + (0,) * (d - 1) + (1,)
+            for k in phi:
+                if d % k == 0:
+                    poly = quotient(poly, phi[k])
+            phi[d] = poly
+        assert phi == _CYCLOTOMIC
+        for n, size in ((1, 2), (2, 6), (3, 10)):
+            expected = {}
+            every = (p for r in range(1, n + 1) for p in itertools.product(phi, repeat=r))
+            for picks in every:
+                if sum(len(phi[d]) - 1 for d in picks) != n:
+                    continue
+                product, radical = (1,), (1,)
+                for d in picks:
+                    product = times(product, phi[d])
+                for d in set(picks):
+                    radical = times(radical, phi[d])
+                expected[product] = (math.lcm(*picks), radical)
+            assert len(_cyclotomic_products(n)) == size
+            assert _cyclotomic_products(n) == expected
 
     def test_closed_form_cofactors(self):
         def signed_minors(rows):
