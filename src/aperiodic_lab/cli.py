@@ -65,6 +65,17 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     )
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option, refused by argparse otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_experiment_args(parser, rank=2, budget=5, max_iter=12, length_cap=10_000):
     parser.add_argument("--rank", type=int, default=rank, help="ambient free-group rank N")
     parser.add_argument("--samples", type=int, default=100, help="number of sampled automorphisms")
@@ -114,7 +125,7 @@ def main(argv=None) -> int:
     p.add_argument("--file", help="graph-map file (marked graph plus edge -> path lines)")
     p.add_argument("--map", dest="builtin", help="builtin map name (fibonacci, period2, two-strata, identity)")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1000, help="random splittings for the cancellation check")
+    p.add_argument("--trials", type=_count, default=1000, help="random splittings for the cancellation check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--csv")

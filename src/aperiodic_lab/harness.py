@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .aut import (
     FreeAutomorphism,
+    _certified,
     _inner_conjugator,
     ad,
     basis_cycle,
@@ -162,12 +163,35 @@ class _Sample:
         return cover_action(self.phi) if len(self.action) <= COVER_MAX_RANK else None
 
 
-class _Family:
-    """A generator family, each generator and its inverse abelianized once."""
+@functools.lru_cache(maxsize=4)
+def _family_entry(rank: int, family: str):
+    """The certified images of ``standard_generators(rank, family)``, as
+    (forward, backward) pairs, and the abelianized matrices of each
+    generator and its inverse, as pairs too: built and certified once per
+    (rank, family) for the four last asked for.  An entry holds words and
+    integer tuples only, no ``Substitution`` map, so no memo a runner fills
+    outlives its call."""
+    generators = standard_generators(rank, family)
+    return (
+        tuple((g.forward, g.backward) for g in generators),
+        tuple((abelianization(g), abelianization(inverse(g))) for g in generators),
+    )
 
-    def __init__(self, generators: Sequence[FreeAutomorphism]):
-        self._factors = [(g, inverse(g)) for g in generators]
-        self._matrices = [(abelianization(g), abelianization(h)) for g, h in self._factors]
+
+def _generators(rank: int, family: str) -> List[FreeAutomorphism]:
+    """``standard_generators(rank, family)`` from the certified images of
+    ``_family_entry``, with fresh maps."""
+    alphabet = Alphabet(rank)
+    return [_certified(alphabet, *images) for images in _family_entry(rank, family)[0]]
+
+
+class _Family:
+    """A generator family, each generator and its inverse abelianized once
+    per (rank, family) (``_family_entry``)."""
+
+    def __init__(self, rank: int, family: str):
+        self._factors = [(g, inverse(g)) for g in _generators(rank, family)]
+        self._matrices = _family_entry(rank, family)[1]
 
     def sample(self, budget: int, seed: int) -> _Sample:
         """The sample ``aut.sample`` draws from this family with this seed."""
@@ -268,7 +292,7 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
     periods are genuine, and the mod-3 certificates decline them."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    family = _Family(standard_generators(cfg.rank, cfg.family))
+    family = _Family(cfg.rank, cfg.family)
     rng = random.Random(cfg.seed)
     hist_outer = _histogram()
     hist_aut = {**_histogram(), CERTIFIED_BY_CONJUGATOR: 0}
@@ -349,8 +373,8 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     its certificate and is not iterated."""
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    family = _Family(standard_generators(cfg.rank, cfg.family))
-    nielsen = standard_generators(cfg.rank, "nielsen")
+    family = _Family(cfg.rank, cfg.family)
+    nielsen = _generators(cfg.rank, "nielsen")
     rng = random.Random(cfg.seed)
     hist = _histogram()
     violations = []
@@ -406,10 +430,24 @@ def _first_inner_power(phi: FreeAutomorphism, cfg: ExperimentConfig) -> OrbitOut
     images of a power outgrow the length cap.  Being inner is a property of
     the forward images alone, so each power steps only those, phi^k(x_i) =
     phi(phi^(k-1)(x_i)) through phi's forward map from the basis, and no
-    power's backward images are built."""
+    power's backward images are built.  The size of a power is the longest
+    of its images, so a step stops at the first image that
+    ``Substitution.capped`` proves longer than the cap."""
     alphabet = phi.alphabet
+    capped = phi.forward_map.capped
+    cap = cfg.length_cap
+
+    def step(images):
+        powers = []
+        for image in images:
+            image = capped(image, cap)
+            if image is None:
+                return None
+            powers.append(image)
+        return tuple(powers)
+
     return _first_return(
-        lambda images: tuple(map(phi.forward_map, images)),
+        step,
         tuple(Word(alphabet, (i,)) for i in alphabet.letters()),
         lambda images: max(map(len, images)),
         lambda images: _inner_conjugator(alphabet, images) is not None,
@@ -434,7 +472,7 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
     """
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    family = _Family(standard_generators(cfg.rank, cfg.family))
+    family = _Family(cfg.rank, cfg.family)
     rng = random.Random(cfg.seed)
     clean = 0
     skipped_inner = 0
@@ -511,7 +549,7 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"rank {cfg.rank}: the rose has {symmetries} automorphisms, over 10^5")
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
-    family = _Family(standard_generators(cfg.rank, cfg.family))
+    family = _Family(cfg.rank, cfg.family)
     rng = random.Random(cfg.seed)
     pool = default_splitting_pool(alphabet)
     hist = _histogram()

@@ -32,12 +32,44 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product ab; each entry is one ``sum(map(mul, ...))`` of a row
-    of a and a column of b.
+    """The product ab: in closed form for two 2 x 2 or two 3 x 3 matrices,
+    the shapes of the rank-2 and rank-3 samples, and otherwise each entry
+    one ``sum(map(mul, ...))`` of a row of a and a column of b.
 
     >>> mat_mul(((1, 2, 3), (4, 5, 6)), ((7, 8), (9, 10), (11, 12)))
     ((58, 64), (139, 154))
+    >>> mat_mul(((1, 2), (3, 4)), ((5, 6), (7, 8)))
+    ((19, 22), (43, 50))
     """
+    n = len(a)
+    if (n == 2 or n == 3) and n == len(b) == len(a[0]) == len(b[0]):
+        if n == 2:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            return (
+                (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+                (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+            )
+        if n == 3:
+            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+            (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+            return (
+                (
+                    a00 * b00 + a01 * b10 + a02 * b20,
+                    a00 * b01 + a01 * b11 + a02 * b21,
+                    a00 * b02 + a01 * b12 + a02 * b22,
+                ),
+                (
+                    a10 * b00 + a11 * b10 + a12 * b20,
+                    a10 * b01 + a11 * b11 + a12 * b21,
+                    a10 * b02 + a11 * b12 + a12 * b22,
+                ),
+                (
+                    a20 * b00 + a21 * b10 + a22 * b20,
+                    a20 * b01 + a21 * b11 + a22 * b21,
+                    a20 * b02 + a21 * b12 + a22 * b22,
+                ),
+            )
     cols = tuple(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 

@@ -475,7 +475,7 @@ _State = TypeVar("_State")
 
 
 def _first_return(
-    step: Callable[[_State], _State],
+    step: Callable[[_State], Optional[_State]],
     state: _State,
     size: Callable[[_State], int],
     returned: Callable[[_State], bool],
@@ -488,15 +488,19 @@ def _first_return(
     Iterate k is ``step`` applied k times to ``state``.  Each iterate is
     measured and checked against ``length_cap`` before ``returned`` tests
     it, so an iterate over the cap reports Blowup at its step even if it
-    has returned.  The outcome is Period(k) at the first k <= ``max_iter``
-    whose iterate has returned, else NoPeriodWithin; ``iterations`` counts
-    the steps taken.
+    has returned.  A step may instead return None, meaning that it proved
+    its iterate over the cap without building it (``Substitution.capped``):
+    that too reports Blowup at its step, and lists no size for it.  The
+    outcome is Period(k) at the first k <= ``max_iter`` whose iterate has
+    returned, else NoPeriodWithin; ``iterations`` counts the steps taken.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sizes: List[int] = []
     for k in range(1, max_iter + 1):
         state = step(state)
+        if state is None:
+            return OrbitOutcome(BLOWUP, None, k), sizes
         sizes.append(size(state))
         if sizes[-1] > length_cap:
             return OrbitOutcome(BLOWUP, None, k), sizes
@@ -576,6 +580,10 @@ def exact_word_orbit(
     phi: FreeAutomorphism, start: Word, max_iter: int = 12, length_cap: int = 10_000
 ) -> OrbitOutcome:
     """First return of the exact word (not its class) under a fixed
-    automorphism representative."""
-    return _first_return(phi.apply, start, len, start.__eq__, max_iter, length_cap)[0]
+    automorphism representative.  Each step stops as soon as its image is
+    proved longer than ``length_cap``."""
+    capped = phi.forward_map.capped
+    return _first_return(
+        lambda word: capped(word, length_cap), start, len, start.__eq__, max_iter, length_cap
+    )[0]
 

@@ -8,7 +8,7 @@ uppercase for inverses, and ``1`` for the empty word.
 from __future__ import annotations
 
 from operator import neg
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class Frozen:
@@ -286,9 +286,13 @@ _MEMO_BLOCKS = 1024
 _MEMO_IMAGE = 1024
 
 
-def _concatenate(images: Iterable[Tuple[int, ...]]) -> list:
+# letters substituted between two tests of ``Substitution.capped``: whole
+# blocks, so a capped call meets the blocks of the plain call
+_CAP_CHUNK = 16 * _BLOCK
+
+
+def _concatenate(out: list, images: Iterable[Tuple[int, ...]]) -> list:
     # out and every image are reduced, so only the junction can cancel
-    out: list[int] = []
     for image in images:
         if out and image and out[-1] == -image[0]:
             k = _overlap(out, image)
@@ -315,7 +319,8 @@ class Substitution(Frozen):
     entries; later blocks, and blocks whose image is longer than 1024
     letters, are substituted but not kept.  So besides the letter images
     it never holds more than 1024 block images of at most 1024 letters,
-    however many words the map is applied to.
+    however many words the map is applied to.  ``capped`` substitutes the
+    same blocks and stops once the image is proved longer than a cap.
     """
 
     __slots__ = ("alphabet", "images", "_memo")
@@ -335,6 +340,26 @@ class Substitution(Frozen):
         return f"Substitution({self.alphabet.rank}, {[word_str(w) for w in self.images]})"
 
     def __call__(self, word: Word) -> Word:
+        return self._substitute(word, None)
+
+    def capped(self, word: Word, cap: int) -> Optional[Word]:
+        """The reduced image of ``word`` if it has at most ``cap`` letters,
+        else None, as soon as the image is proved longer than ``cap``.
+
+        Proof.  Read w = u v left to right.  Then red phi(w) =
+        red(phi(u) phi(v)), and |red(x y)| >= |x| - |y| for reduced x and
+        y, while |red phi(v)| <= S(v), the sum of |phi(a)| over the letters
+        a of v.  So once |red phi(u)| - S(v) > cap, |red phi(w)| > cap, and
+        the rest of w is not substituted.  Also |red phi(w)| <= S(w) <= |w|
+        times the longest |phi(a)|; if that product is at most ``cap``, the
+        image cannot exceed the cap, and the plain call runs.  Otherwise
+        the test is made after every 128 letters of w once |red phi(u)| >
+        cap, which it needs since S(v) >= 0, and after the last letter,
+        where v is empty.
+        """
+        return self._substitute(word, cap)
+
+    def _substitute(self, word: Word, cap: Optional[int]) -> Optional[Word]:
         if word.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
         memo = self._memo
@@ -343,20 +368,42 @@ class Substitution(Frozen):
                 memo[i] = image.letters
                 memo[-i] = tuple(map(neg, reversed(image.letters)))
         letters = word.letters
-        if len(letters) <= _BLOCK:
-            out = _concatenate(map(memo.__getitem__, letters))
-        else:
-            out = _concatenate(
-                _block_image(memo, letters[i : i + _BLOCK])
-                for i in range(0, len(letters), _BLOCK)
-            )
+        n = len(letters)
+        step = n or 1
+        if cap is not None:
+            if n * max(map(len, self.images)) <= cap:
+                cap = None
+            else:
+                step = _CAP_CHUNK
+        by_block = n > _BLOCK
+        out: list[int] = []
+        remaining = None
+        # one chunk at least, so that a negative cap refuses the empty word
+        for start in range(0, n or 1, step):
+            chunk = letters[start : start + step]
+            if by_block:
+                _concatenate(out, (
+                    _block_image(memo, chunk[i : i + _BLOCK])
+                    for i in range(0, len(chunk), _BLOCK)
+                ))
+            else:
+                _concatenate(out, map(memo.__getitem__, chunk))
+            if cap is not None and len(out) > cap:
+                # S(v) of ``capped``, for v the letters after this chunk
+                if remaining is None:
+                    weight = {a: len(memo[a]) for a in self.alphabet.signed_letters()}
+                    remaining = sum(map(weight.__getitem__, letters[start + step :]))
+                else:
+                    remaining -= sum(map(weight.__getitem__, chunk))
+                if len(out) - remaining > cap:
+                    return None
         return Word._trusted(self.alphabet, tuple(out))
 
 
 def _block_image(memo: dict, block: Tuple[int, ...]) -> Tuple[int, ...]:
     image = memo.get(block)
     if image is None:
-        image = tuple(_concatenate(map(memo.__getitem__, block)))
+        image = tuple(_concatenate([], map(memo.__getitem__, block)))
         if len(memo) < _MEMO_BLOCKS and len(image) <= _MEMO_IMAGE:
             memo[block] = image
     return image

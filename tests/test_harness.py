@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from aperiodic_lab import harness
+from aperiodic_lab import harness, words
 from aperiodic_lab.aut import (
     basis_cycle,
     compose,
@@ -52,7 +52,7 @@ from aperiodic_lab.homology import (
 )
 from aperiodic_lab.splittings import splitting_orbit_period
 from aperiodic_lab.subgroups import FreeFactorSystem, exact_word_orbit, orbit_period
-from aperiodic_lab.words import Alphabet, CyclicWord, cyclic_reduce
+from aperiodic_lab.words import Alphabet, CyclicWord, Word, cyclic_reduce
 
 FAST = dict(samples=8, budget=3, pool_size=2, seed=1, max_iter=6, length_cap=1500)
 
@@ -76,6 +76,92 @@ class TestDeterminism:
         a = run_conjugacy_experiment(ExperimentConfig(rank=2, **FAST))
         b = run_conjugacy_experiment(ExperimentConfig(rank=2, **base))
         assert strip_elapsed(a) != strip_elapsed(b)
+
+    @pytest.mark.parametrize(
+        "runner, cfg",
+        [
+            (run_conjugacy_experiment, ExperimentConfig(rank=3, **FAST)),
+            (run_factor_experiment, ExperimentConfig(rank=3, **FAST)),
+            (run_splitting_experiment, ExperimentConfig(rank=2, **FAST)),
+            (run_torsion_experiment, ExperimentConfig(rank=3, **FAST)),
+        ],
+        ids=["conjugacy", "factors", "splittings", "torsion"],
+    )
+    def test_second_call_reads_the_cached_family_and_reports_the_same(self, runner, cfg):
+        harness._family_entry.cache_clear()
+        first = runner(cfg)
+        assert harness._family_entry.cache_info().misses >= 1
+        second = runner(cfg)
+        assert harness._family_entry.cache_info().hits >= 1
+        assert strip_elapsed(first) == strip_elapsed(second)
+
+
+class TestFamilyCache:
+    @staticmethod
+    def values(entry):
+        # every leaf of a cached entry
+        if isinstance(entry, tuple):
+            for item in entry:
+                yield from TestFamilyCache.values(item)
+        else:
+            yield entry
+
+    def test_entries_hold_images_and_matrices(self):
+        harness._family_entry.cache_clear()
+        for rank, family in [(2, "ia3"), (3, "nielsen")]:
+            images, matrices = harness._family_entry(rank, family)
+            gens = standard_generators(rank, family)
+            assert images == tuple((g.forward, g.backward) for g in gens)
+            assert matrices == tuple((abelianization(g), abelianization(inverse(g))) for g in gens)
+            assert {type(v) for v in self.values(images)} == {Word}
+            assert {type(v) for v in self.values(matrices)} == {int}
+
+    def test_each_call_gets_fresh_maps(self):
+        first, second = harness._generators(3, "ia3"), harness._generators(3, "ia3")
+        assert first == standard_generators(3, "ia3") == second
+        assert all(
+            g.forward_map is not h.forward_map and g.backward_map is not h.backward_map
+            for g, h in zip(first, second)
+        )
+
+    def test_cache_stays_within_its_bound(self):
+        harness._family_entry.cache_clear()
+        bound = harness._family_entry.cache_info().maxsize
+        keys = [(rank, family) for rank in (2, 3, 4) for family in ("ia3", "nielsen")]
+        assert len(keys) > bound
+        for key in keys:
+            harness._Family(*key)
+            assert harness._family_entry.cache_info().currsize <= bound
+        assert harness._family_entry.cache_info().currsize == bound
+
+
+class TestCappedSteps:
+    """The torsion and exact-word loops stop a step once
+    ``Substitution.capped`` proves its image over the cap; their reports
+    equal those of a step that builds every image in full."""
+
+    @pytest.mark.parametrize(
+        "runner, cfg",
+        [
+            (run_torsion_experiment, dict(rank=2, samples=200, budget=4, seed=505)),
+            (run_torsion_experiment, dict(rank=3, samples=50, budget=4, seed=506)),
+            (run_torsion_experiment, dict(rank=2, samples=200, budget=4, seed=10505)),
+            (run_torsion_experiment, dict(rank=3, samples=50, budget=4, seed=10506)),
+            (run_conjugacy_experiment, dict(rank=2, samples=10, budget=5, pool_size=4, seed=101)),
+            (run_conjugacy_experiment, dict(rank=3, samples=10, budget=4, pool_size=3, seed=202)),
+        ],
+        ids=["torsion-505", "torsion-506", "torsion-10505", "torsion-10506", "conjugacy-101", "conjugacy-202"],
+    )
+    def test_reports_match_an_uncapped_step(self, monkeypatch, runner, cfg):
+        length_cap = 20_000 if runner is run_torsion_experiment else 10_000
+        cfg = ExperimentConfig(max_iter=12, length_cap=length_cap, **cfg)
+        capped = runner(cfg)
+        monkeypatch.setattr(words.Substitution, "capped", lambda sub, word, cap: sub(word))
+        uncapped = runner(cfg)
+        assert strip_elapsed(capped) == strip_elapsed(uncapped)
+        if runner is run_torsion_experiment and cfg.rank == 3:
+            # rank 2 certifies every sample it keeps; rank 3 caps some
+            assert capped["blowups"] > 0
 
 
 class TestRunners:
@@ -586,7 +672,7 @@ class TestMatrixFirstSampling:
     def test_drawn_product_matches_the_composed_sample(self, rank, family):
         # rank 4 is past COVER_MAX_RANK; nielsen brings det -1 factors
         gens = standard_generators(rank, family)
-        drawn_family = _Family(gens)
+        drawn_family = _Family(rank, family)
         for seed in PINNED_SEEDS + tuple(s + 10_000 for s in PINNED_SEEDS):
             for budget in range(1, 7):
                 oracle = compose_from_identity(gens, budget, seed)
@@ -605,7 +691,7 @@ class TestMatrixFirstSampling:
         # read from the composed words: ^2 M from the 2 x 2 minors of M, and
         # column i of L from Omega(phi(x_i)) by its definition
         gens = standard_generators(rank, family)
-        drawn_family = _Family(gens)
+        drawn_family = _Family(rank, family)
         pairs = list(itertools.combinations(range(rank), 2))
         flat = [i * rank + j for i, j in pairs]
         for seed in PINNED_SEEDS + tuple(s + 10_000 for s in PINNED_SEEDS):
@@ -725,6 +811,12 @@ class TestCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["bcc"] == 3
         assert report["strata"][0]["class"] == "EG"
+
+    def test_rtt_analyze_refuses_negative_trials(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["rtt-analyze", "--map", "fibonacci", "--trials", "-5"])
+        assert err.value.code == 2
+        assert "--trials: must be >= 0" in capsys.readouterr().err
 
     def test_rtt_analyze_computes_the_constant_once(self, monkeypatch, capsys):
         # one bcc_bound per report, not one per cancellation trial

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -656,6 +657,20 @@ class TestMatMul:
             a = tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(inner)) for _ in range(rows))
             b = tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(cols)) for _ in range(inner))
             assert mat_mul(a, b) == self.naive(a, b)
+
+    def test_closed_forms_against_the_generic_product(self):
+        # every shape from 1 x 1 to 4 x 4 on each side that can multiply,
+        # so the 2 x 2 and 3 x 3 closed forms meet their near misses
+        def generic(a, b):
+            cols = tuple(zip(*b))
+            return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+        rng = random.Random(11)
+        for rows, inner, cols in itertools.product(range(1, 5), repeat=3):
+            for _ in range(5):
+                a = tuple(tuple(rng.randint(-10**9, 10**9) for _ in range(inner)) for _ in range(rows))
+                b = tuple(tuple(rng.randint(-10**9, 10**9) for _ in range(cols)) for _ in range(inner))
+                assert mat_mul(a, b) == generic(a, b)
 
     def test_class_two_blocks_against_triple_loop(self):
         # the 6 x 6 block matrices ((M, 0), (L, ^2 M)) of the class-2

@@ -549,6 +549,20 @@ class TestOrbits:
         assert run(5, 1, returned=lambda n: True) == (("Period", 1, 1), [1])
         assert run(5, 0, returned=lambda n: True) == (("Blowup", None, 1), [1])
 
+    def test_first_return_engine_with_a_step_proved_over_the_cap(self):
+        # a step that returns None has proved its iterate over the cap: Blowup
+        # at that step, before the return test, and no size for it
+        def run(proved_at, returned=lambda n: False):
+            out, sizes = _first_return(
+                lambda n: None if n + 1 == proved_at else n + 1, 0, lambda n: n, returned, 5, 10
+            )
+            return (out.kind, out.period, out.iterations), sizes
+
+        assert run(3) == (("Blowup", None, 3), [1, 2])
+        assert run(1, returned=lambda n: True) == (("Blowup", None, 1), [])
+        assert run(4, returned=lambda n: n == 2) == (("Period", 2, 2), [1, 2])
+        assert run(9) == (("NoPeriodWithin", None, 5), [1, 2, 3, 4, 5])
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     @pytest.mark.parametrize(
         "probe",

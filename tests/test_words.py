@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aperiodic_lab import words
+from aperiodic_lab.aut import sample, standard_generators
 from aperiodic_lab.words import (
     Alphabet,
     CyclicWord,
@@ -266,6 +267,44 @@ class TestSubstitution:
         # a^8 has an image of 24 letters, c^8 one of 8
         assert blocks == {(3,) * 8: (3,) * 8}
 
+    @pytest.mark.parametrize("rank, family", [(2, "ia3"), (3, "ia3"), (3, "nielsen")])
+    def test_capped_matches_the_full_call(self, rank, family):
+        # None exactly when the full image is longer than the cap, else the
+        # full image; caps far below the image take the early exit
+        alphabet = Alphabet(rank)
+        gens = standard_generators(rank, family)
+        rng = random.Random(rank)
+        signed = alphabet.signed_letters()
+        for _ in range(40):
+            phi = sample(gens, rng.randrange(1, 7), rng.randrange(2**32))
+            for sub in (phi.forward_map, phi.backward_map):
+                word = Word(alphabet, [rng.choice(signed) for _ in range(rng.choice([0, 5, 9, 70, 300]))])
+                image = sub(word)
+                n = len(image)
+                for cap in (0, n // 3, n - 1, n, n + 1, 10 * n):
+                    got = sub.capped(word, cap)
+                    if n > cap:
+                        assert got is None
+                    else:
+                        assert got == image
+
+    def test_capped_stops_once_the_image_is_proved_over_the_cap(self, monkeypatch):
+        # x_1 -> x_1 x_2 on x_1^800: no cancellation, so after m letters the
+        # image has 2m letters and the rest adds 2(800 - m); the bound
+        # 2m - 2(800 - m) > 100 holds from m = 426, so the call stops at
+        # the end of the chunk that holds letter 426
+        chunk = words._CAP_CHUNK
+        stop = -(-426 // chunk) * chunk
+        assert stop < 800
+        calls = []
+        block_image = words._block_image
+        monkeypatch.setattr(words, "_block_image", lambda memo, block: calls.append(block) or block_image(memo, block))
+        sub = Substitution(A2, [w("ab"), w("b")])
+        word = Word(A2, (1,) * 800)
+        assert sub.capped(word, 100) is None
+        assert len(calls) == stop // 8
+        assert sub.capped(word, 1600) == sub(word) == Word(A2, (1, 2) * 800)
+
     def test_checks_its_images_and_words(self):
         with pytest.raises(ValueError):
             Substitution(A2, [w("a")])
@@ -273,6 +312,8 @@ class TestSubstitution:
             Substitution(A2, [parse_word(A3, "a"), parse_word(A3, "b")])
         with pytest.raises(ValueError):
             Substitution(A2, [w("a"), w("b")])(parse_word(A3, "c"))
+        with pytest.raises(ValueError):
+            Substitution(A2, [w("a"), w("b")]).capped(parse_word(A3, "c"), 5)
 
 
 class TestTrustedConstruction:
