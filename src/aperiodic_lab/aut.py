@@ -191,8 +191,8 @@ def is_inner(phi: FreeAutomorphism) -> Optional[Word]:
     For each basis letter x_i the solutions u of u x_i u^-1 = phi(x_i) form
     either the empty set or a coset v_i <x_i>, with v_i read off the cyclic
     reduction of phi(x_i).  The cosets for i = 1, 2 intersect in at most one
-    element; the search over the x_1-exponent is bounded by
-    |phi(x_1)| + |phi(x_2)|, and any hit is verified on all letters.
+    element, and it is v_1 or v_2, so at most these two candidates are
+    tested; a hit is verified on all letters.
     """
     return _inner_conjugator(phi.alphabet, phi.forward)
 
@@ -213,8 +213,7 @@ def _inner_conjugator(alphabet: Alphabet, forward: Sequence[Word]) -> Optional[W
 
     # Intersect v_1 <x_1> with v_2 <x_2>.  The transcript conjugators never
     # end in the conjugated letter, so a common element v_1 x_1^k = v_2 x_2^m
-    # forces k = 0 or m = 0; in particular |k| stays well below the image
-    # length bound |phi(x_1)| + |phi(x_2)|.
+    # forces k = 0 or m = 0: the common element is v_1 or v_2.
     v1, v2 = cosets[0], cosets[1]
     candidates = [v1]
     tail = v1.inverse() * v2

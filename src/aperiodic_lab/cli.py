@@ -21,7 +21,7 @@ from .splittings import graph_map_from_words, rose_marked
 from .words import Alphabet, parse_word
 
 
-def _builtin_map(name: str, alphabet: Alphabet):
+def _builtin_map(name: str, rank: int):
     words = {
         "fibonacci": ["ab", "a"],
         "period2": ["bb", "aa"],
@@ -30,6 +30,9 @@ def _builtin_map(name: str, alphabet: Alphabet):
     }
     if name not in words:
         raise SystemExit(f"unknown builtin map {name!r}; choices: {sorted(words)}")
+    if rank != 2:
+        raise SystemExit(f"builtin map {name!r} is rank 2, not --rank {rank}; --rank is read with --file")
+    alphabet = Alphabet(2)
     images = [parse_word(alphabet, w) for w in words[name]]
     return graph_map_from_words(rose_marked(alphabet), images)
 
@@ -124,7 +127,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("rtt-analyze", help="filtration, strata, turns, and cancellation of a graph map")
     p.add_argument("--file", help="graph-map file (marked graph plus edge -> path lines)")
     p.add_argument("--map", dest="builtin", help="builtin map name (fibonacci, period2, two-strata, identity)")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=int, default=2, help="free-group rank of the --file map (builtin maps are rank 2)")
     p.add_argument("--trials", type=_count, default=1000, help="random splittings for the cancellation check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -157,12 +160,11 @@ def main(argv=None) -> int:
 
 def analyze_graph_map(args) -> dict:
     start = time.perf_counter()
-    alphabet = Alphabet(args.rank)
     if args.file:
         with open(args.file) as fh:
-            graph_map = rtt.parse_graph_map(alphabet, fh.read())
+            graph_map = rtt.parse_graph_map(Alphabet(args.rank), fh.read())
     elif args.builtin:
-        graph_map = _builtin_map(args.builtin, alphabet)
+        graph_map = _builtin_map(args.builtin, args.rank)
     else:
         raise SystemExit("rtt-analyze needs --file or --map")
 

@@ -35,10 +35,6 @@ def tighten(darts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def is_tight(darts: Sequence[int]) -> bool:
-    return all(d2 != (d1 ^ 1) for d1, d2 in zip(darts, darts[1:]))
-
-
 def map_path(f: GraphMapRep, darts: Sequence[int]) -> Tuple[int, ...]:
     """Tight image of an edge path, tightened as each dart's image is
     appended.
@@ -63,12 +59,6 @@ def map_path(f: GraphMapRep, darts: Sequence[int]) -> Tuple[int, ...]:
             else:
                 push(x)
     return tuple(out)
-
-
-def _check_tight_images(f: GraphMapRep) -> None:
-    for e, path in enumerate(f.edge_images):
-        if not is_tight(path):
-            raise ValueError(f"image of edge {e} has backtracking")
 
 
 def transition_matrix(f: GraphMapRep) -> IntMatrix:
@@ -186,10 +176,9 @@ class Filtration(Frozen):
     """Strata (each irreducible or zero) in an order making every initial
     union invariant under the map."""
 
-    __slots__ = ("graph_map", "strata")
+    __slots__ = ("strata",)
 
-    def __init__(self, graph_map: GraphMapRep, strata: Sequence[TransitionMatrix]):
-        object.__setattr__(self, "graph_map", graph_map)
+    def __init__(self, strata: Sequence[TransitionMatrix]):
         object.__setattr__(self, "strata", tuple(strata))
 
     def stratum_of_edge(self, e: int) -> int:
@@ -216,7 +205,6 @@ def filtration_of(f: GraphMapRep) -> Filtration:
     sets take O(n (n + m)) for n edges and m arrows.  A stratum is named by
     its least edge, so the order of the strata depends on the map alone.
     """
-    _check_tight_images(f)
     counts = transition_matrix(f)
     n = len(counts)
     # digraph arrow e -> e' when e' appears in the image of e
@@ -264,7 +252,7 @@ def filtration_of(f: GraphMapRep) -> Filtration:
         edges = tuple(comp_edges[c])
         block = tuple(tuple(counts[i][j] for j in edges) for i in edges)
         strata.append(TransitionMatrix(edges, block))
-    return Filtration(f, strata)
+    return Filtration(strata)
 
 
 class VerificationFailed(AssertionError):
@@ -326,7 +314,6 @@ def aperiodic_partition(f: GraphMapRep, stratum: TransitionMatrix) -> dict:
 
 def direction_map(f: GraphMapRep) -> Dict[int, int]:
     """DF: each dart maps to the first dart of its tight image."""
-    _check_tight_images(f)
     return {
         d: f.dart_image(d)[0] for d in range(f.domain.graph.n_darts())
     }
@@ -521,9 +508,11 @@ def _condition2(f: GraphMapRep, lower: Set[int], stratum_vertices: Set[int]) -> 
 
 
 def bcc_bound(f: GraphMapRep) -> int:
-    """Sum of tight image lengths over unoriented edges: a valid bounded
-    cancellation constant for the map."""
-    _check_tight_images(f)
+    """Sum of the image lengths over the unoriented edges, the constant c of
+    ``bcc_inequality_holds``.  It need not bound the cancellation of a map
+    that is no homotopy equivalence: 1000 trials at seed 0 exceed it 106
+    times for a -> a, b -> a and 135 times for a -> abab, b -> ab.  So a
+    report's ``violations`` are sampled evidence about c, not a proof."""
     return sum(len(path) for path in f.edge_images)
 
 

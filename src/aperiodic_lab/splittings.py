@@ -3,8 +3,8 @@
 A marked graph is a finite graph with a spanning tree, a word of F_N for
 each non-tree edge, and a (possibly trivial) free vertex group at each
 vertex given by generator words (conjugating paths baked in).  The marking
-words together form a basis of F_N, certified by a carried automorphism
-witness.
+words form a basis of F_N, certified once, at construction, as the
+witness; graph maps are likewise tight at construction.
 
 "Fixed by an outer automorphism" is operationalized as: some graph
 self-isomorphism transports the vertex-group conjugacy classes exactly as
@@ -39,10 +39,12 @@ class MarkedGraph(Frozen):
 
     ``loop_words[e]`` marks non-tree edge e in its forward orientation;
     ``vertex_groups[v]`` lists generator words of the vertex group (empty or
-    absent for trivial groups).  The rank bookkeeping (non-tree edges plus
-    vertex-group ranks equals N) is certified by ``witness``: the
-    automorphism taking the standard basis to the marking words, vertex
-    generators first (sorted by vertex), then loop words (sorted by edge).
+    absent for trivial groups).  The constructor lays these words out once,
+    vertex generators first (sorted by vertex), then loop words (sorted by
+    edge), and certifies them with their inverse images ``backward`` (the
+    standard basis by default) as ``witness``, which proves the rank
+    bookkeeping; backward images that do not invert them raise
+    ``aut.CompositeNotIdentity``.
     """
 
     __slots__ = (
@@ -62,7 +64,7 @@ class MarkedGraph(Frozen):
         tree_edges: Sequence[int],
         loop_words: Dict[int, Word],
         vertex_groups: Dict[int, Sequence[Word]],
-        witness: FreeAutomorphism,
+        backward: Optional[Sequence[Word]] = None,
     ):
         tree_set = frozenset(tree_edges)
         non_tree = list(graph.fundamental_loops(tree_set))  # raises unless a spanning tree
@@ -81,18 +83,15 @@ class MarkedGraph(Frozen):
             if graph.valence(v) == 1 and v not in vertex_groups:
                 raise ValueError(f"valence-1 vertex {v} with trivial group")
         layout: List[Tuple[str, int, int]] = []
+        forward: List[Word] = []
         for v in sorted(vertex_groups):
-            for j in range(len(vertex_groups[v])):
+            for j, gen in enumerate(vertex_groups[v]):
                 layout.append(("vertex", v, j))
+                forward.append(gen)
         for e in non_tree:
             layout.append(("loop", e, 0))
-        expected = []
-        for kind, a, b in layout:
-            expected.append(
-                vertex_groups[a][b] if kind == "vertex" else loop_words[a]
-            )
-        if list(witness.forward) != expected:
-            raise ValueError("witness images must match the marking words in order")
+            forward.append(loop_words[e])
+        witness = FreeAutomorphism(alphabet, forward, backward or identity_automorphism(alphabet).forward)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "tree_edges", tree_set)
@@ -135,18 +134,12 @@ class MarkedGraph(Frozen):
 def rose_marked(
     alphabet: Alphabet, words: Optional[Sequence[Word]] = None, backward: Optional[Sequence[Word]] = None
 ) -> MarkedGraph:
-    """Rose with one petal per basis letter.  Default marking is the
-    identity; a custom marking needs its inverse supplied alongside."""
-    n = alphabet.rank
-    graph = FiniteGraph(1, [(0, 0)] * n)
+    """Rose with one petal per basis letter, petal e marked ``words[e]``
+    (the standard basis by default) with inverse images ``backward``."""
     if words is None:
-        witness = identity_automorphism(alphabet)
-    else:
-        if backward is None:
-            raise ValueError("custom marking requires backward images")
-        witness = FreeAutomorphism(alphabet, words, backward)
-    loop_words = {e: witness.forward[e] for e in range(n)}
-    return MarkedGraph(alphabet, graph, [], loop_words, {}, witness)
+        words = identity_automorphism(alphabet).forward
+    graph = FiniteGraph(1, [(0, 0)] * alphabet.rank)
+    return MarkedGraph(alphabet, graph, [], dict(enumerate(words)), {}, backward)
 
 
 def edge_of_groups(
@@ -156,18 +149,10 @@ def edge_of_groups(
     backward: Optional[Sequence[Word]] = None,
 ) -> MarkedGraph:
     """Two vertices joined by an edge, with vertex groups generated by the
-    given words: an A * B style splitting."""
+    given words: an A * B style splitting, with inverse images
+    ``backward``."""
     graph = FiniteGraph(2, [(0, 1)])
-    forward = list(left_gens) + list(right_gens)
-    if backward is None:
-        witness = FreeAutomorphism(
-            alphabet, forward, identity_automorphism(alphabet).forward
-        )
-    else:
-        witness = FreeAutomorphism(alphabet, forward, backward)
-    return MarkedGraph(
-        alphabet, graph, [0], {}, {0: left_gens, 1: right_gens}, witness
-    )
+    return MarkedGraph(alphabet, graph, [0], {}, {0: left_gens, 1: right_gens}, backward)
 
 
 def theta_marked(alphabet: Alphabet) -> MarkedGraph:
@@ -177,8 +162,7 @@ def theta_marked(alphabet: Alphabet) -> MarkedGraph:
         raise ValueError("theta marking is for rank 2")
     graph = FiniteGraph(2, [(0, 1), (0, 1), (0, 1)])
     a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
-    witness = identity_automorphism(alphabet)
-    return MarkedGraph(alphabet, graph, [0], {1: a, 2: b}, {}, witness)
+    return MarkedGraph(alphabet, graph, [0], {1: a, 2: b}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +283,11 @@ class GraphMapRep(Frozen):
     """A self-map of a marked graph: vertex images plus one dart path per
     edge (the image of the reversed edge is the reversed path).
 
-    Continuity is checked: each image path runs between the images of the
-    edge's endpoints.  Images are stored as given; tightening happens on
-    demand in the analytics that require it.  ``_dart_images`` is the
-    dart-image table, built once with the map: entry 2e is the image of
-    edge e and entry 2e + 1 the reversed path, which ``dart_image`` reads.
+    Continuity and tightness are checked: each image path runs between the
+    images of the edge's endpoints and never follows a dart by its reverse.
+    ``_dart_images`` is the dart-image table, built once with the map:
+    entry 2e is the image of edge e and entry 2e + 1 the reversed path,
+    which ``dart_image`` reads.
     """
 
     __slots__ = ("domain", "vertex_images", "edge_images", "_dart_images")
@@ -332,6 +316,8 @@ class GraphMapRep(Frozen):
             for d1, d2 in zip(path, path[1:]):
                 if graph.dart_head(d1) != graph.dart_origin(d2):
                     raise ValueError(f"image of edge {e} is not an edge path")
+                if d2 == d1 ^ 1:
+                    raise ValueError(f"image of edge {e} has backtracking")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "vertex_images", vertex_images)
         object.__setattr__(self, "edge_images", edge_images)
@@ -434,9 +420,8 @@ def marked_graph_str(marked: MarkedGraph) -> str:
 def parse_marked_graph(
     alphabet: Alphabet, text: str, backward: Optional[Sequence[Word]] = None
 ) -> MarkedGraph:
-    """Parse the marked-graph format.  The witness inverse defaults to the
-    identity (valid when the marking is the standard basis in layout order);
-    otherwise the caller supplies backward images."""
+    """Parse the marked-graph format; ``backward`` are the inverse images
+    of the marking, as ``MarkedGraph`` takes them."""
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     graph_lines = []
     tree: List[int] = []
@@ -463,16 +448,8 @@ def parse_marked_graph(
         else:
             graph_lines.append(line)
     graph = parse_graph("\n".join(graph_lines))
-    forward = []
-    for v in sorted(groups):
-        forward.extend(groups[v])
     tree_set = set(tree)
     for e in range(graph.n_edges):
-        if e not in tree_set:
-            if e not in loops:
-                raise ValueError(f"missing line 'loop {e} word' for non-tree edge {e}")
-            forward.append(loops[e])
-    if backward is None:
-        backward = identity_automorphism(alphabet).forward
-    witness = FreeAutomorphism(alphabet, forward, backward)
-    return MarkedGraph(alphabet, graph, tree, loops, groups, witness)
+        if e not in tree_set and e not in loops:
+            raise ValueError(f"missing line 'loop {e} word' for non-tree edge {e}")
+    return MarkedGraph(alphabet, graph, tree, loops, groups, backward)

@@ -397,7 +397,7 @@ class FreeFactorSystem(Frozen):
     the image of the remaining letters is a free product by construction.
     """
 
-    __slots__ = ("alphabet", "classes", "witness", "subsets")
+    __slots__ = ("alphabet", "classes", "witness")
 
     def __init__(
         self,
@@ -423,7 +423,6 @@ class FreeFactorSystem(Frozen):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "subsets", subsets)
 
     def __repr__(self):
         return f"FreeFactorSystem({list(self.classes)!r})"

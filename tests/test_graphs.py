@@ -22,7 +22,6 @@ from aperiodic_lab.graphs import (
     loop_image_letters,
     parse_graph,
 )
-from aperiodic_lab.aut import identity_automorphism
 from aperiodic_lab.homology import identity_matrix, mat_mod, mat_mul
 from aperiodic_lab.splittings import MarkedGraph
 from aperiodic_lab.words import Alphabet
@@ -468,7 +467,7 @@ class TestFundamentalLoops:
         with pytest.raises(ValueError, match="span"):
             graph.fundamental_loops(tree)
         with pytest.raises(ValueError, match="span"):
-            MarkedGraph(A2, graph, tree, {}, {}, identity_automorphism(A2))
+            MarkedGraph(A2, graph, tree, {}, {})
         # ivanov_check reads the graph through its own spanning tree; handed
         # this one instead, it must refuse it too
         monkeypatch.setattr(FiniteGraph, "spanning_tree", lambda self: tree)

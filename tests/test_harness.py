@@ -818,6 +818,16 @@ class TestCLI:
         assert err.value.code == 2
         assert "--trials: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", ["3", "1"])
+    def test_rtt_analyze_refuses_a_builtin_map_at_another_rank(self, rank, capsys):
+        # every builtin map is rank 2; --rank is read with --file
+        with pytest.raises(SystemExit) as err:
+            main(["rtt-analyze", "--map", "fibonacci", "--rank", rank])
+        assert err.value.code == (
+            f"builtin map 'fibonacci' is rank 2, not --rank {rank}; --rank is read with --file"
+        )
+        assert capsys.readouterr().out == ""
+
     def test_rtt_analyze_computes_the_constant_once(self, monkeypatch, capsys):
         # one bcc_bound per report, not one per cancellation trial
         from aperiodic_lab import rtt

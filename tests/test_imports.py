@@ -5,7 +5,8 @@ no public function, class or method goes unmentioned in the repository,
 no function has a parameter it never reads, every parameter default is
 overridden by some call, only ``Frozen`` overrides ``__setattr__`` or
 calls ``object.__new__``, no module of the package calls ``apply_endo``,
-the package imports nothing outside itself and the standard library, and
+every ``__slots__`` field of a package class is read somewhere, the
+package imports nothing outside itself and the standard library, and
 every ``module.name`` that the README names exists.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
@@ -513,6 +514,66 @@ def test_no_module_calls_apply_endo():
         for scope in apply_endo_calls(path.read_text())
     ]
     assert found == []
+
+
+def unread_slots(package: dict, others: list) -> list:
+    """(module, class, field) for every ``__slots__`` entry of a class in
+    the ``package`` sources (module -> text) that no attribute read in the
+    package or in ``others`` (a list of texts) names.  A read is ``x.field``
+    loaded, matched by name; the fields set with ``object.__setattr__`` and
+    the ``getattr`` of ``Frozen.__reduce__``, which walks every slot, are
+    not reads."""
+    read = {
+        node.attr
+        for text in [*package.values(), *others]
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for module, source in package.items():
+        for name, node in _scopes(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    found.extend(
+                        (module, name, field)
+                        for field in ast.literal_eval(stmt.value)
+                        if field not in read
+                    )
+    return sorted(found)
+
+
+def test_checker_finds_unread_slot():
+    package = {
+        "a.py": (
+            "class Point:\n"
+            "    __slots__ = ('x', 'y', 'label')\n"
+            "    def __init__(self, x, y, label):\n"
+            "        object.__setattr__(self, 'x', x)\n"
+            "        object.__setattr__(self, 'y', y)\n"
+            "        self.label = label\n"
+            "    def norm(self):\n"
+            "        return abs(self.x)\n"
+            "class Empty:\n"
+            "    __slots__ = ()\n"
+        ),
+    }
+    others = ["assert p.y == getattr(p, 'label')\n"]
+    assert unread_slots(package, others) == [("a.py", "Point", "label")]
+
+
+def test_every_slot_is_read():
+    # a field that nothing reads is state every instance carries for no one
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [
+        path.read_text()
+        for directory in ("tests", "demos", "bench")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+    assert unread_slots(package, others) == []
 
 
 def third_party_imports(source: str) -> list:

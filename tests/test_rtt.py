@@ -31,7 +31,6 @@ from aperiodic_lab.rtt import (
 )
 from aperiodic_lab.cli import _builtin_map
 from aperiodic_lab.graphs import FiniteGraph
-from aperiodic_lab.aut import identity_automorphism
 from aperiodic_lab.splittings import GraphMapRep, MarkedGraph, graph_map_from_words, rose_marked
 from aperiodic_lab.words import Alphabet, Word, parse_word
 
@@ -105,10 +104,25 @@ class TestFiltration:
                     assert image_edges <= union
 
     def test_untight_rejected(self):
-        rose = rose_marked(A2)
-        bad = GraphMapRep(rose, (0,), [(0, 1, 0), (2,)])
-        with pytest.raises(ValueError):
-            filtration_of(bad)
+        # a map is tight at construction, so no analytic meets this image
+        with pytest.raises(ValueError, match="image of edge 0 has backtracking"):
+            GraphMapRep(rose_marked(A2), (0,), [(0, 1, 0), (2,)])
+
+    @pytest.mark.parametrize(
+        "images, edge",
+        [([(0,), (0, 2, 3)], 1), ([(2, 3, 0), (2,)], 0), ([(0,), (3, 2)], 1)],
+    )
+    def test_backtracking_anywhere_in_an_image_rejected(self, images, edge):
+        with pytest.raises(ValueError, match=f"image of edge {edge} has backtracking"):
+            GraphMapRep(rose_marked(A2), (0,), images)
+
+    def test_backtracking_across_a_tree_edge_rejected(self):
+        # on the theta graph, edge 1 running out along the tree edge 0 and
+        # straight back
+        theta = FiniteGraph(2, [(0, 1), (0, 1), (0, 1)])
+        marked = MarkedGraph(A2, theta, [0], {1: parse_word(A2, "a"), 2: parse_word(A2, "b")}, {})
+        with pytest.raises(ValueError, match="image of edge 1 has backtracking"):
+            GraphMapRep(marked, (0, 1), [(0,), (0, 1, 2), (4,)])
 
     def test_stratum_order_matches_recursive_post_order(self):
         rng = random.Random(1200)
@@ -661,7 +675,7 @@ def _graph_map(edges, vertex_images, images):
     graph = FiniteGraph(n, edges)
     alphabet = Alphabet(len(edges) - n + 1)
     loops = {e: Word(alphabet, (e - n + 2,)) for e in range(n - 1, len(edges))}
-    marked = MarkedGraph(alphabet, graph, range(n - 1), loops, {}, identity_automorphism(alphabet))
+    marked = MarkedGraph(alphabet, graph, range(n - 1), loops, {})
     return GraphMapRep(marked, vertex_images, images)
 
 
@@ -696,7 +710,7 @@ def _random_two_vertex_map(rng):
     return _graph_map(edges, vertex_images, images)
 
 
-BUILTIN = {name: _builtin_map(name, A2) for name in ("fibonacci", "period2", "two-strata", "identity")}
+BUILTIN = {name: _builtin_map(name, 2) for name in ("fibonacci", "period2", "two-strata", "identity")}
 
 
 def _scanned_tight_path(graph, length, rng):
@@ -883,6 +897,11 @@ class TestFileFormat:
         parsed = parse_graph_map(A2, text)
         assert parsed.edge_images == FIB.edge_images
         assert parsed.vertex_images == FIB.vertex_images
+
+    def test_backtracking_image_names_its_edge(self):
+        text = graph_map_str(FIB).replace("1 -> 0+", "1 -> 0+,1+,1-")
+        with pytest.raises(ValueError, match="image of edge 1 has backtracking"):
+            parse_graph_map(A2, text)
 
     @pytest.mark.parametrize(
         "old, new, named",

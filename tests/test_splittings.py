@@ -3,6 +3,7 @@ import random
 import pytest
 
 from aperiodic_lab.aut import (
+    CompositeNotIdentity,
     FreeAutomorphism,
     ad,
     compose,
@@ -52,7 +53,7 @@ def theta_with_tree(tree_edge):
     other, so all three are one marked graph."""
     first, second = (e for e in range(3) if e != tree_edge)
     return MarkedGraph(
-        A2, THETA, [tree_edge], {first: w("a"), second: w("b")}, {}, identity_automorphism(A2)
+        A2, THETA, [tree_edge], {first: w("a"), second: w("b")}, {}
     )
 
 
@@ -66,7 +67,6 @@ class TestMarkedGraphValidation:
                 [],
                 {0: w("a")},
                 {},
-                identity_automorphism(A2),
             )
 
     def test_valence_one_needs_group(self):
@@ -74,14 +74,15 @@ class TestMarkedGraphValidation:
             edge_of_groups(A2, [w("a"), w("b")], [])
 
     def test_witness_must_match_marking(self):
-        with pytest.raises(ValueError):
+        # the marking b, a laid out against the default backward images, the
+        # standard basis, which do not invert it
+        with pytest.raises(CompositeNotIdentity):
             MarkedGraph(
                 A2,
                 FiniteGraph(1, [(0, 0), (0, 0)]),
                 [],
                 {0: w("b"), 1: w("a")},
                 {},
-                identity_automorphism(A2),
             )
 
     def test_segment_marking_carries_its_inverse(self):
@@ -93,12 +94,18 @@ class TestMarkedGraphValidation:
         with pytest.raises(ValueError):
             edge_of_groups(A2, [w("ab")], [w("b")])
 
+    def test_custom_rose_marking_needs_its_inverse(self):
+        marked = rose_marked(A2, [w("b"), w("a")], [w("b"), w("a")])
+        assert marked.loop_words == {0: w("b"), 1: w("a")}
+        with pytest.raises(CompositeNotIdentity):
+            rose_marked(A2, [w("b"), w("a")])
+
     def test_tree_with_cycle_rejected(self):
         # tree edges 0 and 1 form a 2-cycle that misses vertex 2
         graph = FiniteGraph(3, [(0, 1), (1, 0), (1, 2), (2, 2)])
         with pytest.raises(ValueError, match="span"):
             MarkedGraph(
-                A2, graph, [0, 1], {2: w("a"), 3: w("b")}, {}, identity_automorphism(A2)
+                A2, graph, [0, 1], {2: w("a"), 3: w("b")}, {}
             )
 
     def test_tree_must_span(self):
@@ -106,7 +113,7 @@ class TestMarkedGraphValidation:
         graph = FiniteGraph(2, [(0, 0), (0, 1), (0, 1)])
         with pytest.raises(ValueError, match="span"):
             MarkedGraph(
-                A2, graph, [0], {1: w("a"), 2: w("b")}, {}, identity_automorphism(A2)
+                A2, graph, [0], {1: w("a"), 2: w("b")}, {}
             )
 
     def test_wide_rose_builds(self):
@@ -122,6 +129,44 @@ class TestMarkedGraphValidation:
         text = marked_graph_str(segment()) + "group 1 a\n"
         with pytest.raises(ValueError, match="'group 1 a'"):
             parse_marked_graph(A2, text)
+
+
+def layout_words(marked):
+    """The marking words in layout order, read from the marking itself:
+    vertex generators by vertex, then loop words by edge."""
+    words = [g for v in sorted(marked.vertex_groups) for g in marked.vertex_groups[v]]
+    return words + [marked.loop_words[e] for e in sorted(marked.loop_words)]
+
+
+class TestWitnessIsTheMarking:
+    def test_forward_images_are_the_marking_in_layout_order(self):
+        # whichever way the marking is built, with the default inverse
+        # images and with custom ones
+        three = "\n".join(["V 2", "0 1", "0 1", "tree 0", "loop 1 c", "group 1 b", "group 0 ab"])
+        built = [
+            (rose_marked(A2), [w("a"), w("b")]),
+            (rose_marked(A2, [w("ab"), w("b")], [w("aB"), w("b")]), [w("ab"), w("b")]),
+            (segment(), [w("a"), w("b")]),
+            (edge_of_groups(A2, [w("ab")], [w("b")], backward=[w("aB"), w("b")]), [w("ab"), w("b")]),
+            (theta_marked(A2), [w("a"), w("b")]),
+            (theta_with_tree(1), [w("a"), w("b")]),
+            (parse_marked_graph(A2, marked_graph_str(theta_marked(A2))), [w("a"), w("b")]),
+            (two_vertex_groups_marked(), [parse_word(A3, s) for s in ("a", "b", "c")]),
+            (
+                parse_marked_graph(A3, three, [parse_word(A3, s) for s in ("aB", "b", "c")]),
+                [parse_word(A3, s) for s in ("ab", "b", "c")],
+            ),
+            (
+                MarkedGraph(A2, THETA, [0], {1: w("b"), 2: w("a")}, {}, backward=[w("b"), w("a")]),
+                [w("b"), w("a")],
+            ),
+        ]
+        for marked, expected in built:
+            assert list(marked.witness.forward) == layout_words(marked) == expected
+            # and ``basis_layout`` names the marking word of each letter
+            for (kind, x, j), word in zip(marked.basis_layout, expected):
+                named = marked.vertex_groups[x][j] if kind == "vertex" else marked.loop_words[x]
+                assert named == word
 
 
 class TestInvarianceTest:
@@ -223,7 +268,7 @@ class TestSplittingOrbit:
 def one_vertex_group_marked():
     """One vertex with group <a> and one loop marked b."""
     return MarkedGraph(
-        A2, FiniteGraph(1, [(0, 0)]), [], {0: w("b")}, {0: [w("a")]}, identity_automorphism(A2)
+        A2, FiniteGraph(1, [(0, 0)]), [], {0: w("b")}, {0: [w("a")]}
     )
 
 
@@ -236,7 +281,6 @@ def two_vertex_groups_marked():
         [0],
         {1: parse_word(A3, "c")},
         {0: [parse_word(A3, "a")], 1: [parse_word(A3, "b")]},
-        identity_automorphism(A3),
     )
 
 
