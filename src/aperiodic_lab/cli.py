@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 import time
 from typing import Optional
@@ -161,8 +160,11 @@ def main(argv=None) -> int:
 def analyze_graph_map(args) -> dict:
     start = time.perf_counter()
     if args.file:
-        with open(args.file) as fh:
-            graph_map = rtt.parse_graph_map(Alphabet(args.rank), fh.read())
+        try:
+            with open(args.file) as fh:
+                graph_map = rtt.parse_graph_map(Alphabet(args.rank), fh.read())
+        except (OSError, ValueError) as err:
+            raise SystemExit(f"graph-map file {args.file}: {err}") from None
     elif args.builtin:
         graph_map = _builtin_map(args.builtin, args.rank)
     else:
@@ -185,17 +187,7 @@ def analyze_graph_map(args) -> dict:
 
     turn_report = rtt.illegal_turns(graph_map)
     rtt_report = rtt.verify_rtt(graph_map, filtration)
-
     c = rtt.bcc_bound(graph_map)
-    rng = random.Random(args.seed)
-    graph = graph_map.domain.graph
-    bcc_violations = []
-    for trial in range(args.trials):
-        path = rtt.random_tight_path(graph, rng.randrange(2, 50), rng)
-        split = rng.randrange(0, len(path) + 1)
-        if not rtt._bcc_holds(graph_map, c, path[:split], path[split:]):
-            bcc_violations.append({"trial": trial, "path": list(path), "split": split})
-
     return {
         "strata": strata,
         "turns": {
@@ -205,7 +197,7 @@ def analyze_graph_map(args) -> dict:
         "rtt": rtt_report,
         "bcc": c,
         "bcc_trials": args.trials,
-        "violations": bcc_violations + [
+        "violations": rtt.cancellation_trials(graph_map, c, args.trials, args.seed) + [
             {"rtt_stratum": entry["stratum"]}
             for entry in rtt_report["strata"]
             if not entry["passed"]

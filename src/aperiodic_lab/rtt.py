@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import FiniteGraph, _ints
@@ -517,53 +518,86 @@ def bcc_bound(f: GraphMapRep) -> int:
 
 
 def bcc_inequality_holds(f: GraphMapRep, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
-    """The bounded cancellation inequality for a tight splitting
-    rho = rho1 rho2."""
-    return _bcc_holds(f, bcc_bound(f), rho1, rho2)
+    """The bounded cancellation inequality for a tight splitting rho = rho1 rho2:
+    |[f(rho)]| >= |[f(rho1)]| + |[f(rho2)]| - 2 ``bcc_bound(f)``."""
+    joined = len(map_path(f, tuple(rho1) + tuple(rho2)))
+    return joined >= len(map_path(f, rho1)) + len(map_path(f, rho2)) - 2 * bcc_bound(f)
 
 
-def _bcc_holds(f: GraphMapRep, c: int, rho1: Sequence[int], rho2: Sequence[int]) -> bool:
-    """``bcc_inequality_holds`` with the constant c = ``bcc_bound(f)``
-    already computed, for callers that test many splittings of one map.
+def _walker(graph: FiniteGraph, getrandbits):
+    """``random_tight_path``'s walk, by length; step entry -1, read first, offers every dart."""
+    table = (*graph.turn_table(), range(graph.n_darts()))
+    steps = [(options, len(options), len(options).bit_length()) for options in table]
 
-    Junction lemma: let [f(rho1)] and [f(rho2)] be tight, and let k be their
-    overlap at the junction, the largest k such that the last k darts of
-    the first are the first k darts of the second reversed.  Then
-    [f(rho1 rho2)] is the first without its last k darts followed by the
-    second without its first k.  Tightening is confluent, so it may start
-    from the two tight halves, and a tight path has no backtracking of its
-    own: every cancellation pairs a dart of the first with one of the
-    second, at the junction.  So [f(rho1 rho2)] has length
-    |[f(rho1)]| + |[f(rho2)]| - 2k, and the inequality is k <= c."""
-    image1, image2 = map_path(f, rho1), map_path(f, rho2)
-    overlap = 0
-    for x, y in zip(reversed(image1), image2):
-        if y != x ^ 1:
-            break
-        overlap += 1
-    return overlap <= c
+    def walk(length: int) -> List[int]:
+        path, d = [], -1
+        for _ in range(max(length, 1)):
+            options, n, k = steps[d]
+            if not n:
+                break
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            d = options[r]
+            path.append(d)
+        return path
+
+    return walk
 
 
 def random_tight_path(graph: FiniteGraph, length: int, rng) -> Tuple[int, ...]:
     """A uniformly grown backtracking-free dart path (may be shorter when a
     dead end is hit), walked along ``graph.turn_table()``.
 
-    The random stream is part of the contract, since seeded reports list
-    the paths they draw: one ``rng.choice(range(n_darts))`` for the first
-    dart, then one ``rng.choice(options)`` per step, where the options are
-    the darts at the head of the last dart other than its reverse, in
-    ascending order.
+    The stream is part of the contract, since seeded reports list the paths
+    they draw: ``rng.choice(range(n_darts))``, then ``rng.choice(options)``
+    per step over the darts at the head of the last one but its reverse, in
+    ascending order.  Each r below n reads ``rng.getrandbits(n.bit_length())``
+    until r < n, as CPython's ``choice`` does in ``_randbelow_with_getrandbits``;
+    under a ``Random`` that draws otherwise, the tests replaying ``choice`` fail.
     """
-    if not graph.n_darts():
-        return ()
-    table = graph.turn_table()
-    path = [rng.choice(range(graph.n_darts()))]
-    while len(path) < length:
-        options = table[path[-1]]
-        if not options:
-            break
-        path.append(rng.choice(options))
-    return tuple(path)
+    return tuple(_walker(graph, rng.getrandbits)(length))
+
+
+def cancellation_trials(f: GraphMapRep, c: int, trials: int, seed: int) -> List[dict]:
+    """The seeded random splittings of ``rtt-analyze`` whose junction
+    cancels more than c darts, as records {"trial", "path", "split"}.
+
+    Trial t draws from ``rng = random.Random(seed)`` the ``path =
+    random_tight_path(graph, rng.randrange(2, 50), rng)`` and the split
+    ``rng.randrange(0, len(path) + 1)``, each r below n read as CPython's
+    ``randrange`` reads it, in ``_randbelow_with_getrandbits``; under a
+    ``Random`` that draws otherwise, the tests replaying that loop fail.
+
+    Junction lemma: as the images of both halves are tight, [f(rho1 rho2)] loses
+    just the k darts of each that cancel at the junction; the inequality is k <= c.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    walk, images = _walker(f.domain.graph, getrandbits), f._dart_images
+    violations = []
+    for trial in range(trials):
+        length = getrandbits(6)  # randrange(2, 50): 48 values, 6 bits
+        while length >= 48:
+            length = getrandbits(6)
+        path = walk(length + 2)
+        n = len(path) + 1
+        split = getrandbits(n.bit_length())
+        while split >= n:
+            split = getrandbits(n.bit_length())
+        head, tail = [], []
+        for out, darts in ((head, path[:split]), (tail, path[split:])):
+            for d in darts:
+                for x in images[d]:
+                    if out and out[-1] == x ^ 1:
+                        out.pop()
+                    else:
+                        out.append(x)
+        k = 0
+        while k < len(head) and k < len(tail) and head[-1 - k] == tail[k] ^ 1:
+            k += 1
+        if k > c:
+            violations.append({"trial": trial, "path": path, "split": split})
+    return violations
 
 
 # ---------------------------------------------------------------------------

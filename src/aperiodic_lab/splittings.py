@@ -426,6 +426,7 @@ def parse_marked_graph(
     graph_lines = []
     tree: List[int] = []
     loops: Dict[int, Word] = {}
+    loop_lines: Dict[int, str] = {}
     groups: Dict[int, List[Word]] = {}
     for line in lines:
         keyword, *rest = line.split()
@@ -437,7 +438,7 @@ def parse_marked_graph(
             (e,) = _ints(line, rest[:1], 1)
             if e in loops:
                 raise ValueError(f"bad line {line!r}: edge {e} marked twice")
-            loops[e] = parse_word(alphabet, rest[1])
+            loops[e], loop_lines[e] = parse_word(alphabet, rest[1]), line
         elif keyword == "group":
             if len(rest) < 2:
                 raise ValueError(f"bad line {line!r}: expected 'group v words...'")
@@ -449,6 +450,9 @@ def parse_marked_graph(
             graph_lines.append(line)
     graph = parse_graph("\n".join(graph_lines))
     tree_set = set(tree)
+    for e, line in loop_lines.items():
+        if e in tree_set or e >= graph.n_edges:
+            raise ValueError(f"bad line {line!r}: edge {e} is a tree edge or not in the graph")
     for e in range(graph.n_edges):
         if e not in tree_set and e not in loops:
             raise ValueError(f"missing line 'loop {e} word' for non-tree edge {e}")

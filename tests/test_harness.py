@@ -852,6 +852,68 @@ class TestCLI:
         path.write_text(graph_map_str(fib))
         assert main(["rtt-analyze", "--file", str(path), "--trials", "20"]) == 0
 
+    @pytest.mark.parametrize(
+        "edit, rank, error",
+        [
+            (lambda text: text, "3", "rank bookkeeping failed: 2 loops + 0 vertex generators != 3"),
+            (
+                lambda text: text.replace("0 -> 0+,1+", "0 -> 0*"),
+                "2",
+                "bad line '0 -> 0*': darts are written 'e+' or 'e-'",
+            ),
+        ],
+        ids=["rank", "dart-token"],
+    )
+    def test_rtt_analyze_refuses_a_bad_file_in_one_line(self, tmp_path, capsys, edit, rank, error):
+        from aperiodic_lab.rtt import graph_map_str
+        from aperiodic_lab.splittings import graph_map_from_words, rose_marked
+
+        a2 = Alphabet(2)
+        fib = graph_map_from_words(rose_marked(a2), [words.parse_word(a2, "ab"), words.parse_word(a2, "a")])
+        path = tmp_path / "map.txt"
+        path.write_text(edit(graph_map_str(fib)))
+        with pytest.raises(SystemExit) as err:
+            main(["rtt-analyze", "--file", str(path), "--rank", rank])
+        assert err.value.code == f"graph-map file {path}: {error}"
+        assert capsys.readouterr().out == ""
+
+    def test_rtt_analyze_refuses_a_missing_file_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["rtt-analyze", "--file", str(path)])
+        assert err.value.code.startswith(f"graph-map file {path}: [Errno 2] No such file")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "images, seed, n_trial_violations, digest",
+        [
+            (("a", "a"), 0, 106, "c2081acb113d1747"),
+            (("a", "a"), 1, 112, "5c95e99c12aff09e"),
+            (("abab", "ab"), 0, 135, "81c0ffd7fe5ab9b2"),
+            (("abab", "ab"), 1, 144, "9296828e2cc23f5d"),
+        ],
+    )
+    def test_rtt_analyze_trial_stream_is_pinned(
+        self, tmp_path, capsys, images, seed, n_trial_violations, digest
+    ):
+        # no builtin map ever exceeds its constant, so only maps that are no
+        # homotopy equivalence show the seeded paths and splits in a report
+        import hashlib
+
+        from aperiodic_lab.rtt import graph_map_str
+        from aperiodic_lab.splittings import graph_map_from_words, rose_marked
+
+        a2 = Alphabet(2)
+        graph_map = graph_map_from_words(rose_marked(a2), [words.parse_word(a2, w) for w in images])
+        path = tmp_path / "map.txt"
+        path.write_text(graph_map_str(graph_map))
+        argv = ["rtt-analyze", "--file", str(path), "--trials", "1000", "--seed", str(seed)]
+        assert main(argv) == 1
+        report = strip_elapsed(json.loads(capsys.readouterr().out))
+        assert sum("trial" in v for v in report["violations"]) == n_trial_violations
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "r.json"
         csv_path = tmp_path / "r.csv"

@@ -11,13 +11,13 @@ from aperiodic_lab.homology import det, mat_mul, mat_pow
 from aperiodic_lab.rtt import (
     Filtration,
     VerificationFailed,
-    _bcc_holds,
     _classify,
     _exceeds_spectral_radius,
     _pf_eigenvalue,
     aperiodic_partition,
     bcc_bound,
     bcc_inequality_holds,
+    cancellation_trials,
     direction_map,
     filtration_of,
     graph_map_str,
@@ -740,6 +740,46 @@ def _map_path_oracle(graph_map, darts):
     return tighten(image)
 
 
+def _trials_oracle(graph_map, trials, seed):
+    """rtt-analyze's trials drawn with ``rng.choice`` over scanned darts, as
+    (path, split, darts cancelled from each half at the junction), the
+    halves mapped by ``_map_path_oracle`` and rejoined by ``tighten``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        path = _scanned_tight_path(graph_map.domain.graph, rng.randrange(2, 50), rng)
+        split = rng.randrange(0, len(path) + 1)
+        image1, image2 = _map_path_oracle(graph_map, path[:split]), _map_path_oracle(graph_map, path[split:])
+        lost = len(image1) + len(image2) - len(tighten(image1 + image2))
+        out.append((list(path), split, lost // 2))
+    return out
+
+
+def _records(oracle, c):
+    return [
+        {"trial": t, "path": path, "split": split}
+        for t, (path, split, overlap) in enumerate(oracle)
+        if overlap > c
+    ]
+
+
+def _constant_map():
+    """Every edge of the 3-vertex 6-edge graph onto the loop at vertex 0: no
+    homotopy equivalence, so the junctions cancel without bound."""
+    return _graph_map(
+        [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (0, 2)], (0, 0, 0), [(6,)] * 6
+    )
+
+
+def _tree_fold():
+    """A segment of two edges with groups at its ends, edge 1 folded onto
+    edge 0: every path stops at an end of the tree."""
+    marked = MarkedGraph(
+        A2, FiniteGraph(3, [(0, 1), (1, 2)]), [0, 1], {}, {0: [Word(A2, (1,))], 2: [Word(A2, (2,))]}
+    )
+    return GraphMapRep(marked, (0, 1, 0), [(0,), (1,)])
+
+
 class TestBoundedCancellation:
     def test_identity_constant(self):
         assert bcc_bound(IDENT) == 2
@@ -767,22 +807,19 @@ class TestBoundedCancellation:
         ]
         for graph in graphs:
             for _ in range(2):
-                for seed in range(40):
-                    expected = _scanned_tight_path(graph, 25, random.Random(seed))
-                    assert random_tight_path(graph, 25, random.Random(seed)) == expected
+                for seed, length in itertools.product(range(40), (0, 1, 25)):
+                    expected = _scanned_tight_path(graph, length, random.Random(seed))
+                    assert random_tight_path(graph, length, random.Random(seed)) == expected
+        assert random_tight_path(FiniteGraph(1, []), 25, random.Random(0)) == ()
 
     def test_trial_stream_matches_dart_scan(self):
-        # the (path, split) draws of rtt-analyze's 1000 trials at seed 0
-        def trials(walk):
-            rng = random.Random(0)
-            draws = []
-            for _ in range(1000):
-                path = walk(graph, rng.randrange(2, 50), rng)
-                draws.append((path, rng.randrange(0, len(path) + 1)))
-            return draws
-
-        graph = BUILTIN["fibonacci"].domain.graph
-        assert trials(random_tight_path) == trials(_scanned_tight_path)
+        # at c = -1 every trial is a record, so the records are the
+        # (path, split) draws of rtt-analyze's 1000 trials at seed 0
+        for graph_map in (BUILTIN["fibonacci"], _tree_fold()):
+            draws = [(path, split) for path, split, _ in _trials_oracle(graph_map, 1000, 0)]
+            records = cancellation_trials(graph_map, -1, 1000, 0)
+            assert [r["trial"] for r in records] == list(range(1000))
+            assert [(r["path"], r["split"]) for r in records] == draws
 
     def test_dart_image_table(self):
         rng = random.Random(17)
@@ -793,25 +830,44 @@ class TestBoundedCancellation:
                 assert graph_map.dart_image(2 * e + 1) == tuple(d ^ 1 for d in reversed(path))
 
     def test_junction_overlap_against_tightening(self):
-        # the overlap test against tightening the two mapped halves again,
-        # at the bound and at small constants, so that both outcomes occur
+        # the kernel's overlap test against tightening the two mapped halves
+        # again, on random maps, at the bound and at small constants, so
+        # that both outcomes occur
         rng = random.Random(23)
-        maps = list(BUILTIN.values()) + [_random_two_vertex_map(rng) for _ in range(60)]
-        outcomes = set()
-        for graph_map in filter(None, maps):
-            graph = graph_map.domain.graph
-            bound = bcc_bound(graph_map)
-            for _ in range(100):
-                path = random_tight_path(graph, rng.randrange(1, 40), rng)
-                split = rng.randrange(0, len(path) + 1)
-                rho1, rho2 = path[:split], path[split:]
-                image1, image2 = _map_path_oracle(graph_map, rho1), _map_path_oracle(graph_map, rho2)
-                joined = len(tighten(image1 + image2))
-                for c in (0, 1, 2, bound):
-                    expected = joined >= len(image1) + len(image2) - 2 * c
-                    assert _bcc_holds(graph_map, c, rho1, rho2) == expected
-                    outcomes.add(expected)
-        assert outcomes == {True, False}
+        maps = [_random_two_vertex_map(rng) for _ in range(60)]
+        violations = runs = 0
+        for seed, graph_map in enumerate(filter(None, maps)):
+            oracle = _trials_oracle(graph_map, 100, seed)
+            for c in (0, 1, 2, bcc_bound(graph_map)):
+                records = cancellation_trials(graph_map, c, 100, seed)
+                assert records == _records(oracle, c)
+                violations, runs = violations + len(records), runs + 1
+        assert 0 < violations < 100 * runs
+
+    @pytest.mark.parametrize(
+        "name", ["fibonacci", "identity", "period2", "two-strata", "a,a", "abab,ab", "constant", "tree"]
+    )
+    def test_trial_records_match_the_choice_oracle(self, name):
+        # the kernel reads getrandbits where the oracle calls rng.choice and
+        # rng.randrange, and tightens in place where the oracle maps each
+        # half and tightens the join
+        graph_map = {
+            **BUILTIN,
+            "a,a": rose_map(["a", "a"]),
+            "abab,ab": rose_map(["abab", "ab"]),
+            "constant": _constant_map(),
+            "tree": _tree_fold(),
+        }[name]
+        for seed in range(10):
+            oracle = _trials_oracle(graph_map, 300, seed)
+            for c in (0, 1, 2, bcc_bound(graph_map)):
+                assert cancellation_trials(graph_map, c, 300, seed) == _records(oracle, c)
+            # the public inequality agrees at c = bcc_bound, where both
+            # outcomes occur on the maps that are no homotopy equivalence
+            violating = {r["trial"] for r in _records(oracle, bcc_bound(graph_map))}
+            for t, (path, split, _) in enumerate(oracle):
+                holds = bcc_inequality_holds(graph_map, path[:split], path[split:])
+                assert holds == (t not in violating)
 
     def test_map_path_against_concatenation(self):
         rng = random.Random(29)

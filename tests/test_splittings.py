@@ -130,6 +130,17 @@ class TestMarkedGraphValidation:
         with pytest.raises(ValueError, match="'group 1 a'"):
             parse_marked_graph(A2, text)
 
+    @pytest.mark.parametrize(
+        "marked, line",
+        [(theta_marked(A2), "loop 0 a"), (rose_marked(A2), "loop 5 a")],
+        ids=["tree-edge", "missing-edge"],
+    )
+    def test_parser_rejects_a_loop_off_the_non_tree_edges(self, marked, line):
+        # the theta graph's tree is edge 0; the rose has edges 0 and 1
+        text = marked_graph_str(marked) + line + "\n"
+        with pytest.raises(ValueError, match=f"^bad line '{line}': edge"):
+            parse_marked_graph(A2, text)
+
 
 def layout_words(marked):
     """The marking words in layout order, read from the marking itself:
