@@ -2,8 +2,9 @@
 
 Subcommands run the theorem-verification experiments, the exhaustive
 integer-matrix scans, and the train track analyzer.  Every run writes a
-JSON report (stdout by default) and exits 0 exactly when no violations
-were found.
+JSON report (stdout by default) and exits 0 when no violations were found
+and 1 when some were.  Input that is refused before a run starts exits 2
+with argparse's usage and one error line.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ def _builtin_map(name: str, rank: int):
         "identity": ["a", "b"],
     }
     if name not in words:
-        raise SystemExit(f"unknown builtin map {name!r}; choices: {sorted(words)}")
+        raise ValueError(f"unknown builtin map {name!r}; choices: {sorted(words)}")
     if rank != 2:
-        raise SystemExit(f"builtin map {name!r} is rank 2, not --rank {rank}; --rank is read with --file")
+        raise ValueError(f"builtin map {name!r} is rank 2, not --rank {rank}; --rank is read with --file")
     alphabet = Alphabet(2)
     images = [parse_word(alphabet, w) for w in words[name]]
     return graph_map_from_words(rose_marked(alphabet), images)
@@ -78,7 +79,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_experiment_args(parser, rank=2, budget=5, max_iter=12, length_cap=10_000):
+def _add_experiment_args(parser, runner, rank=2, budget=5, max_iter=12, length_cap=10_000):
+    parser.set_defaults(runner=runner)
     parser.add_argument("--rank", type=int, default=rank, help="ambient free-group rank N")
     parser.add_argument("--samples", type=int, default=100, help="number of sampled automorphisms")
     parser.add_argument(
@@ -100,28 +102,26 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conjugacy", help="periodic conjugacy classes are fixed")
-    _add_experiment_args(p)
+    _add_experiment_args(p, harness.run_conjugacy_experiment)
     p.add_argument("--pool-size", type=int, default=5, dest="pool_size", help="cyclic words per sample")
     p.add_argument("--pool-length", type=int, default=6, dest="pool_length", help="longest pool word")
     p = sub.add_parser("factors", help="periodic free factor classes are fixed")
-    _add_experiment_args(p, rank=3, budget=4, length_cap=3000)
+    _add_experiment_args(p, harness.run_factor_experiment, rank=3, budget=4, length_cap=3000)
     p = sub.add_parser("torsion", help="no torsion in the congruence kernel")
-    _add_experiment_args(p, budget=4)
+    _add_experiment_args(p, harness.run_torsion_experiment, budget=4)
     p = sub.add_parser("splittings", help="periodic free splittings are fixed")
-    _add_experiment_args(p, budget=4, max_iter=8)
+    _add_experiment_args(p, harness.run_splitting_experiment, budget=4, max_iter=8)
 
     p = sub.add_parser("minkowski", help="exhaustive finite-order scan of a congruence box")
     p.add_argument("--rank", type=int, default=2, help="matrix size n")
     p.add_argument("--bound", type=int, default=6, help="entry box half-width")
     p.add_argument("--level", type=int, default=3, help="congruence level")
     p.add_argument("--out")
-    p.add_argument("--csv")
 
     p = sub.add_parser("abelian", help="exhaustive Per = Fix scan of a congruence box")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--out")
-    p.add_argument("--csv")
 
     p = sub.add_parser("rtt-analyze", help="filtration, strata, turns, and cancellation of a graph map")
     p.add_argument("--file", help="graph-map file (marked graph plus edge -> path lines)")
@@ -130,46 +130,58 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=_count, default=1000, help="random splittings for the cancellation check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--csv")
 
     args = parser.parse_args(argv)
-
-    if args.command in ("conjugacy", "factors", "torsion", "splittings"):
-        cfg = _experiment_config(args)
-        runner = {
-            "conjugacy": harness.run_conjugacy_experiment,
-            "factors": harness.run_factor_experiment,
-            "torsion": harness.run_torsion_experiment,
-            "splittings": harness.run_splitting_experiment,
-        }[args.command]
-        report = runner(cfg)
-    elif args.command == "minkowski":
-        report = homology.minkowski_scan(args.rank, args.bound, args.level)
-    elif args.command == "abelian":
-        report = homology.abelian_standing_assumptions_check(args.rank, args.bound)
-    elif args.command == "rtt-analyze":
-        report = analyze_graph_map(args)
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command}")
-
+    # only the input is checked inside the try: an error raised once the run
+    # has started is no refusal, and keeps its traceback
+    try:
+        run = _validated_run(args)
+    except ValueError as err:
+        sub.choices[args.command].error(str(err))
+    report = run()
     _write_report(report, args.out, getattr(args, "csv", None))
-    violations = report.get("violations", [])
-    return 0 if not violations else 1
+    return 1 if report["violations"] else 0
 
 
-def analyze_graph_map(args) -> dict:
-    start = time.perf_counter()
+def _validated_run(args):
+    """The run that ``args`` ask for, once their input is checked, as a
+    function of no arguments; ``ValueError`` if the input is refused."""
+    if args.command == "minkowski":
+        homology._check_scan_args(args.rank, args.bound, args.level)
+        return lambda: homology.minkowski_scan(args.rank, args.bound, args.level)
+    if args.command == "abelian":
+        homology._check_scan_args(args.rank, args.bound, 3)
+        return lambda: homology.abelian_standing_assumptions_check(args.rank, args.bound)
+    if args.command == "rtt-analyze":
+        graph_map = _graph_map(args)
+        return lambda: _analysis(graph_map, args.trials, args.seed)
+    cfg = _experiment_config(args)
+    if args.command == "splittings":
+        harness._check_splitting_rank(cfg.rank)
+    return lambda: args.runner(cfg)
+
+
+def _graph_map(args):
+    """The map that ``--file`` or ``--map`` names; ``ValueError`` if it
+    cannot be read."""
     if args.file:
         try:
             with open(args.file) as fh:
-                graph_map = rtt.parse_graph_map(Alphabet(args.rank), fh.read())
+                return rtt.parse_graph_map(Alphabet(args.rank), fh.read())
         except (OSError, ValueError) as err:
-            raise SystemExit(f"graph-map file {args.file}: {err}") from None
-    elif args.builtin:
-        graph_map = _builtin_map(args.builtin, args.rank)
-    else:
-        raise SystemExit("rtt-analyze needs --file or --map")
+            raise ValueError(f"graph-map file {args.file}: {err}") from None
+    if args.builtin:
+        return _builtin_map(args.builtin, args.rank)
+    raise ValueError("rtt-analyze needs --file or --map")
 
+
+def analyze_graph_map(args) -> dict:
+    """The ``rtt-analyze`` report for the map and trials that ``args`` name."""
+    return _analysis(_graph_map(args), args.trials, args.seed)
+
+
+def _analysis(graph_map, trials: int, seed: int) -> dict:
+    start = time.perf_counter()
     filtration = rtt.filtration_of(graph_map)
     strata = []
     for stratum in filtration.strata:
@@ -196,8 +208,8 @@ def analyze_graph_map(args) -> dict:
         },
         "rtt": rtt_report,
         "bcc": c,
-        "bcc_trials": args.trials,
-        "violations": rtt.cancellation_trials(graph_map, c, args.trials, args.seed) + [
+        "bcc_trials": trials,
+        "violations": rtt.cancellation_trials(graph_map, c, trials, seed) + [
             {"rtt_stratum": entry["stratum"]}
             for entry in rtt_report["strata"]
             if not entry["passed"]

@@ -37,10 +37,10 @@ from .aut import (
     draw,
     identity_automorphism,
     inverse,
-    sample,
     standard_generators,
     swap,
 )
+from .graphs import MAX_AUTOMORPHISMS
 from .homology import (
     COVER_MAX_RANK,
     IntMatrix,
@@ -178,20 +178,16 @@ def _family_entry(rank: int, family: str):
     )
 
 
-def _generators(rank: int, family: str) -> List[FreeAutomorphism]:
-    """``standard_generators(rank, family)`` from the certified images of
-    ``_family_entry``, with fresh maps."""
-    alphabet = Alphabet(rank)
-    return [_certified(alphabet, *images) for images in _family_entry(rank, family)[0]]
-
-
 class _Family:
     """A generator family, each generator and its inverse abelianized once
-    per (rank, family) (``_family_entry``)."""
+    per (rank, family) (``_family_entry``); every family gets fresh maps
+    around the cached images."""
 
     def __init__(self, rank: int, family: str):
-        self._factors = [(g, inverse(g)) for g in _generators(rank, family)]
-        self._matrices = _family_entry(rank, family)[1]
+        images, self._matrices = _family_entry(rank, family)
+        alphabet = Alphabet(rank)
+        generators = [_certified(alphabet, *pair) for pair in images]
+        self._factors = [(g, inverse(g)) for g in generators]
 
     def sample(self, budget: int, seed: int) -> _Sample:
         """The sample ``aut.sample`` draws from this family with this seed."""
@@ -374,13 +370,13 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     family = _Family(cfg.rank, cfg.family)
-    nielsen = _generators(cfg.rank, "nielsen")
+    nielsen = _Family(cfg.rank, "nielsen")
     rng = random.Random(cfg.seed)
     hist = _histogram()
     violations = []
     for trial in range(cfg.samples):
         drawn = family.sample(cfg.budget, rng.randrange(2**32))
-        witness = sample(nielsen, min(cfg.budget, 4), rng.randrange(2**32))
+        witness = nielsen.sample(min(cfg.budget, 4), rng.randrange(2**32)).phi
         subsets = _random_proper_subsets(cfg.rank, rng)
         system = FreeFactorSystem(witness, subsets)
         for cls in system.classes:
@@ -531,9 +527,12 @@ def default_splitting_pool(alphabet: Alphabet) -> List[MarkedGraph]:
     return pool
 
 
-# every splitting probe that is iterated lists the symmetries of its graph,
-# and the rose of the pool has 2^N N! of them: 46 080 at N = 6, 645 120 at 7
-MAX_SPLITTING_SYMMETRIES = 10**5
+def _check_splitting_rank(rank: int) -> None:
+    """Refuse a rank whose rose has more than ``graphs.MAX_AUTOMORPHISMS``
+    automorphisms (2^N N!): every iterated splitting probe lists them."""
+    symmetries = 2**rank * math.factorial(rank)
+    if symmetries > MAX_AUTOMORPHISMS:
+        raise ValueError(f"rank {rank}: the rose has {symmetries} automorphisms, over {MAX_AUTOMORPHISMS}")
 
 
 def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
@@ -542,11 +541,9 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
 
     A marking that ``splittings.certify_splitting`` proves to have no period
     under the sample's abelianization counts as CertifiedByHomology and is
-    not iterated.  Ranks whose rose has more than
-    ``MAX_SPLITTING_SYMMETRIES`` automorphisms raise ``ValueError``."""
-    symmetries = 2**cfg.rank * math.factorial(cfg.rank)
-    if symmetries > MAX_SPLITTING_SYMMETRIES:
-        raise ValueError(f"rank {cfg.rank}: the rose has {symmetries} automorphisms, over 10^5")
+    not iterated.  A rank that ``_check_splitting_rank`` refuses raises
+    ``ValueError`` before anything is sampled."""
+    _check_splitting_rank(cfg.rank)
     start = time.perf_counter()
     alphabet = Alphabet(cfg.rank)
     family = _Family(cfg.rank, cfg.family)

@@ -739,25 +739,25 @@ def _krylov_polynomial(m: IntMatrix, u: Sequence[int], prime: int) -> List[int]:
         v = [sum(x * y for x, y in zip(row, v)) % prime for row in rows]
 
 
-def _poly_mod(poly: List[int], f: List[int], prime: int) -> List[int]:
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return tuple(product)
+
+
+def _poly_mod(poly: Sequence[int], f: List[int], prime: int) -> List[int]:
     """poly mod the monic f, over Z/prime, as len(f) - 1 coefficients."""
     k = len(f) - 1
-    poly = poly + [0] * max(0, k - len(poly))
+    poly = list(poly) + [0] * (k - len(poly))
     for top in range(len(poly) - 1, k - 1, -1):
         c = poly[top] % prime
         if c:
             for i in range(k):
                 poly[top - k + i] -= c * f[i]
     return [x % prime for x in poly[:k]]
-
-
-def _poly_mul_mod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-    return _poly_mod(product, f, prime)
 
 
 def certify_cover(a: IntMatrix, u: Sequence[int]) -> bool:
@@ -801,10 +801,10 @@ def certify_cover(a: IntMatrix, u: Sequence[int]) -> bool:
     power, base, exponent = one, _poly_mod([0, 1], f, _KRYLOV_PRIME), order_bound(len(a))
     while exponent:
         if exponent & 1:
-            power = _poly_mul_mod(power, base, f, _KRYLOV_PRIME)
+            power = _poly_mod(_poly_mul(power, base), f, _KRYLOV_PRIME)
         exponent >>= 1
         if exponent:
-            base = _poly_mul_mod(base, base, f, _KRYLOV_PRIME)
+            base = _poly_mod(_poly_mul(base, base), f, _KRYLOV_PRIME)
     return power != one
 
 
@@ -822,14 +822,6 @@ def certify_cover(a: IntMatrix, u: Sequence[int]) -> bool:
 
 # Phi_d for the d with totient(d) <= 3
 _CYCLOTOMIC = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            product[i + j] += x * y
-    return tuple(product)
 
 
 def _charpoly(m: IntMatrix) -> Tuple[int, ...]:
@@ -1023,17 +1015,17 @@ def _scan_steps(n: int, bound: int, level: int) -> int:
     return count(1) ** (n - 1) * count(0) ** (n * n - n)
 
 
-def _check_scan_args(n: int, bound: int, level: int, max_bound: int) -> None:
-    """Refuse a box that is malformed, beyond n <= 3 and ``max_bound``, or
-    that takes more than ``_SCAN_STEP_LIMIT`` enumeration steps."""
+def _check_scan_args(n: int, bound: int, level: int) -> None:
+    """Refuse a box that is malformed, beyond n <= 3 and bound 8, or that
+    takes more than ``_SCAN_STEP_LIMIT`` enumeration steps."""
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    if n > 3 or bound > max_bound:
-        raise ValueError(f"scan limited to n <= 3, bound <= {max_bound}")
+    if n > 3 or bound > 8:
+        raise ValueError("scan limited to n <= 3, bound <= 8")
     steps = _scan_steps(n, bound, level)
     if steps > _SCAN_STEP_LIMIT:
         raise ValueError(
@@ -1056,7 +1048,7 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     holds 13 609; the box of bound 5 takes about 0.010 s on a 2-CPU x86-64
     machine under Python 3.11, enumeration included.
     """
-    _check_scan_args(n, bound, level, 8)
+    _check_scan_args(n, bound, level)
     start = time.perf_counter()
     ident = identity_matrix(n)
     enumerated = 0
@@ -1088,7 +1080,7 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     takes about 0.008 s on a 2-CPU x86-64 machine under Python 3.11,
     enumeration included.
     """
-    _check_scan_args(n, bound, 3, 6)
+    _check_scan_args(n, bound, 3)
     start = time.perf_counter()
     enumerated = 0
     violations = []

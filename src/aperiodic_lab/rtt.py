@@ -573,7 +573,7 @@ def cancellation_trials(f: GraphMapRep, c: int, trials: int, seed: int) -> List[
     just the k darts of each that cancel at the junction; the inequality is k <= c.
     """
     getrandbits = random.Random(seed).getrandbits
-    walk, images = _walker(f.domain.graph, getrandbits), f._dart_images
+    walk = _walker(f.domain.graph, getrandbits)
     violations = []
     for trial in range(trials):
         length = getrandbits(6)  # randrange(2, 50): 48 values, 6 bits
@@ -584,14 +584,7 @@ def cancellation_trials(f: GraphMapRep, c: int, trials: int, seed: int) -> List[
         split = getrandbits(n.bit_length())
         while split >= n:
             split = getrandbits(n.bit_length())
-        head, tail = [], []
-        for out, darts in ((head, path[:split]), (tail, path[split:])):
-            for d in darts:
-                for x in images[d]:
-                    if out and out[-1] == x ^ 1:
-                        out.pop()
-                    else:
-                        out.append(x)
+        head, tail = map_path(f, path[:split]), map_path(f, path[split:])
         k = 0
         while k < len(head) and k < len(tail) and head[-1 - k] == tail[k] ^ 1:
             k += 1

@@ -271,40 +271,74 @@ def membership(word: Word, core: StallingsCore) -> bool:
     return core.trace(word) == core.base
 
 
-class SubgroupConjClass(Frozen):
-    """Conjugacy class of a finitely generated subgroup: a representative
-    core and its basepoint-free trim, the cyclic core.
+class _CyclicCore(Frozen):
+    """A core trimmed of every hanging tree, the basepoint's too: the cyclic
+    core of the subgroup's conjugacy class, numbered from 0.
 
-    Two subgroups are conjugate iff their cyclic cores are isomorphic as
-    labelled graphs, so ``==`` is ``_conjugate_to_trimmed`` and the hash
-    reads isomorphism invariants of the trim: its vertex and edge counts
-    and its sorted vertex signatures.
+    Its signatures, built on first use, are the sorted letters at each
+    vertex, and those sorted in turn; the sorted ones, with the vertex and
+    edge counts, are isomorphism invariants (``_same_class``).
     """
 
-    __slots__ = ("alphabet", "representative", "_cyclic_core", "_hash")
+    __slots__ = ("n_vertices", "transitions", "_signatures")
+
+    def __init__(self, core: StallingsCore):
+        n, transitions, _ = _trim(core.n_vertices, core.transitions, None)
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "_signatures", None)
+
+    def signatures(self) -> Tuple[List[tuple], Tuple[tuple, ...]]:
+        """(the signature of each vertex, all of them sorted)."""
+        if self._signatures is None:
+            letters: List[List[int]] = [[] for _ in range(self.n_vertices)]
+            for (v, letter) in self.transitions:
+                letters[v].append(letter)
+            per_vertex = [tuple(sorted(ls)) for ls in letters]
+            object.__setattr__(self, "_signatures", (per_vertex, tuple(sorted(per_vertex))))
+        return self._signatures
+
+
+def _same_class(a: _CyclicCore, b: _CyclicCore) -> bool:
+    """Whether two cyclic cores are isomorphic as labelled graphs, that is,
+    whether their subgroups are conjugate: vertex and edge counts first,
+    then sorted signatures, then pointed propagation from vertex 0 of
+    ``a`` to each vertex of ``b`` with its signature (``_pointed_iso``)."""
+    if (a.n_vertices, len(a.transitions)) != (b.n_vertices, len(b.transitions)):
+        return False
+    sig_a, sorted_a = a.signatures()
+    sig_b, sorted_b = b.signatures()
+    return sorted_a == sorted_b and any(
+        sig_b[v] == sig_a[0] and _pointed_iso(a, b, v) for v in range(b.n_vertices)
+    )
+
+
+class SubgroupConjClass(Frozen):
+    """Conjugacy class of a finitely generated subgroup: a representative
+    core and its cyclic core.
+
+    Two subgroups are conjugate iff their cyclic cores are isomorphic as
+    labelled graphs, so ``==`` is ``_same_class`` and the hash reads its
+    invariants: the vertex and edge counts and the sorted signatures.
+    """
+
+    __slots__ = ("alphabet", "representative", "_cyclic_core")
 
     def __init__(self, representative: StallingsCore):
-        n, transitions, _ = _trim(
-            representative.n_vertices, representative.transitions, None
-        )
-        signatures = tuple(sorted(_vertex_signature(transitions, n).values()))
         object.__setattr__(self, "alphabet", representative.alphabet)
         object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "_cyclic_core", (n, transitions))
-        object.__setattr__(
-            self, "_hash", hash((representative.alphabet, n, len(transitions), signatures))
-        )
+        object.__setattr__(self, "_cyclic_core", _CyclicCore(representative))
 
     def __eq__(self, other):
         return (
             isinstance(other, SubgroupConjClass)
             and self.alphabet == other.alphabet
-            and self._hash == other._hash
-            and _conjugate_to_trimmed(self.representative, *other._cyclic_core)
+            and _same_class(self._cyclic_core, other._cyclic_core)
         )
 
     def __hash__(self):
-        return self._hash
+        core = self._cyclic_core
+        return hash((self.alphabet, core.n_vertices, len(core.transitions), core.signatures()[1]))
 
     def __repr__(self):
         gens = ", ".join(word_str(g) for g in self.representative.generators())
@@ -318,74 +352,34 @@ def subgroup_class(alphabet: Alphabet, generators: Sequence[Word]) -> SubgroupCo
     return SubgroupConjClass(fold_core(alphabet, generators))
 
 
-def _vertex_signature(transitions: Dict[Tuple[int, int], int], n: int) -> Dict[int, tuple]:
-    sig: Dict[int, List[int]] = {v: [] for v in range(n)}
-    for (v, letter) in transitions:
-        sig[v].append(letter)
-    return {v: tuple(sorted(letters)) for v, letters in sig.items()}
-
-
-def _pointed_iso(
-    ta: Dict[Tuple[int, int], int],
-    na: int,
-    tb: Dict[Tuple[int, int], int],
-    nb: int,
-    start_a: int,
-    start_b: int,
-) -> bool:
-    """Deterministic propagation: folded labeled graphs are rigid once a
-    basepoint correspondence is chosen."""
-    mapping = {start_a: start_b}
-    queue = [start_a]
-    out_a: Dict[int, List[int]] = {}
-    for (v, letter) in ta:
-        out_a.setdefault(v, []).append(letter)
+def _pointed_iso(a: _CyclicCore, b: _CyclicCore, start: int) -> bool:
+    """Whether ``a`` maps onto ``b``, of the same size, with vertex 0 to
+    ``start``: deterministic propagation along the letters at each vertex,
+    as folded labelled graphs are rigid once one vertex's image is chosen."""
+    ta, tb = a.transitions, b.transitions
+    letters = a.signatures()[0]
+    mapping = {0: start}
+    queue = [0]
     while queue:
         v = queue.pop()
-        for letter in out_a.get(v, ()):
-            w = ta[(v, letter)]
-            w_b = tb.get((mapping[v], letter))
+        image = mapping[v]
+        for letter in letters[v]:
+            w_b = tb.get((image, letter))
             if w_b is None:
                 return False
-            if w in mapping:
-                if mapping[w] != w_b:
-                    return False
-            else:
+            w = ta[(v, letter)]
+            if w not in mapping:
                 mapping[w] = w_b
                 queue.append(w)
-    if len(mapping) != na or na != nb:
-        return False
-    return len(set(mapping.values())) == nb
+            elif mapping[w] != w_b:
+                return False
+    return len(mapping) == a.n_vertices and len(set(mapping.values())) == b.n_vertices
 
 
 def cores_conjugate(a: StallingsCore, b: StallingsCore) -> bool:
-    """Conjugacy of the represented subgroups without canonicalizing:
-    basepoint-free trims compared by size, local signatures, then pointed
-    propagation from candidate start vertices."""
-    if a.alphabet != b.alphabet:
-        return False
-    nb, tb, _ = _trim(b.n_vertices, b.transitions, None)
-    return _conjugate_to_trimmed(a, nb, tb)
-
-
-def _conjugate_to_trimmed(a: StallingsCore, nb: int, tb: Dict[Tuple[int, int], int]) -> bool:
-    """``cores_conjugate(a, b)`` for b given by its trim with no basepoint."""
-    na, ta, _ = _trim(a.n_vertices, a.transitions, None)
-    if na != nb or len(ta) != len(tb):
-        return False
-    if not ta and not tb:
-        return True
-    sig_a = _vertex_signature(ta, na)
-    sig_b = _vertex_signature(tb, nb)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-    start_a = 0
-    for start_b in range(nb):
-        if sig_b[start_b] != sig_a[start_a]:
-            continue
-        if _pointed_iso(ta, na, tb, nb, start_a, start_b):
-            return True
-    return False
+    """Conjugacy of the represented subgroups without canonicalizing: the
+    cyclic cores compared by ``_same_class``."""
+    return a.alphabet == b.alphabet and _same_class(_CyclicCore(a), _CyclicCore(b))
 
 
 class FreeFactorSystem(Frozen):
@@ -542,12 +536,12 @@ def _orbit(
             length_cap,
         )
     # iterate on raw folded cores, each compared with the start's cyclic
-    # core by the size-guarded isomorphism test
+    # core, whose signatures are built once
     return _first_return(
         lambda core: fold_core(start.alphabet, [phi.apply(g) for g in core.generators()]),
         start.representative,
         StallingsCore.n_edges,
-        lambda core: _conjugate_to_trimmed(core, *start._cyclic_core),
+        lambda core: _same_class(_CyclicCore(core), start._cyclic_core),
         max_iter,
         length_cap,
     )

@@ -35,6 +35,7 @@ def examples():
         transvection(alphabet, 1, 2),
         fold_core(alphabet, [ab]),
         subgroup_class(alphabet, [ab]),
+        subgroup_class(alphabet, [ab])._cyclic_core,
         FreeFactorSystem(identity_automorphism(alphabet), [frozenset({1})]),
         OrbitOutcome("Period", 1, 3),
         Sublattice(2, [(1, 0)]),

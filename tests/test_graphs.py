@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from aperiodic_lab import graphs
 from aperiodic_lab.graphs import (
     FiniteGraph,
     GraphAutomorphism,
@@ -175,6 +176,23 @@ class TestEnumeration:
         big = FiniteGraph(1, [(0, 0)] * 11)
         with pytest.raises(ValueError):
             enumerate_automorphisms(big)
+
+    def test_row_cap(self):
+        # a rose of k loops has 2^k k! automorphisms: 46 080 at 6 loops are
+        # listed, and the 645 120 at 7 are refused once the cap is passed
+        assert len(enumerate_automorphisms(FiniteGraph(1, [(0, 0)] * 6))) == 46_080
+        with pytest.raises(ValueError, match=f"more than {graphs.MAX_AUTOMORPHISMS} isomorphisms"):
+            enumerate_automorphisms(FiniteGraph(1, [(0, 0)] * 7))
+
+    def test_row_cap_is_exact(self, monkeypatch):
+        # the 3-loop rose has 48 automorphisms; a first-row search lists one
+        rose3 = FiniteGraph(1, [(0, 0)] * 3)
+        monkeypatch.setattr(graphs, "MAX_AUTOMORPHISMS", 48)
+        assert len(enumerate_automorphisms(rose3)) == 48
+        monkeypatch.setattr(graphs, "MAX_AUTOMORPHISMS", 47)
+        with pytest.raises(ValueError, match="more than 47 isomorphisms"):
+            enumerate_automorphisms(rose3)
+        assert len(_isomorphisms(rose3, rose3, True)) == rose3.n_vertices + rose3.n_darts()
 
 
 class TestH1Action:

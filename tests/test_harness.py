@@ -117,7 +117,9 @@ class TestFamilyCache:
             assert {type(v) for v in self.values(matrices)} == {int}
 
     def test_each_call_gets_fresh_maps(self):
-        first, second = harness._generators(3, "ia3"), harness._generators(3, "ia3")
+        first, second = (
+            [g for g, _ in harness._Family(3, "ia3")._factors] for _ in range(2)
+        )
         assert first == standard_generators(3, "ia3") == second
         assert all(
             g.forward_map is not h.forward_map and g.backward_map is not h.backward_map
@@ -269,7 +271,6 @@ class TestRunners:
         def never(*args):
             raise AssertionError("sampled before the rank was refused")
 
-        monkeypatch.setattr(harness, "sample", never)
         monkeypatch.setattr(harness, "draw", never)
         with pytest.raises(ValueError, match="645120 automorphisms"):
             run_splitting_experiment(ExperimentConfig(rank=7, samples=1))
@@ -292,8 +293,9 @@ class TestRunners:
         assert ExperimentConfig(budget=harness.MAX_BUDGET).budget == 12
         with pytest.raises(ValueError, match="budget must be at most 12"):
             ExperimentConfig(budget=13)
-        with pytest.raises(ValueError, match="budget must be at most 12"):
+        with pytest.raises(SystemExit) as err:
             main(["torsion", "--budget", "13"])
+        assert err.value.code == 2
 
     def test_cli_refuses_a_large_budget(self):
         proc = subprocess.run(
@@ -775,6 +777,24 @@ class TestMatrixFirstSampling:
         assert all(finite_order(m) is None for m in certified)
 
 
+def refusal(capsys, argv):
+    """The message with which ``main`` refuses ``argv``: it exits 2 and
+    writes nothing to stdout, and to stderr only argparse's usage and one
+    error line, no traceback."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    lines = stderr.splitlines()
+    assert lines[0].startswith(f"usage: aperiodic-lab {argv[0]}")
+    errors = [line for line in lines if ": error: " in line]
+    assert errors == lines[-1:] and "Traceback" not in stderr
+    prefix = f"aperiodic-lab {argv[0]}: error: "
+    assert errors[0].startswith(prefix)
+    return errors[0][len(prefix):]
+
+
 class TestCLI:
     def test_minkowski_exit_zero(self, capsys):
         assert main(["minkowski", "--rank", "2", "--bound", "3"]) == 0
@@ -821,12 +841,9 @@ class TestCLI:
     @pytest.mark.parametrize("rank", ["3", "1"])
     def test_rtt_analyze_refuses_a_builtin_map_at_another_rank(self, rank, capsys):
         # every builtin map is rank 2; --rank is read with --file
-        with pytest.raises(SystemExit) as err:
-            main(["rtt-analyze", "--map", "fibonacci", "--rank", rank])
-        assert err.value.code == (
+        assert refusal(capsys, ["rtt-analyze", "--map", "fibonacci", "--rank", rank]) == (
             f"builtin map 'fibonacci' is rank 2, not --rank {rank}; --rank is read with --file"
         )
-        assert capsys.readouterr().out == ""
 
     def test_rtt_analyze_computes_the_constant_once(self, monkeypatch, capsys):
         # one bcc_bound per report, not one per cancellation trial
@@ -872,17 +889,46 @@ class TestCLI:
         fib = graph_map_from_words(rose_marked(a2), [words.parse_word(a2, "ab"), words.parse_word(a2, "a")])
         path = tmp_path / "map.txt"
         path.write_text(edit(graph_map_str(fib)))
-        with pytest.raises(SystemExit) as err:
-            main(["rtt-analyze", "--file", str(path), "--rank", rank])
-        assert err.value.code == f"graph-map file {path}: {error}"
-        assert capsys.readouterr().out == ""
+        argv = ["rtt-analyze", "--file", str(path), "--rank", rank]
+        assert refusal(capsys, argv) == f"graph-map file {path}: {error}"
 
     def test_rtt_analyze_refuses_a_missing_file_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "missing.txt"
+        message = refusal(capsys, ["rtt-analyze", "--file", str(path)])
+        assert message.startswith(f"graph-map file {path}: [Errno 2] No such file")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["conjugacy", "--rank", "1"], "free-group experiments need rank >= 2"),
+            (["conjugacy", "--samples", "0"], "samples must be positive"),
+            (["torsion", "--budget", "13"], "budget must be at most 12, got 13"),
+            (["minkowski", "--rank", "4"], "scan limited to n <= 3, bound <= 8"),
+            (["abelian", "--bound", "9"], "scan limited to n <= 3, bound <= 8"),
+            (["splittings", "--rank", "7"], "rank 7: the rose has 645120 automorphisms, over 100000"),
+            (["rtt-analyze", "--map", "fibonaci"], "unknown builtin map 'fibonaci'"),
+            (["rtt-analyze"], "rtt-analyze needs --file or --map"),
+        ],
+    )
+    def test_refused_input_exits_two(self, capsys, argv, message):
+        # a run that finds violations exits 1 (test_minkowski_level_one_exit_one)
+        assert refusal(capsys, argv).startswith(message)
+
+    def test_error_after_the_run_starts_keeps_its_traceback(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("raised inside the run")
+
+        monkeypatch.setattr(harness, "run_torsion_experiment", fail)
+        with pytest.raises(ValueError, match="raised inside the run"):
+            main(["torsion", "--samples", "1"])
+
+    @pytest.mark.parametrize("command", ["minkowski", "abelian", "rtt-analyze"])
+    def test_csv_only_on_the_experiments(self, command, capsys):
+        # only the experiments' reports hold outcome histograms
         with pytest.raises(SystemExit) as err:
-            main(["rtt-analyze", "--file", str(path)])
-        assert err.value.code.startswith(f"graph-map file {path}: [Errno 2] No such file")
-        assert capsys.readouterr().out == ""
+            main([command, "--csv", "out.csv"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "images, seed, n_trial_violations, digest",

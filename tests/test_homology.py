@@ -305,7 +305,7 @@ class TestScans:
         with pytest.raises(ValueError):
             minkowski_scan(4, 2)
         with pytest.raises(ValueError):
-            abelian_standing_assumptions_check(2, 7)
+            abelian_standing_assumptions_check(2, 9)
 
     @pytest.mark.parametrize("args", [(0, 2, 3), (-1, 2, 3), (2, -1, 3), (2, 2, 0), (2, 2, -3)])
     def test_minkowski_rejects_bad_box(self, args):
@@ -326,10 +326,13 @@ class TestScans:
             ["abelian", "--rank", "0"],
         ],
     )
-    def test_cli_bad_box_is_a_value_error(self, argv):
-        # formerly ZeroDivisionError (level 0) and IndexError (rank 0)
-        with pytest.raises(ValueError):
+    def test_cli_bad_box_is_a_value_error(self, argv, capsys):
+        # formerly ZeroDivisionError (level 0) and IndexError (rank 0); the
+        # scan's ValueError is refused as input, with exit 2 and one line
+        with pytest.raises(SystemExit) as err:
             main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"aperiodic-lab {argv[0]}: error: ")
 
     def test_empty_box(self):
         report = minkowski_scan(2, 0)
@@ -706,9 +709,10 @@ class TestScanLimit:
 
     def test_largest_admitted_boxes(self):
         assert _scan_steps(3, 8, 3) == 562_500
-        _check_scan_args(3, 8, 3, 8)
-        _check_scan_args(3, 2, 1, 8)
-        _check_scan_args(3, 6, 3, 6)
+        _check_scan_args(3, 8, 3)
+        _check_scan_args(3, 2, 1)
+        with pytest.raises(ValueError, match="bound <= 8"):
+            _check_scan_args(2, 9, 3)
 
     def test_refused_before_enumerating(self, monkeypatch):
         # 17^8 steps: refused from the arithmetic alone
@@ -719,8 +723,9 @@ class TestScanLimit:
         assert _scan_steps(3, 8, 1) == 17**8
         with pytest.raises(ValueError, match="enumeration steps"):
             minkowski_scan(3, 8, level=1)
-        with pytest.raises(ValueError, match="enumeration steps"):
+        with pytest.raises(SystemExit) as err:
             main(["minkowski", "--rank", "3", "--level", "1", "--bound", "8"])
+        assert err.value.code == 2
 
     def test_cli_exit_is_nonzero(self):
         proc = subprocess.run(
@@ -729,8 +734,9 @@ class TestScanLimit:
             text=True,
             timeout=60,
         )
-        assert proc.returncode != 0
-        assert "enumeration steps" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("aperiodic-lab minkowski: error: n = 3, bound 8, level 1")
+        assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
 

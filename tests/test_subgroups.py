@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aperiodic_lab import subgroups
 from aperiodic_lab.aut import (
     ad,
     basis_cycle,
@@ -30,7 +31,6 @@ from aperiodic_lab.subgroups import (
     SubgroupConjClass,
     _first_return,
     _letter_order,
-    _pointed_iso,
     _trim,
 )
 from aperiodic_lab.words import (
@@ -201,7 +201,9 @@ class TestFolding:
         n, transitions, base = wedge_core_oracle(gens)
         assert (core.n_vertices, core.n_edges()) == (n, len(transitions) // 2)
         assert core.base == 0
-        assert _pointed_iso(core.transitions, core.n_vertices, transitions, n, 0, base)
+        # BFS numberings from the basepoints agree iff the based graphs are
+        # isomorphic with base to base
+        assert _bfs_encoding(alphabet, core.transitions, 0) == _bfs_encoding(alphabet, transitions, base)
         assert all(membership(g, core) for g in gens)
         valence = [0] * core.n_vertices
         for (v, _letter) in core.transitions:
@@ -324,7 +326,17 @@ class TestConjugacy:
             )
             assert cores_conjugate(h_core, k_core) == brute
 
-    def test_lazy_comparison_matches_canonical(self):
+    def test_lazy_comparison_matches_canonical(self, monkeypatch):
+        # the orbit's return test, as the probe hands it to the first-return loop
+        tests = []
+        monkeypatch.setattr(
+            subgroups, "_first_return", lambda step, state, size, returned, *rest: tests.append(returned)
+        )
+
+        def returns_to(start, core):
+            subgroups._orbit(identity_automorphism(A2), start, 1, 1)
+            return tests.pop()(core)
+
         rng = random.Random(17)
         pool = [word for word in all_reduced_words(A2, 3) if len(word)]
         equal = 0
@@ -337,8 +349,9 @@ class TestConjugacy:
                 others = rng.sample(pool, rng.randint(1, 2))
             a, b = fold_core(A2, gens), fold_core(A2, others)
             expected = canonical_key(a) == canonical_key(b)
-            assert cores_conjugate(a, b) == expected
+            assert cores_conjugate(a, b) == cores_conjugate(b, a) == expected
             assert (SubgroupConjClass(a) == SubgroupConjClass(b)) == expected
+            assert returns_to(SubgroupConjClass(b), a) == returns_to(SubgroupConjClass(a), b) == expected
             if expected:
                 assert hash(SubgroupConjClass(a)) == hash(SubgroupConjClass(b))
                 equal += 1
