@@ -32,6 +32,8 @@ class FiniteGraph(Frozen):
     __slots__ = ("n_vertices", "edges", "_incidence", "_lemma", "_turns")
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int]]):
+        if n_vertices < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n_vertices}")
         edges = tuple((int(u), int(v)) for u, v in edges)
         incidence: List[List[int]] = [[] for _ in range(n_vertices)]
         for e, (u, v) in enumerate(edges):
@@ -219,11 +221,17 @@ MAX_AUTOMORPHISM_EDGES = 10
 
 
 def _profiles(graph: FiniteGraph) -> List[Tuple[int, int]]:
-    """(valence, loop count) of each vertex; isomorphisms preserve it."""
-    return [
-        (len(ds), sum(1 for d in ds if d & 1 == 0 and graph.dart_head(d) == v))
-        for v, ds in enumerate(graph._incidence)
-    ]
+    """(valence, loop count) of each vertex; isomorphisms preserve it.
+    Read off the edge list: an edge adds one to the valence at each end,
+    so a loop adds two, and one to the loop count of its vertex."""
+    valence = [0] * graph.n_vertices
+    loops = [0] * graph.n_vertices
+    for u, v in graph.edges:
+        valence[u] += 1
+        valence[v] += 1
+        if u == v:
+            loops[u] += 1
+    return list(zip(valence, loops))
 
 
 # the byte of an unbound vertex image in the search rows; the rows hold
@@ -290,23 +298,24 @@ def _isomorphisms(source: FiniteGraph, target: FiniteGraph, first: bool) -> byte
         for d in target.darts_at(at) if at != _UNSET else range(n_darts):
             if dart_used[d]:
                 continue
-            # a loop sent to a non-loop, or the reverse, breaks here: its
-            # second end finds its vertex bound elsewhere or its image used
-            bound = []
+            x, y = ends[d]
+            # a bound u is already the origin x of d, as d leaves its image
+            if at == _UNSET and not bind(u, x):
+                continue
+            # read after u's bind, as a loop has v == u: a loop sent to a
+            # non-loop, or the reverse, breaks here, its second end bound
+            # elsewhere or its image used
+            w = vertex_image[v]
             stop = False
-            for x, y in zip((u, v), ends[d]):
-                if vertex_image[x] == y:
-                    continue
-                if vertex_image[x] != _UNSET or not bind(x, y):
-                    break
-                bound.append(x)
-            else:
+            if w == y or (w == _UNSET and bind(v, y)):
                 dart_image[2 * e], dart_image[2 * e + 1] = d, d ^ 1
                 dart_used[d] = dart_used[d ^ 1] = True
                 stop = search(e + 1)
                 dart_used[d] = dart_used[d ^ 1] = False
-            for x in bound:
-                unbind(x)
+                if w == _UNSET:
+                    unbind(v)
+            if at == _UNSET:
+                unbind(u)
             if stop:
                 return True
         return False
@@ -431,19 +440,18 @@ def _acts_trivially_mod3(
     image of the i-th loop counts to e_i mod 3, and the first loop that
     does not ends the test."""
     perm = f.dart_perm
+    rank = len(loops)
     for i, loop in enumerate(loops.values(), 1):
-        # slot j counts letter j; slot 0 is never touched, and e_i starts
-        # subtracted so that the column passes iff every slot is 0 mod 3
-        column = [0] * (len(loops) + 1)
+        # slot x counts the signed letter x, so slot -j (2 rank + 1 - j)
+        # counts -j and slot 0 the tree darts; e_i starts subtracted, so
+        # that the column passes iff every count j minus count -j is 0 mod 3
+        column = [0] * (2 * rank + 1)
         column[i] = -1
         for d in loop:
-            x = letters[perm[d]]
-            if x > 0:
-                column[x] += 1
-            elif x:
-                column[-x] -= 1
-        if any(c % 3 for c in column):
-            return False
+            column[letters[perm[d]]] += 1
+        for j in range(1, rank + 1):
+            if (column[j] - column[-j]) % 3:
+                return False
     return True
 
 

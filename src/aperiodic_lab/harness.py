@@ -24,7 +24,6 @@ import functools
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .aut import (
@@ -74,7 +73,7 @@ from .subgroups import (
     orbit_period,
     subgroup_class,
 )
-from .words import Alphabet, CyclicWord, Word, cyclic_reduce, word_str
+from .words import Alphabet, CyclicWord, Frozen, Word, cyclic_reduce, word_str
 
 
 # the largest budget a runner accepts: sampled images grow exponentially in
@@ -84,26 +83,58 @@ from .words import Alphabet, CyclicWord, Word, cyclic_reduce, word_str
 MAX_BUDGET = 12
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    rank: int = 2
-    family: str = "ia3"
-    samples: int = 100
-    budget: int = 5
-    pool_size: int = 5
-    pool_length: int = 6
-    max_iter: int = 12
-    length_cap: int = 10_000
-    seed: int = 0
+class ExperimentConfig(Frozen):
+    """The parameters of one experiment run, checked when it is built."""
 
-    def __post_init__(self):
-        if self.rank < 2:
+    __slots__ = (
+        "rank",
+        "family",
+        "samples",
+        "budget",
+        "pool_size",
+        "pool_length",
+        "max_iter",
+        "length_cap",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        rank: int = 2,
+        family: str = "ia3",
+        samples: int = 100,
+        budget: int = 5,
+        pool_size: int = 5,
+        pool_length: int = 6,
+        max_iter: int = 12,
+        length_cap: int = 10_000,
+        seed: int = 0,
+    ):
+        values = (rank, family, samples, budget, pool_size, pool_length, max_iter, length_cap, seed)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        if rank < 2:
             raise ValueError("free-group experiments need rank >= 2")
         for name in ("samples", "budget", "pool_size", "pool_length", "max_iter", "length_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.budget > MAX_BUDGET:
-            raise ValueError(f"budget must be at most {MAX_BUDGET}, got {self.budget}")
+        if budget > MAX_BUDGET:
+            raise ValueError(f"budget must be at most {MAX_BUDGET}, got {budget}")
+
+    def _fields(self) -> dict:
+        """The fields by name, in ``__slots__`` order, as a report's
+        ``config`` holds them."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return isinstance(other, ExperimentConfig) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"ExperimentConfig({fields})"
 
 
 # probes that a certificate proves to have no period at all, from the action
@@ -333,7 +364,7 @@ def run_conjugacy_experiment(cfg: ExperimentConfig) -> dict:
 
     report = {
         "experiment": "conjugacy",
-        "config": asdict(cfg),
+        "config": cfg._fields(),
         "trials": cfg.samples,
         "outcomes_outer": hist_outer,
         "outcomes_aut": hist_aut,
@@ -407,7 +438,7 @@ def run_factor_experiment(cfg: ExperimentConfig) -> dict:
 
     report = {
         "experiment": "factors",
-        "config": asdict(cfg),
+        "config": cfg._fields(),
         "trials": cfg.samples,
         "outcomes": hist,
         "identity_sanity_period1": identity_ok,
@@ -502,7 +533,7 @@ def run_torsion_experiment(cfg: ExperimentConfig) -> dict:
 
     report = {
         "experiment": "torsion",
-        "config": asdict(cfg),
+        "config": cfg._fields(),
         "trials": clean,
         "attempts": attempts,
         "skipped_inner": skipped_inner,
@@ -583,7 +614,7 @@ def run_splitting_experiment(cfg: ExperimentConfig) -> dict:
 
     report = {
         "experiment": "splittings",
-        "config": asdict(cfg),
+        "config": cfg._fields(),
         "trials": cfg.samples,
         "pool_size": len(pool),
         "outcomes": hist,

@@ -967,7 +967,10 @@ def _congruence_matrices(n: int, bound: int, level: int):
     the admissible diagonal and off-diagonal entries, so |D| times
     fewer than the box holds; n = 3 at level 3 takes 11 664 steps at
     bound 5 and 562 500 at bound 8, against 46 656 and 3.4M determinants
-    for filtering the box.
+    for filtering the box.  The partial sums s of one head's tails come
+    together, in one list comprehension per cofactor that extends the
+    sums so far by c x for each x in O: one multiply-add per tail at the
+    last cofactor, and |O| times fewer at the one before.
     """
     box = range(-bound, bound + 1)
     diagonal = [x for x in box if (x - 1) % level == 0]
@@ -987,8 +990,12 @@ def _congruence_matrices(n: int, bound: int, level: int):
         pivot = cofactors[-1]
         # targets in the order that makes the solved diagonal entry ascend
         targets = (-1, 1) if pivot > 0 else (1, -1)
-        for tail in tails:
-            s = sum(c * x for c, x in zip(cofactors, tail))
+        # s = c . tail for every tail at once, in the order of tails: the
+        # partial sums extended over ``off`` one cofactor at a time
+        sums = [0]
+        for c in cofactors[:-1]:
+            sums = [p + c * x for p in sums for x in off]
+        for tail, s in zip(tails, sums):
             if pivot:
                 for target in targets:
                     last, rem = divmod(target - s, pivot)
@@ -1045,7 +1052,7 @@ def minkowski_scan(n: int, bound: int, level: int = 3) -> dict:
     product of cyclotomic polynomials, at most two matrix products (see
     ``_order_from_charpoly``); no power M^L and no determinant.  At n = 3,
     level 3 the box of bound 5 holds 973 matrices and that of bound 8
-    holds 13 609; the box of bound 5 takes about 0.010 s on a 2-CPU x86-64
+    holds 13 609; the box of bound 5 takes about 0.007 s on a 2-CPU x86-64
     machine under Python 3.11, enumeration included.
     """
     _check_scan_args(n, bound, level)
@@ -1077,7 +1084,7 @@ def abelian_standing_assumptions_check(n: int, bound: int) -> dict:
     characteristic polynomial in closed form and four divisibility tests
     on its coefficients (see ``_root_of_unity_but_one``): no matrix
     power, no kernel and no determinant.  At n = 3 the box of bound 5
-    takes about 0.008 s on a 2-CPU x86-64 machine under Python 3.11,
+    takes about 0.005 s on a 2-CPU x86-64 machine under Python 3.11,
     enumeration included.
     """
     _check_scan_args(n, bound, 3)

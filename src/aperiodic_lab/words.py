@@ -21,6 +21,13 @@ class Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the setter of each slot's descriptor, in ``__slots__`` order:
+        # ``_trusted`` calls them, which skips the name lookup of
+        # ``object.__setattr__`` on every field
+        cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -29,8 +36,8 @@ class Frozen:
         """An instance whose ``__slots__`` hold ``values``, in order; it
         checks nothing, so every caller says why its values are valid."""
         obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(obj, name, value)
+        for setter, value in zip(cls._slot_setters, values):
+            setter(obj, value)
         return obj
 
     def __reduce__(self):

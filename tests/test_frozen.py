@@ -9,6 +9,7 @@ import pytest
 
 from aperiodic_lab.aut import identity_automorphism, transvection
 from aperiodic_lab.graphs import enumerate_automorphisms
+from aperiodic_lab.harness import ExperimentConfig
 from aperiodic_lab.homology import Sublattice
 from aperiodic_lab.rtt import filtration_of
 from aperiodic_lab.splittings import graph_map_from_words, rose_marked
@@ -46,6 +47,7 @@ def examples():
         graph_map,
         filtration,
         filtration.strata[0],
+        ExperimentConfig(rank=3, family="nielsen", seed=7),
     ]
 
 

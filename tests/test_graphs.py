@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from aperiodic_lab.graphs import (
     _acts_trivially_mod3,
     _isomorphisms,
     _lemma_data,
+    _profiles,
     connected_multigraphs,
     dart_letters,
     enumerate_automorphisms,
@@ -332,6 +334,30 @@ def _bfs_tree_oracle(graph, root=0):
 
 
 class TestIncidence:
+    def test_negative_vertex_count_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0, got -2"):
+            FiniteGraph(-2, ())
+
+    def test_profiles_match_their_dart_definition(self):
+        # valence: the darts at v; loop count: the forward darts at v whose
+        # head is v
+        extra = [
+            FiniteGraph(0, ()),
+            FiniteGraph(3, ()),
+            FiniteGraph(3, [(0, 0)]),
+            FiniteGraph(4, [(0, 1), (2, 3), (3, 3), (2, 3)]),
+            FiniteGraph(5, [(1, 1), (1, 1), (3, 4), (4, 3)]),
+        ]
+        for graph in [*connected_multigraphs(5), *extra]:
+            oracle = [
+                (
+                    len(graph.darts_at(v)),
+                    sum(1 for d in graph.darts_at(v) if d & 1 == 0 and graph.dart_head(d) == v),
+                )
+                for v in range(graph.n_vertices)
+            ]
+            assert _profiles(graph) == oracle
+
     def test_darts_at_matches_origin_scan(self):
         rng = random.Random(5)
         for graph in list(connected_multigraphs(4)) + [FiniteGraph(0, ())]:
@@ -511,6 +537,13 @@ class TestGeneration:
             autos[g.n_edges] = autos.get(g.n_edges, 0) + len(enumerate_automorphisms(g))
         assert graphs == {1: 2, 2: 4, 3: 11, 4: 30, 5: 95}
         assert autos == {1: 4, 2: 16, 3: 102, 4: 678, 5: 5906}
+
+    def test_representatives_are_pinned(self):
+        # the graphs kept, and their order, not only their count: a
+        # generation kernel that kept other representatives would move this
+        text = "".join(graph_str(g) for g in connected_multigraphs(5))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7083da32bba1d12eb3e7eb6086baddbba33a3c37703a7f7fe6d94def7aa8a94f"
 
     def test_no_isomorphic_duplicates(self):
         def brute_iso(g1, g2):

@@ -297,6 +297,21 @@ class TestRunners:
             main(["torsion", "--budget", "13"])
         assert err.value.code == 2
 
+    def test_config_is_a_value(self):
+        # the fields in declaration order, as the reports' config holds them
+        cfg = ExperimentConfig(rank=3, seed=4)
+        assert cfg == ExperimentConfig(3, "ia3", seed=4)
+        assert hash(cfg) == hash(ExperimentConfig(rank=3, seed=4))
+        assert cfg != ExperimentConfig(rank=3, seed=5)
+        assert repr(cfg) == (
+            "ExperimentConfig(rank=3, family='ia3', samples=100, budget=5, pool_size=5, "
+            "pool_length=6, max_iter=12, length_cap=10000, seed=4)"
+        )
+        assert list(cfg._fields()) == [
+            "rank", "family", "samples", "budget", "pool_size",
+            "pool_length", "max_iter", "length_cap", "seed",
+        ]
+
     def test_cli_refuses_a_large_budget(self):
         proc = subprocess.run(
             [sys.executable, "-m", "aperiodic_lab.cli", "conjugacy", "--budget", "20", "--samples", "1"],

@@ -6,8 +6,9 @@ no function has a parameter it never reads, every parameter default is
 overridden by some call, only ``Frozen`` overrides ``__setattr__`` or
 calls ``object.__new__``, no module of the package calls ``apply_endo``,
 every ``__slots__`` field of a package class is read somewhere, the
-package imports nothing outside itself and the standard library, and
-every ``module.name`` that the README names exists.  There is no linter in the toolchain, so these stdlib ``ast``
+package imports nothing outside itself and the standard library, the
+CLI imports neither ``dataclasses`` nor ``inspect``, and every
+``module.name`` that the README names exists.  There is no linter in the toolchain, so these stdlib ``ast``
 checks stand in for one."""
 
 import ast
@@ -625,6 +626,23 @@ def test_every_module_imports_without_numpy_or_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter pays for every module the CLI pulls in, and
+    # dataclasses, with the inspect it imports, cost about 10 ms of it
+    code = (
+        "import aperiodic_lab.cli, sys\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout == "[]\n"
 
 
 # a code span of dotted names, optionally under the package name
