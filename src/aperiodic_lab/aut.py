@@ -58,6 +58,8 @@ class FreeAutomorphism(Frozen):
     """
 
     __slots__ = ("forward_map", "backward_map")
+    # the backward images are the inverse of the forward ones
+    _identity = ("alphabet", "forward")
 
     def __init__(self, alphabet: Alphabet, forward: Sequence[Word], backward: Sequence[Word]):
         forward = tuple(forward)
@@ -93,16 +95,6 @@ class FreeAutomorphism(Frozen):
 
     def apply(self, word: Word) -> Word:
         return self.forward_map(word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeAutomorphism)
-            and self.alphabet == other.alphabet
-            and self.forward == other.forward
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, self.forward))
 
     def __repr__(self):
         images = ", ".join(

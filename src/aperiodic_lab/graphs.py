@@ -30,6 +30,7 @@ class FiniteGraph(Frozen):
     """
 
     __slots__ = ("n_vertices", "edges", "_incidence", "_lemma", "_turns")
+    _identity = ("n_vertices", "edges")
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int]]):
         if n_vertices < 0:
@@ -46,16 +47,6 @@ class FiniteGraph(Frozen):
         object.__setattr__(self, "_incidence", tuple(tuple(ds) for ds in incidence))
         object.__setattr__(self, "_lemma", None)
         object.__setattr__(self, "_turns", None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGraph)
-            and self.n_vertices == other.n_vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n_vertices, self.edges))
 
     def __repr__(self):
         return f"FiniteGraph({self.n_vertices}, {list(self.edges)})"
@@ -157,6 +148,7 @@ class GraphAutomorphism(Frozen):
     """Vertex permutation plus a dart permutation commuting with reversal."""
 
     __slots__ = ("graph", "vertex_perm", "dart_perm")
+    _identity = __slots__
 
     def __init__(self, graph: FiniteGraph, vertex_perm: Sequence[int], dart_perm: Sequence[int]):
         vertex_perm = tuple(vertex_perm)
@@ -173,17 +165,6 @@ class GraphAutomorphism(Frozen):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_perm", vertex_perm)
         object.__setattr__(self, "dart_perm", dart_perm)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphAutomorphism)
-            and self.graph == other.graph
-            and self.vertex_perm == other.vertex_perm
-            and self.dart_perm == other.dart_perm
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.vertex_perm, self.dart_perm))
 
     def __repr__(self):
         return f"GraphAutomorphism(v={self.vertex_perm}, d={self.dart_perm})"

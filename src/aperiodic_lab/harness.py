@@ -73,7 +73,7 @@ from .subgroups import (
     orbit_period,
     subgroup_class,
 )
-from .words import Alphabet, CyclicWord, Frozen, Word, cyclic_reduce, word_str
+from .words import _LOWER, Alphabet, CyclicWord, Frozen, Word, cyclic_reduce, word_str
 
 
 # the largest budget a runner accepts: sampled images grow exponentially in
@@ -97,6 +97,7 @@ class ExperimentConfig(Frozen):
         "length_cap",
         "seed",
     )
+    _identity = __slots__
 
     def __init__(
         self,
@@ -115,6 +116,8 @@ class ExperimentConfig(Frozen):
             object.__setattr__(self, name, value)
         if rank < 2:
             raise ValueError("free-group experiments need rank >= 2")
+        if rank > len(_LOWER):
+            raise ValueError(f"the word format covers ranks up to {len(_LOWER)}, got {rank}")
         for name in ("samples", "budget", "pool_size", "pool_length", "max_iter", "length_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -125,12 +128,6 @@ class ExperimentConfig(Frozen):
         """The fields by name, in ``__slots__`` order, as a report's
         ``config`` holds them."""
         return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(tuple(self._fields().values()))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())

@@ -202,6 +202,7 @@ class Sublattice(Frozen):
     """
 
     __slots__ = ("ambient_dim", "basis")
+    _identity = __slots__
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence[int]]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -210,16 +211,6 @@ class Sublattice(Frozen):
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sublattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"Sublattice(dim={self.ambient_dim}, basis={self.basis})"

@@ -30,7 +30,7 @@ from .graphs import (
     loop_image_letters, parse_graph,
 )
 from .homology import IntMatrix, certify_infinite_order, certify_lattice, word_exponent_vector
-from .subgroups import OrbitOutcome, _first_return, cores_conjugate, fold_core
+from .subgroups import OrbitOutcome, _CyclicCore, _first_return, _same_class, fold_core
 from .words import Alphabet, Frozen, Substitution, Word, parse_word, reduce_letters, word_str
 
 
@@ -242,14 +242,15 @@ def _realizing_symmetry(
     """``invariance_test`` for psi already in marking coordinates."""
     alphabet = marked.alphabet
     groups = _vertex_letters(marked)
+    # one cyclic core per base group and per image, each trimmed once
     base_cores = {
-        w: fold_core(alphabet, [Word(alphabet, (l,)) for l in letters])
+        w: _CyclicCore(fold_core(alphabet, [Word(alphabet, (l,)) for l in letters]))
         for w, letters in groups.items()
     }
     matches = {}
     for v, letters in groups.items():
-        image = fold_core(alphabet, [psi.forward[l - 1] for l in letters])
-        matches[v] = {w for w, core in base_cores.items() if cores_conjugate(image, core)}
+        image = _CyclicCore(fold_core(alphabet, [psi.forward[l - 1] for l in letters]))
+        matches[v] = {w for w, core in base_cores.items() if _same_class(image, core)}
         if not matches[v]:
             return None
 

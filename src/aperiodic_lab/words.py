@@ -7,7 +7,7 @@ uppercase for inverses, and ``1`` for the empty word.
 
 from __future__ import annotations
 
-from operator import neg
+from operator import attrgetter, neg
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -17,6 +17,11 @@ class Frozen:
     Public constructors validate their input and set each field once with
     ``object.__setattr__``.  Code inside the package that already holds
     valid field values builds an instance with ``_trusted``.
+
+    A class that names the fields identifying it in ``_identity`` compares
+    by value: an instance of the class equals another whose identity
+    fields are equal, and hashes as they do.  A class that names none
+    compares by object identity.
     """
 
     __slots__ = ()
@@ -27,6 +32,16 @@ class Frozen:
         # ``_trusted`` calls them, which skips the name lookup of
         # ``object.__setattr__`` on every field
         cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if "_identity" in cls.__dict__:
+            key = attrgetter(*cls._identity)
+
+            def __eq__(self, other):
+                return isinstance(other, cls) and key(self) == key(other)
+
+            def __hash__(self):
+                return hash(key(self))
+
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -51,17 +66,12 @@ class Alphabet(Frozen):
     """Basis x_1..x_N of a free group of rank N."""
 
     __slots__ = ("rank",)
+    _identity = __slots__
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.rank == other.rank
-
-    def __hash__(self):
-        return hash(("Alphabet", self.rank))
 
     def __repr__(self):
         return f"Alphabet({self.rank})"
@@ -112,6 +122,7 @@ class Word(Frozen):
     """
 
     __slots__ = ("alphabet", "letters")
+    _identity = __slots__
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         letters = tuple(letters)
@@ -122,16 +133,6 @@ class Word(Frozen):
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self.alphabet == other.alphabet
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, self.letters))
 
     def __repr__(self):
         return f"Word({self.alphabet.rank}, {word_str(self)!r})"
@@ -176,6 +177,7 @@ class CyclicWord(Frozen):
     """
 
     __slots__ = ("alphabet", "letters")
+    _identity = __slots__
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         core = _strip_conjugation(Word(alphabet, letters))[0].letters
@@ -185,16 +187,6 @@ class CyclicWord(Frozen):
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicWord)
-            and self.alphabet == other.alphabet
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, "cyc", self.letters))
 
     def __repr__(self):
         return f"CyclicWord({self.alphabet.rank}, {word_str(self.as_word())!r})"

@@ -1,6 +1,7 @@
 """Every value type derives from ``Frozen``: no field can be assigned after
-construction, ``_trusted`` fills the fields in ``__slots__`` order, and
-``copy``, ``deepcopy`` and ``pickle`` rebuild an equal value."""
+construction, ``_trusted`` fills the fields in ``__slots__`` order,
+``copy``, ``deepcopy`` and ``pickle`` rebuild an equal value, and equality
+and hashing are derived from the fields a class names in ``_identity``."""
 
 import copy
 import pickle
@@ -133,3 +134,94 @@ def test_alphabet_cannot_strand_a_hashed_word():
         alphabet.rank = 1
     assert alphabet.rank == 2
     assert word in seen
+
+
+# the classes whose equality is value equality of their ``_identity``
+# fields, and the two that compare subgroup classes in their own code
+IDENTIFIED = {
+    "Alphabet", "Word", "CyclicWord", "FreeAutomorphism", "FiniteGraph",
+    "GraphAutomorphism", "Sublattice", "OrbitOutcome", "ExperimentConfig",
+}
+OWN_EQUALITY = {"SubgroupConjClass", "FreeFactorSystem"}
+# the identity fields of ``FreeAutomorphism`` are properties: the slot and
+# the field of it that each reads
+PROPERTY_SOURCES = {
+    "alphabet": ("forward_map", "alphabet"),
+    "forward": ("forward_map", "images"),
+}
+
+
+def source(cls, field):
+    """(slot, field of the slot's value) that identity ``field`` reads, the
+    field of the slot's value None when ``field`` is a slot itself."""
+    return (field, None) if field in cls.__slots__ else PROPERTY_SOURCES[field]
+
+
+def identified():
+    return [x for x in examples() if "_identity" in type(x).__dict__]
+
+
+def replaced(value, field, new):
+    """``value`` with slot ``field`` set to ``new``, the others kept."""
+    cls = type(value)
+    return cls._trusted(*(new if f == field else getattr(value, f) for f in cls.__slots__))
+
+
+def test_nine_classes_declare_an_identity():
+    assert {type(x).__name__ for x in identified()} == IDENTIFIED
+
+
+@pytest.mark.parametrize("value", identified(), ids=lambda x: type(x).__name__)
+def test_trusted_copy_is_equal_and_hashes_alike(value):
+    cls = type(value)
+    clone = cls._trusted(*(getattr(value, f) for f in cls.__slots__))
+    assert clone is not value
+    assert clone == value and value == clone and not clone != value
+    assert hash(clone) == hash(value)
+
+
+@pytest.mark.parametrize("value", identified(), ids=lambda x: type(x).__name__)
+def test_each_identity_field_decides_equality(value):
+    # a fresh object equals nothing but itself
+    cls = type(value)
+    for field in cls._identity:
+        slot, inner = source(cls, field)
+        if inner is None:
+            other = replaced(value, slot, object())
+        else:
+            other = replaced(value, slot, replaced(getattr(value, slot), inner, object()))
+        assert other != value and value != other and not other == value, field
+
+
+@pytest.mark.parametrize("value", identified(), ids=lambda x: type(x).__name__)
+def test_fields_outside_the_identity_do_not_decide_equality(value):
+    cls = type(value)
+    read = {source(cls, f)[0] for f in cls._identity}
+    for field in set(cls.__slots__) - read:
+        other = replaced(value, field, object())
+        assert other == value and hash(other) == hash(value), field
+
+
+def test_outcome_leaves_out_its_iterations():
+    assert OrbitOutcome("Period", 1, 1) == OrbitOutcome("Period", 1)
+    assert hash(OrbitOutcome("Period", 1, 1)) == hash(OrbitOutcome("Period", 1))
+    assert OrbitOutcome("Period", 1) != OrbitOutcome("Period", 2)
+
+
+def test_word_and_cyclic_word_are_unequal():
+    alphabet = Alphabet(2)
+    word, cyclic = Word(alphabet, (1, 2)), CyclicWord(alphabet, (1, 2))
+    assert word.letters == cyclic.letters
+    assert word != cyclic and cyclic != word and not word == cyclic
+
+
+@pytest.mark.parametrize(
+    "value",
+    [x for x in examples() if type(x).__name__ not in IDENTIFIED | OWN_EQUALITY],
+    ids=lambda x: type(x).__name__,
+)
+def test_other_types_compare_by_object_identity(value):
+    cls = type(value)
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    clone = cls._trusted(*(getattr(value, f) for f in cls.__slots__))
+    assert value == value and clone != value

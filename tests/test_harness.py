@@ -291,6 +291,10 @@ class TestRunners:
         with pytest.raises(ValueError):
             ExperimentConfig(samples=0)
         assert ExperimentConfig(budget=harness.MAX_BUDGET).budget == 12
+        # the reports write words in the text format, a..z
+        assert ExperimentConfig(rank=26).rank == 26
+        with pytest.raises(ValueError, match="the word format covers ranks up to 26, got 27"):
+            ExperimentConfig(rank=27)
         with pytest.raises(ValueError, match="budget must be at most 12"):
             ExperimentConfig(budget=13)
         with pytest.raises(SystemExit) as err:
@@ -917,6 +921,10 @@ class TestCLI:
         [
             (["conjugacy", "--rank", "1"], "free-group experiments need rank >= 2"),
             (["conjugacy", "--samples", "0"], "samples must be positive"),
+            (["conjugacy", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["factors", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["torsion", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["splittings", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
             (["torsion", "--budget", "13"], "budget must be at most 12, got 13"),
             (["minkowski", "--rank", "4"], "scan limited to n <= 3, bound <= 8"),
             (["abelian", "--bound", "9"], "scan limited to n <= 3, bound <= 8"),

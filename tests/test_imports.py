@@ -4,7 +4,8 @@ module-level private function or class goes unreferenced in the package,
 no public function, class or method goes unmentioned in the repository,
 no function has a parameter it never reads, every parameter default is
 overridden by some call, only ``Frozen`` overrides ``__setattr__`` or
-calls ``object.__new__``, no module of the package calls ``apply_endo``,
+calls ``object.__new__``, only the two subgroup-class types write their
+own ``__eq__`` or ``__hash__``, no module of the package calls ``apply_endo``,
 every ``__slots__`` field of a package class is read somewhere, the
 package imports nothing outside itself and the standard library, the
 CLI imports neither ``dataclasses`` nor ``inspect``, and every
@@ -357,6 +358,58 @@ def test_frozen_trusted_is_the_only_object_new():
         for scope in object_new_calls(path.read_text())
     ]
     assert found == [("words.py", "Frozen._trusted")]
+
+
+def equality_overrides(source: str) -> list:
+    """Qualified names of the classes whose body defines or assigns
+    ``__eq__`` or ``__hash__``."""
+    dunders = {"__eq__", "__hash__"}
+    found = []
+    for name, node in _scopes(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            if names & dunders:
+                found.append(name)
+                break
+    return found
+
+
+def test_checker_finds_equality_override():
+    source = (
+        "class Frozen:\n"
+        "    def __init_subclass__(cls):\n"
+        "        def __eq__(self, other):\n"
+        "            return self is other\n"
+        "        cls.__eq__ = __eq__\n"
+        "class Point(Frozen):\n"
+        "    _identity = ('x', 'y')\n"
+        "    def __eq__(self, other):\n"
+        "        return self.x == other.x\n"
+        "    def __hash__(self):\n"
+        "        return hash(self.x)\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        __hash__ = None\n"
+    )
+    assert equality_overrides(source) == ["Point", "Outer.Inner"]
+
+
+def test_only_subgroup_classes_write_their_own_equality():
+    # every other value type states its identity once, in ``_identity``,
+    # and ``Frozen`` derives both methods from it
+    found = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in equality_overrides(path.read_text())
+    ]
+    assert found == [("subgroups.py", "SubgroupConjClass"), ("subgroups.py", "FreeFactorSystem")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

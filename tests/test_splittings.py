@@ -28,6 +28,7 @@ from aperiodic_lab.splittings import (
     splitting_orbit_period,
     theta_marked,
 )
+from aperiodic_lab import subgroups
 from aperiodic_lab.subgroups import OrbitOutcome, cores_conjugate, fold_core
 from aperiodic_lab.words import Alphabet, Word, parse_word
 
@@ -487,6 +488,23 @@ class TestInvarianceOracle:
                 differences += 1
         assert compared == 2 * 3 * 12 * 9
         assert differences > 0
+
+    def test_each_group_and_image_is_trimmed_once(self, monkeypatch):
+        # three group vertices: one cyclic core per base group and one per
+        # image, not two per pair of group vertices compared
+        builds = []
+        build = subgroups._CyclicCore.__init__
+
+        def counted(self, core):
+            builds.append(core)
+            build(self, core)
+
+        monkeypatch.setattr(subgroups._CyclicCore, "__init__", counted)
+        path = FiniteGraph(3, [(0, 1), (1, 2)])
+        groups = {v: [Word(A3, (v + 1,))] for v in range(3)}
+        marked = MarkedGraph(A3, path, [0, 1], {}, groups)
+        assert invariance_test(marked, identity_automorphism(A3)) is not None
+        assert len(builds) == 6
 
     def test_orbit_matches_iterated_invariance_test(self):
         # psi^p in marking coordinates against phi^p through the public
