@@ -921,16 +921,16 @@ class TestCLI:
         [
             (["conjugacy", "--rank", "1"], "free-group experiments need rank >= 2"),
             (["conjugacy", "--samples", "0"], "samples must be positive"),
-            (["conjugacy", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
-            (["factors", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
-            (["torsion", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
-            (["splittings", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
             (["torsion", "--budget", "13"], "budget must be at most 12, got 13"),
             (["minkowski", "--rank", "4"], "scan limited to n <= 3, bound <= 8"),
             (["abelian", "--bound", "9"], "scan limited to n <= 3, bound <= 8"),
             (["splittings", "--rank", "7"], "rank 7: the rose has 645120 automorphisms, over 100000"),
             (["rtt-analyze", "--map", "fibonaci"], "unknown builtin map 'fibonaci'"),
             (["rtt-analyze"], "rtt-analyze needs --file or --map"),
+            (["conjugacy", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["factors", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["torsion", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
+            (["splittings", "--rank", "27"], "the word format covers ranks up to 26, got 27"),
         ],
     )
     def test_refused_input_exits_two(self, capsys, argv, message):
